@@ -3,7 +3,6 @@ identities, supercongruences, and conjectured divisibility families."""
 
 from .combinatorics import (
     ROUTES,
-    BinomialProvider,
     FranelTable,
     InconsistencyError,
     binomial,
@@ -15,26 +14,20 @@ from .combinatorics import (
 )
 from .modular import (
     NotCoprimeError,
-    Residue,
     TwoSquares,
     legendre_symbol,
     mod_inverse,
     primes_in_range,
-    rational_residue,
-    reduce,
     two_squares_decompose,
 )
-from .reports import CongruenceReport, IdentityReport
+from .reports import Report
 
 __all__ = [
     "ROUTES",
-    "BinomialProvider",
-    "CongruenceReport",
     "FranelTable",
-    "IdentityReport",
     "InconsistencyError",
     "NotCoprimeError",
-    "Residue",
+    "Report",
     "TwoSquares",
     "binomial",
     "binomial_generalized",
@@ -45,8 +38,6 @@ __all__ = [
     "mod_inverse",
     "partial_fraction_sides",
     "primes_in_range",
-    "rational_residue",
-    "reduce",
     "two_squares_decompose",
 ]
 

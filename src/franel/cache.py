@@ -2,14 +2,13 @@
 
 Format: header line ``franel-cache v1 N=<max-index>`` followed by one
 ``<n>\\t<decimal f_n>`` record per line, indices contiguous from 0, LF
-line endings.  Values are re-validated against the recurrence on load
-(first, last, and one pseudo-random middle triple) so a corrupt entry is
-caught before it poisons every congruence above it.
+line endings.  Every value is re-validated against the recurrence on load,
+so a corrupt entry is caught, and its line named, before it poisons every
+congruence above it.
 """
 from __future__ import annotations
 
 import os
-import random
 import tempfile
 
 from .combinatorics import FranelTable
@@ -37,16 +36,6 @@ def store_table(path: str, table: FranelTable) -> None:
         raise
 
 
-def _check_triple(values: list[int], n: int, line_of) -> None:
-    """Recurrence step at n (checks values[n-1..n+1])."""
-    lhs = (n + 1) * (n + 1) * values[n + 1]
-    rhs = (7 * n * n + 7 * n + 2) * values[n] + 8 * n * n * values[n - 1]
-    if lhs != rhs:
-        raise CacheError(
-            f"recurrence violated at index {n + 1} (line {line_of(n + 1)})"
-        )
-
-
 def load_table(path: str) -> FranelTable:
     with open(path, "r") as fh:
         lines = fh.read().splitlines()
@@ -58,9 +47,6 @@ def load_table(path: str) -> FranelTable:
         raise CacheError("malformed header") from None
     if n_max < 0:
         raise CacheError("malformed header: negative N")
-
-    def line_of(n: int) -> int:
-        return n + 2  # header is line 1
 
     records = lines[1:]
     if len(records) != n_max + 1:
@@ -80,15 +66,16 @@ def load_table(path: str) -> FranelTable:
             raise CacheError(f"non-contiguous index {idx} (line {i + 2})")
         values.append(value)
 
-    # seed values, then spot-check triples: first, last, random middle
+    # seed values, then every recurrence step; line n + 2 holds f_n
     if values[0] != 1:
-        raise CacheError(f"f_0 must be 1 (line {line_of(0)})")
+        raise CacheError("f_0 must be 1 (line 2)")
     if n_max >= 1 and values[1] != 2:
-        raise CacheError(f"f_1 must be 2 (line {line_of(1)})")
-    if n_max >= 2:
-        checks = {1, n_max - 1}
-        if n_max >= 4:
-            checks.add(random.Random(n_max).randrange(2, n_max - 1))
-        for n in sorted(checks):
-            _check_triple(values, n, line_of)
+        raise CacheError("f_1 must be 2 (line 3)")
+    for n in range(1, n_max):
+        lhs = (n + 1) * (n + 1) * values[n + 1]
+        rhs = (7 * n * n + 7 * n + 2) * values[n] + 8 * n * n * values[n - 1]
+        if lhs != rhs:
+            raise CacheError(
+                f"recurrence violated at index {n + 1} (line {n + 3})"
+            )
     return FranelTable(values=tuple(values), route="recurrence")

@@ -34,6 +34,16 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_routes(text: str) -> list[str]:
     routes = [r.strip() for r in text.split(",") if r.strip()]
     for r in routes:
@@ -67,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--p-range", type=_parse_range)
     p_verify.add_argument("--format", choices=("json-lines", "tsv"),
                           default="json-lines")
-    p_verify.add_argument("--workers", type=int, default=1)
+    p_verify.add_argument("--workers", type=_positive_int, default=1)
 
     p_sweep = sub.add_parser("sweep", help="run the full verification grid")
     p_sweep.add_argument("--statements",
@@ -76,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--p-range", type=_parse_range)
     p_sweep.add_argument("--format", choices=("json-lines", "tsv"),
                          default="json-lines")
-    p_sweep.add_argument("--workers", type=int, default=1)
+    p_sweep.add_argument("--workers", type=_positive_int, default=1)
     p_sweep.add_argument("--quiet", action="store_true",
                          help="emit only the summary, not per-cell records")
 

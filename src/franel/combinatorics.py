@@ -5,6 +5,7 @@ two rational helpers which use fractions.Fraction.  No floats anywhere.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,45 +17,19 @@ class InconsistencyError(ArithmeticError):
     """An exact division that must be exact left a nonzero remainder."""
 
 
-class BinomialProvider:
-    """Binomial coefficients backed by cached Pascal rows.
-
-    Rows are built on demand up to ``row_limit``; larger arguments fall
-    through to a direct evaluation so an isolated huge query does not
-    inflate the cache.  Out-of-range k returns 0 (vanishing-term
-    convention used by every sum in this package).
-    """
-
-    def __init__(self, row_limit: int = 2048):
-        self.row_limit = row_limit
-        self._rows: list[list[int]] = [[1]]
-
-    def __call__(self, n: int, k: int) -> int:
-        if n < 0:
-            raise ValueError(f"binomial: n must be nonnegative, got {n}")
-        if k < 0 or k > n:
-            return 0
-        if n > self.row_limit:
-            return math.comb(n, k)
-        rows = self._rows
-        while len(rows) <= n:
-            prev = rows[-1]
-            rows.append(
-                [1] + [prev[i - 1] + prev[i] for i in range(1, len(prev))] + [1]
-            )
-        return rows[n][k]
-
-    @property
-    def cached_rows(self) -> int:
-        return len(self._rows)
-
-
-_DEFAULT_PROVIDER = BinomialProvider()
-
-
+@functools.lru_cache(maxsize=None)
 def binomial(n: int, k: int) -> int:
-    """C(n, k) for n >= 0; zero for k outside [0, n]."""
-    return _DEFAULT_PROVIDER(n, k)
+    """C(n, k) for n >= 0; zero for k outside [0, n] (the vanishing-term
+    convention every sum in this package relies on).
+
+    Memoized because the sweeps query the same small set of coefficients
+    over and over; the values are immutable ints, so sharing is safe.
+    """
+    if n < 0:
+        raise ValueError(f"binomial: n must be nonnegative, got {n}")
+    if k < 0 or k > n:
+        return 0
+    return math.comb(n, k)
 
 
 def binomial_generalized(x: int, k: int) -> int:

@@ -9,14 +9,7 @@ from __future__ import annotations
 
 from .combinatorics import binomial, central_binomials_upto, franel_upto
 from .modular import is_prime, mod_inverse
-from .reports import CongruenceReport
-
-
-def _require_odd_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    # p = 2 is deliberately not rejected here: the -16 inverse below raises
-    # NotCoprimeError for it, which is the contractual failure mode.
+from .reports import Report
 
 
 def _require_prime(p: int) -> None:
@@ -37,13 +30,6 @@ def family_sum(a: int, b: int, c: int, n: int) -> int:
     return total
 
 
-def _family_sum_noinc(a: int, b: int, c: int, n: int) -> int:
-    # reference implementation without the running power (used in tests)
-    f = franel_upto(max(n - 1, 0))
-    cb = central_binomials_upto(max(n - 1, 0))
-    return sum((a * k + b) * c ** (n - k - 1) * cb[k] * f[k] for k in range(n))
-
-
 def inverse_weighted_sum_mod(p: int, m: int, weights: list[int] | None = None) -> int:
     """sum_{k=0}^{p-1} w(k) C(2k,k) f_k (-16)^(-k) mod m, w defaulting to 1.
 
@@ -51,7 +37,7 @@ def inverse_weighted_sum_mod(p: int, m: int, weights: list[int] | None = None) -
     """
     f = franel_upto(p - 1)
     cb = central_binomials_upto(p - 1)
-    inv16 = mod_inverse(-16 % m, m).value
+    inv16 = mod_inverse(-16 % m, m)
     total = 0
     power = 1
     for k in range(p):
@@ -61,14 +47,14 @@ def inverse_weighted_sum_mod(p: int, m: int, weights: list[int] | None = None) -
     return total
 
 
-def check_theorem1(n: int) -> CongruenceReport:
+def check_theorem1(n: int) -> Report:
     """Divisibility of the (3k+1)-weighted sum by n*C(2n,n), with witness."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     s = family_sum(3, 1, -16, n)
     modulus = n * binomial(2 * n, n)
     q, r = divmod(s, modulus)
-    return CongruenceReport(
+    return Report(
         statement="theorem1",
         params={"n": n},
         modulus=modulus,
@@ -78,24 +64,26 @@ def check_theorem1(n: int) -> CongruenceReport:
     )
 
 
-def check_theorem2(p: int) -> CongruenceReport:
+def check_theorem2(p: int) -> Report:
     """(3k+1)-weighted inverse sum against p*(-1)^((p-1)/2), mod p^3."""
-    _require_odd_prime(p)
+    # p = 2 is deliberately not rejected here: the -16 inverse raises
+    # NotCoprimeError for it, which is the contractual failure mode.
+    _require_prime(p)
     m = p**3
     lhs = inverse_weighted_sum_mod(p, m, [3 * k + 1 for k in range(p)])
     rhs = p * (-1) ** ((p - 1) // 2) % m
-    return CongruenceReport(
+    return Report(
         statement="theorem2", params={"p": p}, modulus=m, lhs=lhs, rhs=rhs
     )
 
 
-def check_theorem3(p: int) -> CongruenceReport:
+def check_theorem3(p: int) -> Report:
     """Unweighted inverse sum vanishing mod p for p = 3 (mod 4)."""
     _require_prime(p)
     if p % 4 != 3:
         raise ValueError(f"need p = 3 (mod 4), got p={p}")
     lhs = inverse_weighted_sum_mod(p, p)
-    return CongruenceReport(
+    return Report(
         statement="theorem3", params={"p": p}, modulus=p, lhs=lhs, rhs=0
     )
 
@@ -115,10 +103,10 @@ AUX_IDS = (
 )
 
 
-def _aux_babbage(p: int) -> list[CongruenceReport]:
+def _aux_babbage(p: int) -> list[Report]:
     m = p * p
     return [
-        CongruenceReport(
+        Report(
             statement="babbage",
             params={"p": p},
             modulus=m,
@@ -128,12 +116,12 @@ def _aux_babbage(p: int) -> list[CongruenceReport]:
     ]
 
 
-def _aux_morley(p: int) -> list[CongruenceReport]:
+def _aux_morley(p: int) -> list[Report]:
     if p <= 3:
         raise ValueError("morley requires p > 3")
     m = p**3
     return [
-        CongruenceReport(
+        Report(
             statement="morley",
             params={"p": p},
             modulus=m,
@@ -143,12 +131,12 @@ def _aux_morley(p: int) -> list[CongruenceReport]:
     ]
 
 
-def _aux_jarvis_verrill(p: int) -> list[CongruenceReport]:
+def _aux_jarvis_verrill(p: int) -> list[Report]:
     f = franel_upto(p - 1)
     out = []
     for n in range(p):
         out.append(
-            CongruenceReport(
+            Report(
                 statement="jarvis_verrill",
                 params={"p": p, "n": n},
                 modulus=p,
@@ -159,7 +147,7 @@ def _aux_jarvis_verrill(p: int) -> list[CongruenceReport]:
     return out
 
 
-def _aux_multinomial(p: int) -> list[CongruenceReport]:
+def _aux_multinomial(p: int) -> list[Report]:
     """Two-branch reduction of (p+2k)!/((2k)! k! (p-k)!) mod p^2 for
     1 <= k < p, k != (p-1)/2."""
     if p <= 3:
@@ -172,9 +160,9 @@ def _aux_multinomial(p: int) -> list[CongruenceReport]:
             continue  # handled by half_binom
         value = binomial(p + 2 * k, 3 * k) * binomial(3 * k, k) % m
         scale = p if k < half else 2 * p
-        target = (-1) ** (k - 1) * scale * mod_inverse(k, m).value % m
+        target = (-1) ** (k - 1) * scale * mod_inverse(k, m) % m
         out.append(
-            CongruenceReport(
+            Report(
                 statement="multinomial",
                 params={"p": p, "k": k, "branch": "low" if k < half else "high"},
                 modulus=m,
@@ -185,7 +173,7 @@ def _aux_multinomial(p: int) -> list[CongruenceReport]:
     return out
 
 
-def _aux_half_binom(p: int) -> list[CongruenceReport]:
+def _aux_half_binom(p: int) -> list[Report]:
     """The k=(p-1)/2 term: exact product shape, then its value mod p^2."""
     m = p * p
     k = (p - 1) // 2
@@ -199,14 +187,14 @@ def _aux_half_binom(p: int) -> list[CongruenceReport]:
     assert r == 0, "k=(p-1)/2 term is not an integer"
     closed = -binomial(2 * p - 1, p - 1) * binomial(p - 1, k) ** 2
     return [
-        CongruenceReport(
+        Report(
             statement="half_binom",
             params={"p": p, "part": "exact"},
             modulus=None,
             lhs=term,
             rhs=closed,
         ),
-        CongruenceReport(
+        Report(
             statement="half_binom",
             params={"p": p, "part": "mod"},
             modulus=m,
@@ -216,15 +204,15 @@ def _aux_half_binom(p: int) -> list[CongruenceReport]:
     ]
 
 
-def _aux_central_pmod(p: int) -> list[CongruenceReport]:
+def _aux_central_pmod(p: int) -> list[Report]:
     half = (p - 1) // 2
-    inv4 = mod_inverse(4, p).value
+    inv4 = mod_inverse(4, p)
     out = []
     power = 1
     cb = central_binomials_upto(p - 1)
     for k in range(p):
         out.append(
-            CongruenceReport(
+            Report(
                 statement="central_pmod",
                 params={"p": p, "k": k},
                 modulus=p,
@@ -236,24 +224,24 @@ def _aux_central_pmod(p: int) -> list[CongruenceReport]:
     return out
 
 
-def _aux_fermat_square(p: int) -> list[CongruenceReport]:
+def _aux_fermat_square(p: int) -> list[Report]:
     m = p * p
-    inv8 = mod_inverse(8, m).value
-    inv4 = mod_inverse(4, m).value
+    inv8 = mod_inverse(8, m)
+    inv4 = mod_inverse(4, m)
     lhs = (pow(2, p - 1, m) + pow(inv8, p - 1, m) - pow(inv4, p - 1, m)) % m
     return [
-        CongruenceReport(
+        Report(
             statement="fermat_square", params={"p": p}, modulus=m, lhs=lhs, rhs=1
         )
     ]
 
 
-def _aux_final_reflect(p: int) -> list[CongruenceReport]:
+def _aux_final_reflect(p: int) -> list[Report]:
     half = (p - 1) // 2
     out = []
     for k in range(half + 1):
         out.append(
-            CongruenceReport(
+            Report(
                 statement="final_reflect",
                 params={"p": p, "k": k},
                 modulus=p,
@@ -276,10 +264,10 @@ _AUX_FN = {
 }
 
 
-def check_auxiliary(aux_id: str, p: int) -> list[CongruenceReport]:
+def check_auxiliary(aux_id: str, p: int) -> list[Report]:
     if aux_id not in _AUX_FN:
         raise ValueError(f"unknown auxiliary id {aux_id!r}; expected one of {AUX_IDS}")
-    _require_odd_prime(p)
+    _require_prime(p)
     if p == 2:
         raise ValueError("p must be odd")
     return _AUX_FN[aux_id](p)
@@ -302,16 +290,16 @@ def final3_rhs_terms(p: int) -> list[int]:
     ]
 
 
-def check_reduction_chain(p: int) -> list[CongruenceReport]:
+def check_reduction_chain(p: int) -> list[Report]:
     """Every displayed intermediate congruence of the two proofs, verified
     numerically and independently (no elided steps reconstructed)."""
-    _require_odd_prime(p)
+    _require_prime(p)
     if p == 2:
         raise ValueError("p must be odd")
     m2 = p * p
     m3 = p**3
     half = (p - 1) // 2
-    reports: list[CongruenceReport] = []
+    reports: list[Report] = []
 
     # exact pulled-out form: S = -p C(2p-1,p-1) * [4^(p-1) * inner-sum]
     s_exact = family_sum(3, 1, -16, p)
@@ -328,7 +316,7 @@ def check_reduction_chain(p: int) -> list[CongruenceReport]:
             * 4 ** (p - 1 - k)
         )
     reports.append(
-        CongruenceReport(
+        Report(
             statement="chain_newsum_pp",
             params={"p": p},
             modulus=None,
@@ -342,19 +330,19 @@ def check_reduction_chain(p: int) -> list[CongruenceReport]:
     assert r3 % p == 0, "weighted inverse sum is not divisible by p"
     big_l = r3 // p % m2
 
-    inv4 = mod_inverse(4, m2).value
+    inv4 = mod_inverse(4, m2)
     inv4_pow = pow(inv4, p - 1, m2)  # 4^(1-p)
     neg4_half = pow(-4 % m2, half, m2)
 
     line1 = (p * inv4_pow + neg4_half) % m2
     acc = 0
     for k in range(1, half):  # 1 <= k <= (p-3)/2
-        num = (p - p * p * mod_inverse(k, m2).value) % m2
-        den_inv = mod_inverse((2 * k + 1) * pow(4, k, m2), m2).value
+        num = (p - p * p * mod_inverse(k, m2)) % m2
+        den_inv = mod_inverse((2 * k + 1) * pow(4, k, m2), m2)
         acc = (acc + cb[k] % m2 * num * den_inv) % m2
     line1 = (line1 + inv4_pow * acc) % m2
     reports.append(
-        CongruenceReport(
+        Report(
             statement="chain_newsum2_line1",
             params={"p": p},
             modulus=m2,
@@ -365,11 +353,11 @@ def check_reduction_chain(p: int) -> list[CongruenceReport]:
 
     acc = 0
     for k in range(half):  # 0 <= k <= (p-3)/2
-        den_inv = mod_inverse((2 * k + 1) * pow(4, k, m2), m2).value
+        den_inv = mod_inverse((2 * k + 1) * pow(4, k, m2), m2)
         acc = (acc + cb[k] % m2 * p * den_inv) % m2
     line2 = (neg4_half + inv4_pow * acc) % m2
     reports.append(
-        CongruenceReport(
+        Report(
             statement="chain_newsum2_line2",
             params={"p": p},
             modulus=m2,
@@ -382,11 +370,11 @@ def check_reduction_chain(p: int) -> list[CongruenceReport]:
     for k in range(half):
         acc = (
             acc
-            + (-1) ** k * binomial(half, k) * p * mod_inverse(2 * k + 1, m2).value
+            + (-1) ** k * binomial(half, k) * p * mod_inverse(2 * k + 1, m2)
         ) % m2
     line3 = (neg4_half + inv4_pow * acc) % m2
     reports.append(
-        CongruenceReport(
+        Report(
             statement="chain_newsum3",
             params={"p": p},
             modulus=m2,
@@ -398,7 +386,7 @@ def check_reduction_chain(p: int) -> list[CongruenceReport]:
     # unweighted inverse sum against the reflected half-range form, mod p
     terms = final3_rhs_terms(p)
     reports.append(
-        CongruenceReport(
+        Report(
             statement="chain_final3",
             params={"p": p},
             modulus=p,
@@ -410,7 +398,7 @@ def check_reduction_chain(p: int) -> list[CongruenceReport]:
     # central binomials vanish mod p on the upper half range
     for k in range(half + 1, p):
         reports.append(
-            CongruenceReport(
+            Report(
                 statement="chain_central_vanish",
                 params={"p": p, "k": k},
                 modulus=p,
@@ -423,7 +411,7 @@ def check_reduction_chain(p: int) -> list[CongruenceReport]:
     if p % 4 == 3:
         for k in range((half + 1) // 2):
             reports.append(
-                CongruenceReport(
+                Report(
                     statement="chain_final3_pair",
                     params={"p": p, "k": k},
                     modulus=None,

@@ -11,12 +11,11 @@ from dataclasses import dataclass
 from .combinatorics import (
     binomial,
     binomial_generalized,
-    central_binomials_upto,
     franel_upto,
 )
 from .congruences import family_sum, inverse_weighted_sum_mod
 from .modular import is_prime, legendre_symbol, two_squares_decompose
-from .reports import CongruenceReport
+from .reports import Report
 
 
 @dataclass(frozen=True)
@@ -47,30 +46,14 @@ NEW2_TRIPLES = (
 )
 
 
-@dataclass(frozen=True)
-class MultiIndexSpec:
-    """Multi-index configuration: m factors with integer multipliers a_i."""
-
-    m: int
-    a_list: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be positive")
-        if len(self.a_list) != self.m:
-            raise ValueError(
-                f"a_list has {len(self.a_list)} entries, expected m={self.m}"
-            )
-
-
-def check_conjecture1(p: int) -> CongruenceReport:
+def check_conjecture1(p: int) -> Report:
     """(3k+1)-weighted inverse sum against p*(-1)^((p-1)/2), mod p^2."""
     if not is_prime(p) or p <= 3:
         raise ValueError(f"need a prime p > 3, got {p}")
     m = p * p
     lhs = inverse_weighted_sum_mod(p, m, [3 * k + 1 for k in range(p)])
     rhs = p * (-1) ** ((p - 1) // 2) % m
-    return CongruenceReport(
+    return Report(
         statement="conjecture1", params={"p": p}, modulus=m, lhs=lhs, rhs=rhs
     )
 
@@ -100,13 +83,13 @@ def conjecture2_target(p: int) -> tuple[int, str]:
     return 4 * legendre_symbol(x * y, 3) * x * y % m, "5mod12"
 
 
-def check_conjecture2(p: int) -> CongruenceReport:
+def check_conjecture2(p: int) -> Report:
     if not is_prime(p) or p == 2:
         raise ValueError(f"need an odd prime, got {p}")
     m = p * p
     lhs = inverse_weighted_sum_mod(p, m)
     target, case = conjecture2_target(p)
-    return CongruenceReport(
+    return Report(
         statement="conjecture2",
         params={"p": p, "case": case},
         modulus=m,
@@ -115,7 +98,7 @@ def check_conjecture2(p: int) -> CongruenceReport:
     )
 
 
-def check_family(t: FamilyTriple, n: int) -> CongruenceReport:
+def check_family(t: FamilyTriple, n: int) -> Report:
     """Divisibility of the (a*k+b, c)-weighted sum by n*C(2n,n)."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -126,7 +109,7 @@ def check_family(t: FamilyTriple, n: int) -> CongruenceReport:
     params = {"a": t.a, "b": t.b, "c": t.c, "n": n}
     if extra:
         params["origin"] = "extra-paper"
-    return CongruenceReport(
+    return Report(
         statement="family",
         params=params,
         modulus=modulus,
@@ -146,68 +129,31 @@ def product_factor_columns(a: int, n: int, modulus: int) -> list[int]:
     ]
 
 
-def check_third_conjecture(
-    s: MultiIndexSpec, n: int, variant: str = "linear"
-) -> CongruenceReport:
-    """Multi-index product sum vanishing mod n^2.
-
-    linear uses weight 3k+2, quadratic uses 9k^2+5k.  Zero multipliers are
-    admitted (the factor degenerates to (-1)^k) and flagged in the report.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if variant not in ("linear", "quadratic"):
-        raise ValueError(f"unknown variant {variant!r}")
-    m = n * n
-    if m == 1:
-        # modulus 1: trivially zero, no residue arithmetic needed
-        lhs = 0
-    else:
-        f = franel_upto(n - 1)
-        cols = [product_factor_columns(a, n, m) for a in s.a_list]
-        sign = (-1) ** (s.m - 1)
-        total = 0
-        sgn = 1
-        for k in range(n):
-            w = 3 * k + 2 if variant == "linear" else 9 * k * k + 5 * k
-            prod = w * sgn * (f[k] % m) % m
-            for col in cols:
-                prod = prod * col[k] % m
-            total = (total + prod) % m
-            sgn *= sign
-        lhs = total
-    params = {"m": s.m, "a": list(s.a_list), "n": n, "variant": variant}
-    if 0 in s.a_list:
-        params["degenerate"] = True
-    return CongruenceReport(
-        statement=f"third_{variant}", params=params, modulus=max(m, 1), lhs=lhs, rhs=0
-    )
-
-
 def _grid_report(
     variant: str, m: int, tup: tuple[int, ...], n: int, lhs: int, modulus: int
-) -> CongruenceReport:
+) -> Report:
     params = {"m": m, "a": list(tup), "n": n, "variant": variant}
     if 0 in tup:
         params["degenerate"] = True
-    return CongruenceReport(
+    return Report(
         statement=f"third_{variant}", params=params, modulus=modulus, lhs=lhs, rhs=0
     )
 
 
 def third_conjecture_grid(
     n: int, m_max: int = 3, a_values: tuple[int, ...] = (-3, -2, -1, 0, 1, 2, 3)
-) -> list[CongruenceReport]:
-    """Both weight variants over every multiplier tuple of length <= m_max.
-
-    Equivalent to calling check_third_conjecture per (tuple, variant) but
-    shares the per-multiplier factor columns across tuples.
+) -> list[Report]:
+    """Multi-index product sums vanishing mod n^2, for both weight variants
+    (linear 3k+2, quadratic 9k^2+5k) over every multiplier tuple of length
+    <= m_max.  Zero multipliers are admitted (the factor degenerates to
+    (-1)^k) and flagged in the report.  The per-multiplier factor columns
+    are shared across tuples.
     """
     from itertools import product as iproduct
 
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    out: list[CongruenceReport] = []
+    out: list[Report] = []
     if n == 1:
         for m in range(1, m_max + 1):
             for tup in iproduct(a_values, repeat=m):
@@ -250,7 +196,7 @@ def third_conjecture_grid(
     return out
 
 
-def check_product_note(p: int, a: int, k: int) -> CongruenceReport:
+def check_product_note(p: int, a: int, k: int) -> Report:
     """C(a*p-1, k) * C(a*p+k, k) = (-1)^k mod p^2 for 0 <= k <= p-1."""
     if not is_prime(p) or p == 2:
         raise ValueError(f"need an odd prime, got {p}")
@@ -262,7 +208,7 @@ def check_product_note(p: int, a: int, k: int) -> CongruenceReport:
         * binomial_generalized(a * p + k, k)
         % m
     )
-    return CongruenceReport(
+    return Report(
         statement="product_note",
         params={"p": p, "a": a, "k": k},
         modulus=m,
@@ -271,7 +217,7 @@ def check_product_note(p: int, a: int, k: int) -> CongruenceReport:
     )
 
 
-def check_zw_sun(n: int, variant: str = "guo") -> CongruenceReport:
+def check_zw_sun(n: int, variant: str = "guo") -> Report:
     """Alternating Franel sums: guo is (3k+2) mod 2n^2; strengthened is
     (9k^2+5k) mod n^2(n-1)."""
     if variant == "guo":
@@ -289,7 +235,7 @@ def check_zw_sun(n: int, variant: str = "guo") -> CongruenceReport:
     f = franel_upto(n - 1)
     s = sum(weight(k) * (-1) ** k * f[k] for k in range(n))
     q, r = divmod(s, modulus)
-    return CongruenceReport(
+    return Report(
         statement=f"zw_{variant}",
         params={"n": n},
         modulus=modulus,

@@ -5,22 +5,23 @@ so every check is a pure integer equality and a failure is exact.
 """
 from __future__ import annotations
 
+import math
+
 from .combinatorics import (
     binomial,
     franel_direct,
     franel_recurrence,
     franel_strehl,
     franel_sun_expansion,
-    franel_upto,
     macmahon_sides,
     partial_fraction_sides,
 )
-from .reports import IdentityReport
+from .reports import Report
 
 
-def check_sun_expansion(n: int) -> IdentityReport:
+def check_sun_expansion(n: int) -> Report:
     """f_n against the alternating central-binomial expansion."""
-    return IdentityReport(
+    return Report(
         statement="sun_expansion",
         params={"n": n},
         lhs=franel_sun_expansion(n),
@@ -28,8 +29,8 @@ def check_sun_expansion(n: int) -> IdentityReport:
     )
 
 
-def check_strehl(n: int) -> IdentityReport:
-    return IdentityReport(
+def check_strehl(n: int) -> Report:
+    return Report(
         statement="strehl",
         params={"n": n},
         lhs=franel_strehl(n),
@@ -37,30 +38,24 @@ def check_strehl(n: int) -> IdentityReport:
     )
 
 
-def check_macmahon(n: int, x: int) -> IdentityReport:
+def check_macmahon(n: int, x: int) -> Report:
     lhs, rhs = macmahon_sides(n, x)
-    return IdentityReport(
+    return Report(
         statement="macmahon", params={"n": n, "x": x}, lhs=lhs, rhs=rhs
     )
 
 
-def check_partial_fraction(n: int) -> IdentityReport:
+def check_partial_fraction(n: int) -> Report:
     """Both sides are exact rationals; compare numerators over the common
     denominator so the report stays integer-valued."""
     lhs, rhs = partial_fraction_sides(n)
-    den = lhs.denominator * rhs.denominator // _gcd(lhs.denominator, rhs.denominator)
-    return IdentityReport(
+    den = math.lcm(lhs.denominator, rhs.denominator)
+    return Report(
         statement="partial_fraction",
         params={"n": n},
         lhs=lhs.numerator * (den // lhs.denominator),
         rhs=rhs.numerator * (den // rhs.denominator),
     )
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def induction_lhs(n: int, k: int) -> int:
@@ -77,7 +72,7 @@ def induction_lhs(n: int, k: int) -> int:
     return total
 
 
-def check_induction_identity(n: int, k: int) -> IdentityReport:
+def check_induction_identity(n: int, k: int) -> Report:
     """Weighted partial-sum identity, compared after cross-multiplying
     by 8(2k+1) so both sides are integers."""
     if not 0 <= k <= n:
@@ -90,12 +85,12 @@ def check_induction_identity(n: int, k: int) -> IdentityReport:
         * (k - n)
         * (-4) ** (n - k)
     )
-    return IdentityReport(
+    return Report(
         statement="induction", params={"n": n, "k": k}, lhs=lhs, rhs=rhs
     )
 
 
-def check_summation_lemma(n: int, k: int) -> IdentityReport:
+def check_summation_lemma(n: int, k: int) -> Report:
     """Alternating sum telescoping to a single (possibly zero) binomial."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
@@ -104,12 +99,12 @@ def check_summation_lemma(n: int, k: int) -> IdentityReport:
         for m in range(k, n + 1)
     )
     rhs = binomial(2 * k, n - k) * (-1) ** (n - k)
-    return IdentityReport(
+    return Report(
         statement="summation_lemma", params={"n": n, "k": k}, lhs=lhs, rhs=rhs
     )
 
 
-def check_integrality(n: int) -> IdentityReport:
+def check_integrality(n: int) -> Report:
     """Integrality facts used to pull the n*C(2n,n) factor out of the main
     divisibility sum.  For each 0 <= k < n:
 
@@ -126,13 +121,13 @@ def check_integrality(n: int) -> IdentityReport:
         q, r = divmod(c3k, 2 * k + 1)
         alt = c3k - 2 * binomial(3 * k, k - 1)
         if r != 0 or q != alt:
-            return IdentityReport(
+            return Report(
                 statement="integrality", params={"n": n, "k": k, "part": "a"},
                 lhs=q if r == 0 else c3k, rhs=alt if r == 0 else q * (2 * k + 1),
             )
         num = binomial(2 * k, k) * (-4) ** (n - k)
         if num % 8:
-            return IdentityReport(
+            return Report(
                 statement="integrality", params={"n": n, "k": k, "part": "b"},
                 lhs=num % 8, rhs=0,
             )
@@ -149,43 +144,24 @@ def check_integrality(n: int) -> IdentityReport:
         )
         num += term
     q, r = divmod(num, den)
-    return IdentityReport(
+    return Report(
         statement="integrality", params={"n": n, "part": "c"}, lhs=r, rhs=0
     )
 
 
-def check_recurrence_step(n: int) -> IdentityReport:
+def check_recurrence_step(n: int) -> Report:
     """One step of the three-term recurrence, against direct-route values."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     f = [franel_direct(n - 1), franel_direct(n), franel_direct(n + 1)]
     lhs = (n + 1) * (n + 1) * f[2]
     rhs = (7 * n * n + 7 * n + 2) * f[1] + 8 * n * n * f[0]
-    return IdentityReport(
+    return Report(
         statement="recurrence", params={"n": n}, lhs=lhs, rhs=rhs
     )
 
 
-def check_recurrence(n_max: int) -> IdentityReport:
-    """Recurrence over the whole table 1 <= n <= n_max - 1; reports the
-    first failing step, or an aggregate pass."""
-    if n_max < 2:
-        raise ValueError(f"need n_max >= 2, got {n_max}")
-    f = [franel_direct(n) for n in range(n_max + 1)]
-    for n in range(1, n_max):
-        lhs = (n + 1) * (n + 1) * f[n + 1]
-        rhs = (7 * n * n + 7 * n + 2) * f[n] + 8 * n * n * f[n - 1]
-        if lhs != rhs:
-            return IdentityReport(
-                statement="recurrence", params={"n_max": n_max, "n": n},
-                lhs=lhs, rhs=rhs,
-            )
-    return IdentityReport(
-        statement="recurrence", params={"n_max": n_max}, lhs=0, rhs=0
-    )
-
-
-def check_route_agreement(n: int) -> list[IdentityReport]:
+def check_route_agreement(n: int) -> list[Report]:
     """All four Franel routes against the direct route at one index."""
     ref = franel_direct(n)
     out = []
@@ -195,7 +171,7 @@ def check_route_agreement(n: int) -> list[IdentityReport]:
         ("sun-expansion", franel_sun_expansion),
     ):
         out.append(
-            IdentityReport(
+            Report(
                 statement="route_agreement",
                 params={"n": n, "route": route},
                 lhs=fn(n),

@@ -1,4 +1,4 @@
-"""Canonical modular arithmetic, primes, Legendre symbols, two squares."""
+"""Modular inverses, primes, Legendre symbols, two squares."""
 from __future__ import annotations
 
 import math
@@ -9,81 +9,16 @@ class NotCoprimeError(ValueError):
     """Requested inverse of a residue that shares a factor with the modulus."""
 
 
-@dataclass(frozen=True)
-class Residue:
-    """A canonical residue class: 0 <= value < modulus, modulus >= 2.
-
-    Arithmetic between residues of different moduli is rejected; mixing
-    mod p with mod p^2/p^3 silently is the main hazard in this domain.
-    """
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
-        if not 0 <= self.value < self.modulus:
-            raise ValueError(f"value {self.value} not canonical mod {self.modulus}")
-
-    def _check(self, other: "Residue") -> None:
-        if self.modulus != other.modulus:
-            raise ValueError(
-                f"modulus mismatch: {self.modulus} vs {other.modulus}"
-            )
-
-    def __add__(self, other: "Residue") -> "Residue":
-        self._check(other)
-        return Residue((self.value + other.value) % self.modulus, self.modulus)
-
-    def __sub__(self, other: "Residue") -> "Residue":
-        self._check(other)
-        return Residue((self.value - other.value) % self.modulus, self.modulus)
-
-    def __mul__(self, other: "Residue") -> "Residue":
-        self._check(other)
-        return Residue((self.value * other.value) % self.modulus, self.modulus)
-
-    def __neg__(self) -> "Residue":
-        return Residue(-self.value % self.modulus, self.modulus)
-
-    def __pow__(self, e: int) -> "Residue":
-        if e < 0:
-            return mod_inverse(self.value, self.modulus) ** (-e)
-        return Residue(pow(self.value, e, self.modulus), self.modulus)
-
-
-def reduce(a: int, m: int) -> Residue:
-    """Canonical representative of a mod m (correct for negative a)."""
+def mod_inverse(a: int, m: int) -> int:
+    """The r in [0, m) with a*r == 1 (mod m)."""
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-    return Residue(a % m, m)
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
-
-
-def mod_inverse(a: int, m: int) -> Residue:
-    """Residue r with a*r == 1 (mod m), by the extended Euclidean algorithm."""
-    if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
-    a %= m
-    g, x, _ = xgcd(a, m)
-    if g != 1:
-        raise NotCoprimeError(f"{a} is not invertible mod {m} (gcd={g})")
-    return Residue(x % m, m)
-
-
-def rational_residue(num: int, den: int, m: int) -> Residue:
-    """The residue of num/den mod m; den must be coprime to m."""
-    return reduce(num * mod_inverse(den, m).value, m)
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise NotCoprimeError(
+            f"{a % m} is not invertible mod {m} (gcd={math.gcd(a, m)})"
+        ) from None
 
 
 def is_prime(n: int) -> bool:

@@ -13,7 +13,7 @@ from typing import Callable
 
 from . import congruences, conjectures, identities
 from .modular import primes_in_range
-from .reports import CongruenceReport, Report
+from .reports import Report
 
 MACMAHON_POINTS = (-3, -2, -1, 0, 1, 2, 3)
 
@@ -178,7 +178,7 @@ def run_cell(statement_id: str, param: int) -> list[Report]:
     reason = stmt.admissible(param)
     if reason is not None:
         return [
-            CongruenceReport(
+            Report(
                 statement=statement_id,
                 params={stmt.kind: param},
                 modulus=None,

@@ -10,26 +10,8 @@ from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
-class IdentityReport:
-    """One exact (non-modular) verification outcome."""
-
-    statement: str
-    params: dict = field(default_factory=dict)
-    lhs: int = 0
-    rhs: int = 0
-
-    @property
-    def passed(self) -> bool:
-        return self.lhs == self.rhs
-
-    @property
-    def verdict(self) -> str:
-        return "pass" if self.passed else "fail"
-
-
-@dataclass(frozen=True)
-class CongruenceReport:
-    """One modular (or divisibility) verification outcome.
+class Report:
+    """One verification outcome.
 
     modulus None means the two sides were compared as exact integers.
     witness carries the quotient for divisibility statements.
@@ -60,8 +42,6 @@ class CongruenceReport:
         return "pass" if self.passed else "fail"
 
 
-Report = IdentityReport | CongruenceReport
-
 TSV_COLUMNS = (
     "statement",
     "params",
@@ -82,17 +62,15 @@ def report_to_dict(r: Report) -> dict:
     d = {
         "statement": r.statement,
         "params": {k: str(v) for k, v in r.params.items()},
-        "modulus": str(r.modulus) if getattr(r, "modulus", None) is not None else "exact",
+        "modulus": "exact" if r.modulus is None else str(r.modulus),
         "lhs": str(r.lhs),
         "rhs": str(r.rhs),
         "verdict": r.verdict,
     }
-    witness = getattr(r, "witness", None)
-    if witness is not None:
-        d["witness"] = str(witness)
-    skipped = getattr(r, "skipped_reason", None)
-    if skipped is not None:
-        d["skipped_reason"] = skipped
+    if r.witness is not None:
+        d["witness"] = str(r.witness)
+    if r.skipped_reason is not None:
+        d["skipped_reason"] = r.skipped_reason
     return d
 
 

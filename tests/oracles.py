@@ -1,0 +1,74 @@
+"""Slow reference implementations that the tests compare the package's
+fast code against.  Each one computes the same value by a more direct
+route; none is used by the package itself.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from franel.combinatorics import central_binomials_upto, franel_upto
+from franel.conjectures import product_factor_columns
+from franel.reports import Report
+
+
+def family_sum_noinc(a: int, b: int, c: int, n: int) -> int:
+    """congruences.family_sum with each power c^(n-k-1) computed afresh
+    instead of by a running division."""
+    f = franel_upto(max(n - 1, 0))
+    cb = central_binomials_upto(max(n - 1, 0))
+    return sum((a * k + b) * c ** (n - k - 1) * cb[k] * f[k] for k in range(n))
+
+
+@dataclass(frozen=True)
+class MultiIndexSpec:
+    """Multi-index configuration: m factors with integer multipliers a_i."""
+
+    m: int
+    a_list: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.m < 1:
+            raise ValueError("m must be positive")
+        if len(self.a_list) != self.m:
+            raise ValueError(
+                f"a_list has {len(self.a_list)} entries, expected m={self.m}"
+            )
+
+
+def check_third_conjecture(
+    s: MultiIndexSpec, n: int, variant: str = "linear"
+) -> Report:
+    """One (tuple, variant) cell of conjectures.third_conjecture_grid,
+    computed on its own: the multi-index product sum mod n^2.
+
+    linear uses weight 3k+2, quadratic uses 9k^2+5k.  Zero multipliers are
+    admitted (the factor degenerates to (-1)^k) and flagged in the report.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if variant not in ("linear", "quadratic"):
+        raise ValueError(f"unknown variant {variant!r}")
+    m = n * n
+    if m == 1:
+        # modulus 1: trivially zero, no residue arithmetic needed
+        lhs = 0
+    else:
+        f = franel_upto(n - 1)
+        cols = [product_factor_columns(a, n, m) for a in s.a_list]
+        sign = (-1) ** (s.m - 1)
+        total = 0
+        sgn = 1
+        for k in range(n):
+            w = 3 * k + 2 if variant == "linear" else 9 * k * k + 5 * k
+            prod = w * sgn * (f[k] % m) % m
+            for col in cols:
+                prod = prod * col[k] % m
+            total = (total + prod) % m
+            sgn *= sign
+        lhs = total
+    params = {"m": s.m, "a": list(s.a_list), "n": n, "variant": variant}
+    if 0 in s.a_list:
+        params["degenerate"] = True
+    return Report(
+        statement=f"third_{variant}", params=params, modulus=max(m, 1), lhs=lhs, rhs=0
+    )

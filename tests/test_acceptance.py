@@ -57,7 +57,7 @@ def test_criterion_identity_suite():
         ids.check_summation_lemma(n, k)
         for n in range(81) for k in range(n + 1)
     ])
-    run("recurrence", [ids.check_recurrence(300)])
+    run("recurrence", [ids.check_recurrence_step(n) for n in range(1, 300)])
     run("integrality", [ids.check_integrality(n) for n in range(2, 201)])
     run("partial_fraction", [ids.check_partial_fraction(n) for n in range(201)])
     assert not failures, failures[:5]

@@ -163,6 +163,16 @@ class TestSweepCommand:
         assert s1 == s2
         assert s1["total"]["fail"] == 0
 
+    @pytest.mark.parametrize("command", [
+        ["sweep"], ["verify", "--statements", "babbage"],
+    ])
+    def test_zero_workers_is_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--workers", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--workers" in err and "Traceback" not in err
+
     def test_records_then_summary(self, capsys):
         rc = main(["sweep", "--statements", "babbage", "--p-range", "3..20"])
         assert rc == 0
@@ -186,6 +196,20 @@ class TestCacheCommand:
         path.write_text("franel-cache v1 N=1\n0\t1\n1\t3\n")
         assert main(["cache", "--cache", str(path)]) == 1
         assert "corrupt cache" in capsys.readouterr().err
+
+    def test_corrupt_middle_value_rejected(self, tmp_path, capsys):
+        # every recurrence step is checked, not a sample of them
+        path = str(tmp_path / "cache.txt")
+        store_table(path, build_franel_table(999))
+        lines = open(path).read().splitlines()
+        idx, value = lines[501].split("\t")
+        assert idx == "500"
+        lines[501] = f"{idx}\t{int(value) + 1}"
+        open(path, "w").write("\n".join(lines) + "\n")
+        with pytest.raises(CacheError, match=r"\(line 502\)"):
+            load_table(path)
+        assert main(["cache", "--cache", path]) == 1
+        assert "line 502" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["cache", "--cache", str(tmp_path / "nope.txt")]) == 2

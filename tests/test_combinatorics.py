@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from franel.combinatorics import (
     ROUTES,
-    BinomialProvider,
     binomial,
     binomial_generalized,
     build_franel_table,
@@ -61,10 +60,10 @@ class TestBinomial:
         if k <= n - 1:
             assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
 
-    def test_provider_beyond_row_limit(self):
-        provider = BinomialProvider(row_limit=10)
-        assert provider(50, 25) == factorial_binomial(50, 25)
-        assert provider.cached_rows <= 11
+    def test_large_n_against_factorial_oracle(self):
+        n = 2100
+        for k in (-1, 0, 1, 7, 1049, 1050, 2099, 2100, 2101):
+            assert binomial(n, k) == factorial_binomial(n, k), k
 
     def test_central_binomials(self):
         cb = central_binomials_upto(30)

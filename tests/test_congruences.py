@@ -9,17 +9,17 @@ from franel.congruences import (
     check_theorem2,
     check_theorem3,
     family_sum,
-    _family_sum_noinc,
     final3_rhs_terms,
     inverse_weighted_sum_mod,
 )
-from franel.modular import NotCoprimeError, primes_in_range, rational_residue
+from franel.modular import NotCoprimeError, mod_inverse, primes_in_range
+from oracles import family_sum_noinc
 
 
 def test_family_sum_matches_reference():
     for a, b, c in [(3, 1, -16), (9, 4, 5), (585, 58, -24304)]:
         for n in range(0, 40):
-            assert family_sum(a, b, c, n) == _family_sum_noinc(a, b, c, n)
+            assert family_sum(a, b, c, n) == family_sum_noinc(a, b, c, n)
 
 
 class TestTheorem1:
@@ -48,8 +48,8 @@ class TestTheorem2:
         # lhs = 1 + 16*inv(11) + 420*inv(13) = 1 + 26 + 24 = 24 (mod 27)
         r = check_theorem2(3)
         assert r.passed and r.lhs == r.rhs == 24 and r.modulus == 27
-        assert rational_residue(16, -16, 27).value == 26
-        assert rational_residue(420, 256, 27).value == 24
+        assert 16 * mod_inverse(-16, 27) % 27 == 26
+        assert 420 * mod_inverse(256, 27) % 27 == 24
 
     def test_p5(self):
         r = check_theorem2(5)
@@ -59,15 +59,14 @@ class TestTheorem2:
         assert check_theorem2(997).passed
 
     def test_oracle_modular_sum(self):
-        # rebuild the sum with one rational_residue per term
+        # rebuild the sum with one modular division per term
         f = franel_upto(6)
         for p in (3, 5, 7):
             m = p**3
             total = 0
             for k in range(p):
-                total += rational_residue(
-                    (3 * k + 1) * binomial(2 * k, k) * f[k], (-16) ** k, m
-                ).value
+                num = (3 * k + 1) * binomial(2 * k, k) * f[k]
+                total += num * mod_inverse((-16) ** k, m) % m
             assert total % m == check_theorem2(p).lhs
 
     def test_p2_not_coprime(self):

@@ -6,17 +6,16 @@ from franel.conjectures import (
     NEW1_TRIPLES,
     NEW2_TRIPLES,
     FamilyTriple,
-    MultiIndexSpec,
     check_conjecture1,
     check_conjecture2,
     check_family,
     check_product_note,
-    check_third_conjecture,
     check_zw_sun,
     conjecture2_target,
     third_conjecture_grid,
 )
 from franel.modular import primes_in_range
+from oracles import MultiIndexSpec, check_third_conjecture
 
 
 class TestConjecture1:

@@ -6,7 +6,6 @@ from franel.identities import (
     check_integrality,
     check_macmahon,
     check_partial_fraction,
-    check_recurrence,
     check_recurrence_step,
     check_route_agreement,
     check_strehl,
@@ -14,13 +13,15 @@ from franel.identities import (
     check_sun_expansion,
     induction_lhs,
 )
-from franel.reports import IdentityReport
+from franel.reports import Report
 
 
 def test_report_verdict():
-    assert IdentityReport("x", {}, 3, 3).verdict == "pass"
-    assert IdentityReport("x", {}, 3, 4).verdict == "fail"
-    assert not IdentityReport("x", {}, 3, 4).passed
+    assert Report("x", {}, lhs=3, rhs=3).verdict == "pass"
+    assert Report("x", {}, lhs=3, rhs=4).verdict == "fail"
+    assert not Report("x", {}, lhs=3, rhs=4).passed
+    skipped = Report("x", {}, lhs=3, rhs=3, skipped_reason="out of range")
+    assert skipped.verdict == "skipped" and not skipped.passed
 
 
 class TestSunExpansion:
@@ -109,8 +110,7 @@ class TestRecurrence:
     def test_examples(self):
         r = check_recurrence_step(2)
         assert r.passed and r.lhs == 9 * 56
-        assert check_recurrence(3).passed
-        assert check_recurrence(100).passed
+        assert all(check_recurrence_step(n).passed for n in range(1, 100))
 
 
 class TestStrehl:
