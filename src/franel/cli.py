@@ -34,6 +34,13 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _parse_n_range(text: str) -> tuple[int, int]:
+    lo, hi = _parse_range(text)
+    if lo < 0:
+        raise argparse.ArgumentTypeError(f"n-range must be nonnegative, got {text!r}")
+    return lo, hi
+
+
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -63,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser("compute", help="print (n, f_n) for a range")
-    p_compute.add_argument("--n-range", type=_parse_range, required=True)
+    p_compute.add_argument("--n-range", type=_parse_n_range, required=True)
     p_compute.add_argument("--route", type=_parse_routes, default=["recurrence"])
     p_compute.add_argument("--cross-check", action="store_true",
                            help="fail unless all requested routes agree")
@@ -73,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run named checks over ranges")
     p_verify.add_argument("--statements", required=True,
                           help="comma-separated statement ids")
-    p_verify.add_argument("--n-range", type=_parse_range)
+    p_verify.add_argument("--n-range", type=_parse_n_range)
     p_verify.add_argument("--p-range", type=_parse_range)
     p_verify.add_argument("--format", choices=("json-lines", "tsv"),
                           default="json-lines")
@@ -82,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run the full verification grid")
     p_sweep.add_argument("--statements",
                          help="optional comma-separated subset of the grid")
-    p_sweep.add_argument("--n-range", type=_parse_range)
+    p_sweep.add_argument("--n-range", type=_parse_n_range)
     p_sweep.add_argument("--p-range", type=_parse_range)
     p_sweep.add_argument("--format", choices=("json-lines", "tsv"),
                          default="json-lines")
@@ -92,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cache = sub.add_parser("cache", help="build or validate a cache file")
     p_cache.add_argument("--cache", metavar="PATH", required=True)
-    p_cache.add_argument("--n-range", type=_parse_range,
+    p_cache.add_argument("--n-range", type=_parse_n_range,
                          help="build f_0..f_HI and write (LO must be 0)")
 
     return parser
@@ -113,9 +120,6 @@ def _resolve_statements(text: str) -> list[str] | None:
 
 def _cmd_compute(args) -> int:
     lo, hi = args.n_range
-    if lo < 0:
-        print("error: n-range must be nonnegative", file=sys.stderr)
-        return EXIT_USAGE
     tables = {route: build_franel_table(hi, route) for route in args.route}
     primary = tables[args.route[0]]
     if args.cross_check:
@@ -224,6 +228,11 @@ def _cmd_cache(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # f_n, witnesses and cache values outgrow CPython's default 4300-digit
+    # limit on int <-> decimal string conversion; they are this program's
+    # own exact results, so the limit is lifted (no-op before 3.10.7)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "compute":

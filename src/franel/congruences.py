@@ -7,7 +7,12 @@ working modulus so the huge integers never materialize.
 """
 from __future__ import annotations
 
-from .combinatorics import binomial, central_binomials_upto, franel_upto
+from .combinatorics import (
+    InconsistencyError,
+    binomial,
+    central_binomials_upto,
+    franel_upto,
+)
 from .modular import is_prime, mod_inverse
 from .reports import Report
 
@@ -17,17 +22,29 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
+# grow-only prefix tables [S_0, S_1, ...] of family_sum, one per (a, b, c),
+# shared like the Franel and central-binomial caches
+_FAMILY_CACHE: dict[tuple[int, int, int], list[int]] = {}
+
+
 def family_sum(a: int, b: int, c: int, n: int) -> int:
-    """Exact S = sum_{k=0}^{n-1} (a*k + b) c^(n-k-1) C(2k,k) f_k."""
-    f = franel_upto(max(n - 1, 0))
-    cb = central_binomials_upto(max(n - 1, 0))
-    total = 0
-    power = c ** (n - 1) if n >= 1 else 0
-    for k in range(n):
-        total += (a * k + b) * power * cb[k] * f[k]
-        if k < n - 1:
-            power //= c
-    return total
+    """Exact S_n = sum_{k=0}^{n-1} (a*k + b) c^(n-k-1) C(2k,k) f_k.
+
+    Read from a prefix table extended by S_0 = 0 and
+    S_{k+1} = c*S_k + (a*k + b) C(2k,k) f_k, so a sweep over n costs O(n)
+    big-integer steps in total whatever order it asks in.
+    """
+    if n < 0:
+        raise ValueError(f"family_sum: n must be nonnegative, got {n}")
+    table = _FAMILY_CACHE.setdefault((a, b, c), [0])
+    if len(table) <= n:
+        f = franel_upto(n - 1)
+        cb = central_binomials_upto(n - 1)
+        s = table[-1]
+        for k in range(len(table) - 1, n):
+            s = c * s + (a * k + b) * cb[k] * f[k]
+            table.append(s)
+    return table[n]
 
 
 def inverse_weighted_sum_mod(p: int, m: int, weights: list[int] | None = None) -> int:
@@ -184,7 +201,8 @@ def _aux_half_binom(p: int) -> list[Report]:
         * (k - p)
     )
     term, r = divmod(num, 2 * k + 1)
-    assert r == 0, "k=(p-1)/2 term is not an integer"
+    if r:
+        raise InconsistencyError(f"p={p}: the k=(p-1)/2 term is not an integer")
     closed = -binomial(2 * p - 1, p - 1) * binomial(p - 1, k) ** 2
     return [
         Report(
@@ -327,7 +345,10 @@ def check_reduction_chain(p: int) -> list[Report]:
 
     # L = (1/p) * sum (3k+1) C(2k,k) f_k (-16)^(-k), taken mod p^2
     r3 = inverse_weighted_sum_mod(p, m3, [3 * k + 1 for k in range(p)])
-    assert r3 % p == 0, "weighted inverse sum is not divisible by p"
+    if r3 % p:
+        raise InconsistencyError(
+            f"p={p}: weighted inverse sum is not divisible by p"
+        )
     big_l = r3 // p % m2
 
     inv4 = mod_inverse(4, m2)

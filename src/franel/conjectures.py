@@ -217,6 +217,27 @@ def check_product_note(p: int, a: int, k: int) -> Report:
     )
 
 
+_ZW_WEIGHTS = {
+    "guo": lambda k: 3 * k + 2,
+    "strengthened": lambda k: 9 * k * k + 5 * k,
+}
+# grow-only prefix tables [T_0, T_1, ...] of T_n = sum_{k<n} w(k) (-1)^k f_k,
+# one per variant, shared like the Franel cache
+_ZW_CACHE: dict[str, list[int]] = {}
+
+
+def _zw_prefix(variant: str, n: int) -> int:
+    table = _ZW_CACHE.setdefault(variant, [0])
+    if len(table) <= n:
+        weight = _ZW_WEIGHTS[variant]
+        f = franel_upto(n - 1)
+        s = table[-1]
+        for k in range(len(table) - 1, n):
+            s += weight(k) * (-1) ** k * f[k]
+            table.append(s)
+    return table[n]
+
+
 def check_zw_sun(n: int, variant: str = "guo") -> Report:
     """Alternating Franel sums: guo is (3k+2) mod 2n^2; strengthened is
     (9k^2+5k) mod n^2(n-1)."""
@@ -224,17 +245,13 @@ def check_zw_sun(n: int, variant: str = "guo") -> Report:
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
         modulus = 2 * n * n
-        weight = lambda k: 3 * k + 2
     elif variant == "strengthened":
         if n < 2:
             raise ValueError(f"need n >= 2, got {n}")
         modulus = n * n * (n - 1)
-        weight = lambda k: 9 * k * k + 5 * k
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    f = franel_upto(n - 1)
-    s = sum(weight(k) * (-1) ** k * f[k] for k in range(n))
-    q, r = divmod(s, modulus)
+    q, r = divmod(_zw_prefix(variant, n), modulus)
     return Report(
         statement=f"zw_{variant}",
         params={"n": n},

@@ -1,11 +1,25 @@
 import json
+import sys
 
 import pytest
 
+from franel import congruences
 from franel.cache import CacheError, load_table, store_table
 from franel.cli import main
-from franel.combinatorics import build_franel_table
+from franel.combinatorics import build_franel_table, franel
 from franel.harness import run_sweep
+from franel.reports import to_json_line
+
+
+@pytest.fixture
+def default_int_str_limit():
+    """CPython's default 4300-digit int <-> str limit, restored afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("interpreter has no int <-> str digit limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
 
 
 class TestCache:
@@ -92,6 +106,12 @@ class TestComputeCommand:
             main(["compute", "--n-range", "5..2"])
         assert exc.value.code == 2
 
+    def test_value_past_int_str_limit(self, default_int_str_limit, capsys):
+        assert main(["compute", "--n-range", "5000..5000"]) == 0
+        n, value = capsys.readouterr().out.split()
+        assert n == "5000" and len(value) > 4300
+        assert value == str(franel(5000))
+
 
 class TestVerifyCommand:
     def test_single_pass_record(self, capsys):
@@ -173,6 +193,37 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "--workers" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [
+        ["sweep"], ["verify", "--statements", "route_agreement"],
+    ])
+    def test_negative_n_range_is_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--n-range=-2..1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "n-range must be nonnegative" in err and "Traceback" not in err
+
+    def test_witness_past_int_str_limit(self, default_int_str_limit, capsys):
+        rc = main(["verify", "--statements", "family_new1", "--n-range", "1500..1500"])
+        assert rc == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()[:-1]]
+        assert len(records) == 7
+        assert max(len(r["witness"]) for r in records) > 4300
+        assert all(r["witness"].lstrip("-").isdigit() for r in records)
+
+    def test_divisibility_records_same_at_one_and_two_workers(self, monkeypatch):
+        ids = ["theorem1", "family_new1", "family_new2", "reduction_chain"]
+        lines = {}
+        for workers in (2, 1):
+            # empty prefix tables, so pool workers walk up from mid-range chunks
+            monkeypatch.setattr(congruences, "_FAMILY_CACHE", {})
+            out = []
+            run_sweep(ids, workers=workers,
+                      on_report=lambda sid, r: out.append(to_json_line(r)))
+            lines[workers] = sorted(out)
+        assert len(lines[1]) == 20584
+        assert lines[1] == lines[2]
+
     def test_records_then_summary(self, capsys):
         rc = main(["sweep", "--statements", "babbage", "--p-range", "3..20"])
         assert rc == 0
@@ -210,6 +261,12 @@ class TestCacheCommand:
             load_table(path)
         assert main(["cache", "--cache", path]) == 1
         assert "line 502" in capsys.readouterr().err
+
+    def test_values_past_int_str_limit(self, tmp_path, default_int_str_limit, capsys):
+        path = str(tmp_path / "cache.txt")
+        assert main(["cache", "--cache", path, "--n-range", "0..6000"]) == 0
+        assert main(["cache", "--cache", path]) == 0
+        assert "N=6000 ok" in capsys.readouterr().out
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["cache", "--cache", str(tmp_path / "nope.txt")]) == 2

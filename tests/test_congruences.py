@@ -1,6 +1,7 @@
 import pytest
 
-from franel.combinatorics import binomial, franel_upto
+from franel import congruences
+from franel.combinatorics import InconsistencyError, binomial, franel_upto
 from franel.congruences import (
     AUX_IDS,
     check_auxiliary,
@@ -12,14 +13,37 @@ from franel.congruences import (
     final3_rhs_terms,
     inverse_weighted_sum_mod,
 )
+from franel.conjectures import NEW1_TRIPLES, NEW2_TRIPLES
 from franel.modular import NotCoprimeError, mod_inverse, primes_in_range
 from oracles import family_sum_noinc
 
+# theorem1's weights, then the conjectured families
+REGISTERED = [(3, 1, -16)] + [(t.a, t.b, t.c) for t in NEW1_TRIPLES + NEW2_TRIPLES]
+
 
 def test_family_sum_matches_reference():
-    for a, b, c in [(3, 1, -16), (9, 4, 5), (585, 58, -24304)]:
+    # c = 0 leaves only the k = n-1 term (0^0 = 1); c = +-1 have no growth
+    extra = [(1, 1, 0), (3, 2, 0), (2, 5, 1), (3, 1, -1)]
+    for a, b, c in REGISTERED + extra:
         for n in range(0, 40):
-            assert family_sum(a, b, c, n) == family_sum_noinc(a, b, c, n)
+            assert family_sum(a, b, c, n) == family_sum_noinc(a, b, c, n), (a, b, c, n)
+
+
+@pytest.mark.parametrize("order", [
+    list(range(200, -1, -1)),  # descending
+    list(range(100, 201)) + list(range(100)),  # from a mid-range start
+], ids=["descending", "mid-range-start"])
+def test_family_sum_any_query_order(order, monkeypatch):
+    # an empty table, as in a fresh pool worker handed a later chunk
+    monkeypatch.setattr(congruences, "_FAMILY_CACHE", {})
+    for a, b, c in REGISTERED:
+        for n in order:
+            assert family_sum(a, b, c, n) == family_sum_noinc(a, b, c, n), (a, b, c, n)
+
+
+def test_family_sum_rejects_negative_n():
+    with pytest.raises(ValueError):
+        family_sum(3, 1, -16, -1)
 
 
 class TestTheorem1:
@@ -137,6 +161,12 @@ class TestAuxiliary:
         for p in (3, 5, 7, 11, 13):
             assert all(r.passed for r in check_auxiliary("final_reflect", p))
 
+    def test_half_binom_inexact_term_raises(self, monkeypatch):
+        # every binomial 1: the k=(p-1)/2 numerator is k - p, not a multiple of p
+        monkeypatch.setattr(congruences, "binomial", lambda n, k: 1)
+        with pytest.raises(InconsistencyError):
+            check_auxiliary("half_binom", 5)
+
     def test_unknown_id(self):
         with pytest.raises(ValueError):
             check_auxiliary("nonsense", 5)
@@ -189,6 +219,14 @@ class TestReductionChain:
             r for r in check_reduction_chain(13)
             if r.statement == "chain_final3_pair"
         ]
+
+    def test_inverse_sum_not_multiple_of_p_raises(self, monkeypatch):
+        # an explicit raise, so it also holds under python -O
+        monkeypatch.setattr(
+            congruences, "inverse_weighted_sum_mod", lambda p, m, weights=None: 1
+        )
+        with pytest.raises(InconsistencyError, match="not divisible by p"):
+            check_reduction_chain(5)
 
     def test_full_chain_small_primes(self):
         for p in primes_in_range(3, 80):

@@ -1,5 +1,6 @@
 import pytest
 
+from franel import conjectures
 from franel.combinatorics import binomial, franel_upto
 from franel.congruences import check_theorem2
 from franel.conjectures import (
@@ -103,6 +104,11 @@ class TestFamilies:
     def test_extra_paper_triple_labeled(self):
         r = check_family(FamilyTriple(3, 1, -16), 4)
         assert r.params["origin"] == "extra-paper"
+
+    def test_zero_base(self):
+        # c = 0: S_3 = (1*2 + 1) C(4,2) f_2 = 180 = 3 * (3 C(6,3))
+        r = check_family(FamilyTriple(1, 1, 0), 3)
+        assert r.passed and r.witness == 3
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -217,6 +223,17 @@ class TestZwSun:
             assert check_zw_sun(n, "guo").passed
             if n >= 2:
                 assert check_zw_sun(n, "strengthened").passed
+
+    def test_any_query_order_matches_direct_sum(self, monkeypatch):
+        monkeypatch.setattr(conjectures, "_ZW_CACHE", {})
+        f = franel_upto(120)
+        weights = {"guo": lambda k: 3 * k + 2,
+                   "strengthened": lambda k: 9 * k * k + 5 * k}
+        for variant, weight in weights.items():
+            for n in list(range(120, 80, -1)) + list(range(2, 81)):
+                direct = sum(weight(k) * (-1) ** k * f[k] for k in range(n))
+                r = check_zw_sun(n, variant)
+                assert r.witness * r.modulus + r.lhs == direct, (variant, n)
 
 
 def test_witnesses_reconstruct_sums():
