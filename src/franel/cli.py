@@ -14,7 +14,7 @@ from . import registry
 from .cache import CacheError, load_table, store_table
 from .combinatorics import ROUTES, build_franel_table
 from .harness import run_sweep
-from .reports import serialize
+from .reports import long_decimals, serialize
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -145,6 +145,16 @@ def _cmd_compute(args) -> int:
 
 
 def _run_and_stream(args, statement_ids, quiet=False) -> int:
+    if statement_ids is not None:
+        kinds = {registry.STATEMENTS[sid].kind for sid in statement_ids}
+        for kind in ("n", "p"):
+            if getattr(args, f"{kind}_range") is not None and kind not in kinds:
+                print(
+                    f"error: --{kind}-range is not used by any requested "
+                    f"statement ({', '.join(statement_ids)})",
+                    file=sys.stderr,
+                )
+                return EXIT_USAGE
     first_failure = {}
 
     def on_report(sid, report):
@@ -228,20 +238,17 @@ def _cmd_cache(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # f_n, witnesses and cache values outgrow CPython's default 4300-digit
-    # limit on int <-> decimal string conversion; they are this program's
-    # own exact results, so the limit is lifted (no-op before 3.10.7)
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "compute":
-        return _cmd_compute(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    return _cmd_cache(args)
+    # compute and cache print and parse f_n past 4300 digits
+    with long_decimals():
+        if args.command == "compute":
+            return _cmd_compute(args)
+        if args.command == "verify":
+            return _cmd_verify(args)
+        if args.command == "sweep":
+            return _cmd_sweep(args)
+        return _cmd_cache(args)
 
 
 def entry() -> None:

@@ -2,10 +2,14 @@
 auxiliary congruences their proofs route through.
 
 Divisibility statements keep the exact big-integer sum and emit the quotient
-as a witness; purely modular statements accumulate term by term at the
-working modulus so the huge integers never materialize.
+as a witness.  The modular statements on the prime axis (Theorems 2 and 3,
+Conjectures 1 and 2, the reduction chain) read one memoized pair per prime:
+the weighted and unweighted inverse sums mod p^3, built by a division-free
+recurrence for g_k = (k!)^2 f_k, so the huge f_k never materialize there.
 """
 from __future__ import annotations
+
+import functools
 
 from .combinatorics import (
     InconsistencyError,
@@ -47,21 +51,44 @@ def family_sum(a: int, b: int, c: int, n: int) -> int:
     return table[n]
 
 
-def inverse_weighted_sum_mod(p: int, m: int, weights: list[int] | None = None) -> int:
-    """sum_{k=0}^{p-1} w(k) C(2k,k) f_k (-16)^(-k) mod m, w defaulting to 1.
+@functools.lru_cache(maxsize=None)
+def inverse_weighted_sum_mod(p: int) -> tuple[int, int]:
+    """The weighted and unweighted inverse sums over 0 <= k < p,
 
-    Raises NotCoprimeError when 16 is not invertible mod m.
+        sum (3k+1) C(2k,k) f_k (-16)^(-k)  and  sum C(2k,k) f_k (-16)^(-k),
+
+    both mod p^3.  Computed without division: g_k = (k!)^2 f_k obeys
+    g_{k+1} = (7k^2+7k+2) g_k + 8k^4 g_{k-1}, each term is
+    w_k (2k)! g_k / D_k with D_k = (-16)^k (k!)^4, so each sum is
+    N / D_{p-1} with N <- -16k^4 N + w_k (2k)! g_k.  A prime costs O(p)
+    small-integer steps mod p^3 and one inverse; the big f_k are never
+    read.  Memoized per p, so theorem2, theorem3, conjecture1/2 and the
+    reduction chain, which reduce the pair to p^3, p^2 or p, pay for a
+    prime once.
+
+    Raises NotCoprimeError unless p is an odd prime, since otherwise
+    D_{p-1} shares a factor with p^3 (for p = 2, D_1 = -16 and p^3 = 8).
     """
-    f = franel_upto(p - 1)
-    cb = central_binomials_upto(p - 1)
-    inv16 = mod_inverse(-16 % m, m)
-    total = 0
-    power = 1
-    for k in range(p):
-        w = weights[k] if weights is not None else 1
-        total = (total + w * (cb[k] % m) * (f[k] % m) * power) % m
-        power = power * inv16 % m
-    return total
+    m = p**3
+    weighted = unweighted = 1  # the k = 0 term
+    g_prev, g = 1, 2  # g_{k-1}, g_k at k = 1
+    fact2k = 2  # (2k)!
+    half = (p - 1) // 2
+    fact_pm1 = 1  # (p-1)!, taken from (2k)! at 2k = p - 1; 1! for p = 2
+    for k in range(1, p):
+        kk = k * k
+        k4 = kk * kk
+        step = -16 * k4  # D_k / D_{k-1}
+        term = fact2k * g
+        weighted = (step * weighted + (3 * k + 1) * term) % m
+        unweighted = (step * unweighted + term) % m
+        if k == half:
+            fact_pm1 = fact2k
+        g_prev, g = g, ((7 * (kk + k) + 2) * g + 8 * k4 * g_prev) % m
+        fact2k = fact2k * (2 * k + 1) * (2 * k + 2) % m
+    # D_{p-1} = (-16)^(p-1) ((p-1)!)^4 = 16^(p-1) ((p-1)!)^4 for odd p
+    inv = mod_inverse(pow(16, p - 1, m) * pow(fact_pm1, 4, m), m)
+    return weighted * inv % m, unweighted * inv % m
 
 
 def check_theorem1(n: int) -> Report:
@@ -83,11 +110,11 @@ def check_theorem1(n: int) -> Report:
 
 def check_theorem2(p: int) -> Report:
     """(3k+1)-weighted inverse sum against p*(-1)^((p-1)/2), mod p^3."""
-    # p = 2 is deliberately not rejected here: the -16 inverse raises
-    # NotCoprimeError for it, which is the contractual failure mode.
+    # p = 2 is deliberately not rejected here: -16 has no inverse mod 8, so
+    # the sum raises NotCoprimeError, which is the contractual failure mode.
     _require_prime(p)
     m = p**3
-    lhs = inverse_weighted_sum_mod(p, m, [3 * k + 1 for k in range(p)])
+    lhs = inverse_weighted_sum_mod(p)[0]
     rhs = p * (-1) ** ((p - 1) // 2) % m
     return Report(
         statement="theorem2", params={"p": p}, modulus=m, lhs=lhs, rhs=rhs
@@ -99,7 +126,7 @@ def check_theorem3(p: int) -> Report:
     _require_prime(p)
     if p % 4 != 3:
         raise ValueError(f"need p = 3 (mod 4), got p={p}")
-    lhs = inverse_weighted_sum_mod(p, p)
+    lhs = inverse_weighted_sum_mod(p)[1] % p
     return Report(
         statement="theorem3", params={"p": p}, modulus=p, lhs=lhs, rhs=0
     )
@@ -315,7 +342,6 @@ def check_reduction_chain(p: int) -> list[Report]:
     if p == 2:
         raise ValueError("p must be odd")
     m2 = p * p
-    m3 = p**3
     half = (p - 1) // 2
     reports: list[Report] = []
 
@@ -344,7 +370,7 @@ def check_reduction_chain(p: int) -> list[Report]:
     )
 
     # L = (1/p) * sum (3k+1) C(2k,k) f_k (-16)^(-k), taken mod p^2
-    r3 = inverse_weighted_sum_mod(p, m3, [3 * k + 1 for k in range(p)])
+    r3, unweighted = inverse_weighted_sum_mod(p)
     if r3 % p:
         raise InconsistencyError(
             f"p={p}: weighted inverse sum is not divisible by p"
@@ -411,7 +437,7 @@ def check_reduction_chain(p: int) -> list[Report]:
             statement="chain_final3",
             params={"p": p},
             modulus=p,
-            lhs=inverse_weighted_sum_mod(p, p),
+            lhs=unweighted % p,
             rhs=sum(terms) % p,
         )
     )

@@ -51,7 +51,7 @@ def check_conjecture1(p: int) -> Report:
     if not is_prime(p) or p <= 3:
         raise ValueError(f"need a prime p > 3, got {p}")
     m = p * p
-    lhs = inverse_weighted_sum_mod(p, m, [3 * k + 1 for k in range(p)])
+    lhs = inverse_weighted_sum_mod(p)[0] % m
     rhs = p * (-1) ** ((p - 1) // 2) % m
     return Report(
         statement="conjecture1", params={"p": p}, modulus=m, lhs=lhs, rhs=rhs
@@ -87,7 +87,7 @@ def check_conjecture2(p: int) -> Report:
     if not is_prime(p) or p == 2:
         raise ValueError(f"need an odd prime, got {p}")
     m = p * p
-    lhs = inverse_weighted_sum_mod(p, m)
+    lhs = inverse_weighted_sum_mod(p)[1] % m
     target, case = conjecture2_target(p)
     return Report(
         statement="conjecture2",

@@ -5,7 +5,9 @@ downstream tooling never has to parse thousand-digit numerics.
 """
 from __future__ import annotations
 
+import contextlib
 import json
+import sys
 from dataclasses import dataclass, field
 
 
@@ -58,7 +60,34 @@ def _params_str(params: dict) -> str:
     return ",".join(f"{k}={v}" for k, v in params.items())
 
 
+@contextlib.contextmanager
+def long_decimals():
+    """Lift CPython's 4300-digit limit on int <-> decimal string conversion
+    for the block, restoring it afterwards (a no-op before 3.10.7).
+
+    f_n, witnesses and cache values outgrow the limit; they are this
+    package's own exact results, not untrusted input.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def report_to_dict(r: Report) -> dict:
+    try:
+        return _report_fields(r)
+    except ValueError:  # a value past the int -> str digit limit
+        with long_decimals():
+            return _report_fields(r)
+
+
+def _report_fields(r: Report) -> dict:
     d = {
         "statement": r.statement,
         "params": {k: str(v) for k, v in r.params.items()},

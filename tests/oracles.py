@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 from franel.combinatorics import central_binomials_upto, franel_upto
 from franel.conjectures import product_factor_columns
+from franel.modular import mod_inverse
 from franel.reports import Report
 
 
@@ -17,6 +18,25 @@ def family_sum_noinc(a: int, b: int, c: int, n: int) -> int:
     f = franel_upto(max(n - 1, 0))
     cb = central_binomials_upto(max(n - 1, 0))
     return sum((a * k + b) * c ** (n - k - 1) * cb[k] * f[k] for k in range(n))
+
+
+def inverse_weighted_sum_bigint(p: int, m: int, weights: list[int] | None = None) -> int:
+    """sum_{k=0}^{p-1} w(k) C(2k,k) f_k (-16)^(-k) mod m, w defaulting to 1,
+    reducing each big-integer f_k and C(2k,k) mod m: the route that
+    congruences.inverse_weighted_sum_mod replaced.
+
+    Raises NotCoprimeError when 16 is not invertible mod m.
+    """
+    f = franel_upto(p - 1)
+    cb = central_binomials_upto(p - 1)
+    inv16 = mod_inverse(-16 % m, m)
+    total = 0
+    power = 1
+    for k in range(p):
+        w = weights[k] if weights is not None else 1
+        total = (total + w * (cb[k] % m) * (f[k] % m) * power) % m
+        power = power * inv16 % m
+    return total
 
 
 @dataclass(frozen=True)

@@ -1,25 +1,13 @@
 import json
-import sys
 
 import pytest
 
-from franel import congruences
+from franel import congruences, registry
 from franel.cache import CacheError, load_table, store_table
 from franel.cli import main
 from franel.combinatorics import build_franel_table, franel
 from franel.harness import run_sweep
-from franel.reports import to_json_line
-
-
-@pytest.fixture
-def default_int_str_limit():
-    """CPython's default 4300-digit int <-> str limit, restored afterwards."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("interpreter has no int <-> str digit limit")
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield
-    sys.set_int_max_str_digits(saved)
+from franel.reports import long_decimals, to_json_line
 
 
 class TestCache:
@@ -110,7 +98,8 @@ class TestComputeCommand:
         assert main(["compute", "--n-range", "5000..5000"]) == 0
         n, value = capsys.readouterr().out.split()
         assert n == "5000" and len(value) > 4300
-        assert value == str(franel(5000))
+        with long_decimals():  # main restores the limit on return
+            assert value == str(franel(5000))
 
 
 class TestVerifyCommand:
@@ -211,6 +200,24 @@ class TestSweepCommand:
         assert max(len(r["witness"]) for r in records) > 4300
         assert all(r["witness"].lstrip("-").isdigit() for r in records)
 
+    def test_prime_axis_records_same_at_one_and_two_workers_and_any_order(self):
+        ids = ["theorem2", "theorem3", "conjecture1", "conjecture2", "reduction_chain"]
+        lines = {}
+        for workers in (2, 1):
+            # an empty memo, also in the forked pool workers
+            congruences.inverse_weighted_sum_mod.cache_clear()
+            out = []
+            run_sweep(ids, workers=workers,
+                      on_report=lambda sid, r: out.append(to_json_line(r)))
+            lines[workers] = sorted(out)
+        congruences.inverse_weighted_sum_mod.cache_clear()
+        descending = []
+        for sid in ids:
+            primes = registry.cells_for(registry.STATEMENTS[sid])[::-1]
+            descending += map(to_json_line, registry.run_cells(sid, primes))
+        assert len(lines[1]) == 14762
+        assert lines[1] == lines[2] == sorted(descending)
+
     def test_divisibility_records_same_at_one_and_two_workers(self, monkeypatch):
         ids = ["theorem1", "family_new1", "family_new2", "reduction_chain"]
         lines = {}
@@ -223,6 +230,19 @@ class TestSweepCommand:
             lines[workers] = sorted(out)
         assert len(lines[1]) == 20584
         assert lines[1] == lines[2]
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--statements", "theorem2", "--n-range", "3..10"],
+        ["verify", "--statements", "strehl,macmahon", "--p-range", "3..10"],
+        ["sweep", "--statements", "theorem2,babbage", "--n-range", "3..10"],
+        ["sweep", "--statements", "zw_guo", "--p-range", "3..10", "--quiet"],
+    ], ids=["verify-n", "verify-p", "sweep-n", "sweep-p"])
+    def test_range_no_statement_uses_is_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert "range is not used by any requested statement" in line
 
     def test_records_then_summary(self, capsys):
         rc = main(["sweep", "--statements", "babbage", "--p-range", "3..20"])

@@ -15,7 +15,7 @@ from franel.congruences import (
 )
 from franel.conjectures import NEW1_TRIPLES, NEW2_TRIPLES
 from franel.modular import NotCoprimeError, mod_inverse, primes_in_range
-from oracles import family_sum_noinc
+from oracles import family_sum_noinc, inverse_weighted_sum_bigint
 
 # theorem1's weights, then the conjectured families
 REGISTERED = [(3, 1, -16)] + [(t.a, t.b, t.c) for t in NEW1_TRIPLES + NEW2_TRIPLES]
@@ -223,7 +223,7 @@ class TestReductionChain:
     def test_inverse_sum_not_multiple_of_p_raises(self, monkeypatch):
         # an explicit raise, so it also holds under python -O
         monkeypatch.setattr(
-            congruences, "inverse_weighted_sum_mod", lambda p, m, weights=None: 1
+            congruences, "inverse_weighted_sum_mod", lambda p: (1, 0)
         )
         with pytest.raises(InconsistencyError, match="not divisible by p"):
             check_reduction_chain(5)
@@ -240,7 +240,22 @@ class TestReductionChain:
 def test_inverse_weighted_sum_matches_theorem_reports():
     for p in (3, 5, 7, 11):
         m = p * p
-        assert (
-            inverse_weighted_sum_mod(p, m, [3 * k + 1 for k in range(p)])
-            == check_theorem2(p).lhs % m
-        )
+        oracle = inverse_weighted_sum_bigint(p, m, [3 * k + 1 for k in range(p)])
+        assert inverse_weighted_sum_mod(p)[0] % m == oracle
+        assert check_theorem2(p).lhs % m == oracle
+
+
+def test_inverse_weighted_sum_matches_bigint():
+    for p in primes_in_range(3, 1000) + [1999, 2999]:
+        m = p**3
+        assert inverse_weighted_sum_mod(p) == (
+            inverse_weighted_sum_bigint(p, m, [3 * k + 1 for k in range(p)]),
+            inverse_weighted_sum_bigint(p, m),
+        ), p
+
+
+def test_inverse_weighted_sum_rejects_non_odd_prime():
+    # D_{p-1} shares a factor with p^3: 16 for p = 2, a prime q < p otherwise
+    for n in (2, 4, 9, 15, 25):
+        with pytest.raises(NotCoprimeError):
+            inverse_weighted_sum_mod(n)

@@ -1,5 +1,9 @@
+import json
+import sys
+
 import pytest
 
+from franel.conjectures import FamilyTriple, check_family
 from franel.reports import Report, to_json_line, to_tsv_line
 
 # The serialized forms the record-stream digest covers, one per shape of
@@ -33,3 +37,12 @@ GOLDEN = [
 def test_serialized_form_is_pinned(report, json_line, tsv_line):
     assert to_json_line(report) == json_line
     assert to_tsv_line(report) == tsv_line
+
+
+def test_serializes_past_int_str_limit(default_int_str_limit):
+    # a library caller, e.g. run_sweep(on_report=...), outside the CLI
+    r = check_family(FamilyTriple(102, 11, 10400), 1500)
+    record = json.loads(to_json_line(r))
+    assert record["verdict"] == "pass" and len(record["witness"]) > 4300
+    assert to_tsv_line(r).split("\t")[6] == record["witness"]
+    assert sys.get_int_max_str_digits() == 4300
