@@ -14,7 +14,7 @@ from . import registry
 from .cache import CacheError, load_table, store_table
 from .combinatorics import ROUTES, build_franel_table
 from .harness import run_sweep
-from .reports import long_decimals, serialize
+from .reports import long_decimals
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -155,27 +155,19 @@ def _run_and_stream(args, statement_ids, quiet=False) -> int:
                     file=sys.stderr,
                 )
                 return EXIT_USAGE
-    first_failure = {}
-
-    def on_report(sid, report):
-        if report.verdict == "fail" and not first_failure:
-            first_failure["sid"] = sid
-            first_failure["line"] = serialize(report, args.format)
-        if not quiet:
-            print(serialize(report, args.format))
-
     summary = run_sweep(
         statement_ids=statement_ids,
         n_range=getattr(args, "n_range", None),
         p_range=getattr(args, "p_range", None),
         workers=args.workers,
-        on_report=on_report,
+        fmt=args.format,
+        out=None if quiet else sys.stdout,
     )
     _print_summary(summary, args.format)
     if summary["total"]["fail"]:
         print(
             f"FAILED: {summary['total']['fail']} failing record(s); first: "
-            f"{first_failure.get('line', '?')}",
+            f"{summary['first_failure']}",
             file=sys.stderr,
         )
         return EXIT_FAIL
@@ -186,7 +178,9 @@ def _print_summary(summary: dict, fmt: str) -> None:
     if fmt == "json-lines":
         import json
 
-        print(json.dumps({"record_type": "summary", **summary}, sort_keys=True))
+        record = {"record_type": "summary", "statements": summary["statements"],
+                  "total": summary["total"]}
+        print(json.dumps(record, sort_keys=True))
     else:
         for sid, c in summary["statements"].items():
             print(f"summary\t{sid}\t{c['pass']}\t{c['fail']}\t{c['skipped']}")

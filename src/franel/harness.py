@@ -1,17 +1,23 @@
 """Sweep engine: runs statement grids serially or across worker processes.
 
+The grid is cut into jobs (one per statement serially, otherwise about
+four per worker and statement).  Each job counts its records by verdict
+and serializes them in the process that computed them, so a pool sends
+back text and counts, never report objects.  The parent only adds up
+counts and writes each job's text with one call.
+
 Workers share nothing mutable; each process rebuilds the (cheap) Franel and
 central-binomial caches on first use.  Summaries are count aggregates and
-therefore identical for any worker count, even though per-record output
-order may differ.
+therefore identical for any worker count; so is the sorted multiset of
+record lines, though their order differs under workers > 1.
 """
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import Callable, Iterable
+from typing import Iterable, TextIO
 
 from . import registry
-from .reports import Report
+from .reports import FORMATTERS, serialize
 
 
 def _chunks(cells: list[int], size: int) -> Iterable[list[int]]:
@@ -23,21 +29,52 @@ def _empty_counts() -> dict:
     return {"pass": 0, "fail": 0, "skipped": 0}
 
 
+def _run_job(
+    statement_id: str, cells: list[int], fmt: str, stream: bool
+) -> tuple[dict, str, str | None]:
+    """Run one job: (counts by verdict, its record lines as one string,
+    empty unless stream, and its first failing line or None)."""
+    reports = registry.run_cells(statement_id, cells)
+    counts = _empty_counts()
+    first_failure = None
+    for r in reports:
+        verdict = r.verdict
+        counts[verdict] += 1
+        if verdict == "fail" and first_failure is None:
+            first_failure = serialize(r, fmt)
+    text = ""
+    if stream and reports:
+        # pop each report as it is serialized, so that a big job does not
+        # hold all its reports and all its lines at once
+        reports.reverse()
+        lines = []
+        while reports:
+            lines.append(serialize(reports.pop(), fmt))
+        lines.append("")  # a newline after the last line too
+        text = "\n".join(lines)
+    return counts, text, first_failure
+
+
 def run_sweep(
     statement_ids: list[str] | None = None,
     n_range: tuple[int, int] | None = None,
     p_range: tuple[int, int] | None = None,
     workers: int = 1,
-    on_report: Callable[[str, Report], None] | None = None,
+    fmt: str = "json-lines",
+    out: TextIO | None = None,
 ) -> dict:
     """Run the requested statements over their grids.
 
-    Returns {"statements": {id: {pass, fail, skipped}}, "total": {...}}.
-    on_report, when given, receives (statement_id, report) as records
-    arrive (order unspecified under workers > 1).
+    Returns {"statements": {id: {pass, fail, skipped}}, "total": {...},
+    "first_failure": line or None}, where first_failure is the first
+    failing record of the first job that has one, serialized in fmt.
+    When out is given, every record is written to it as a line in fmt
+    (order unspecified under workers > 1).
     """
     if workers < 1:
         raise ValueError("workers must be positive")
+    if fmt not in FORMATTERS:
+        raise ValueError(f"unknown format {fmt!r}")
     ids = registry.statement_ids() if statement_ids is None else list(statement_ids)
     for sid in ids:
         if sid not in registry.STATEMENTS:
@@ -58,21 +95,27 @@ def run_sweep(
         jobs.extend((sid, chunk) for chunk in _chunks(cells, size))
 
     counts: dict[str, dict] = {sid: _empty_counts() for sid in ids}
+    failures: dict[int, str] = {}
+    stream = out is not None
 
-    def absorb(sid: str, reports: list[Report]) -> None:
-        for r in reports:
-            counts[sid][r.verdict] += 1
-            if on_report is not None:
-                on_report(sid, r)
+    def absorb(index: int, result: tuple[dict, str, str | None]) -> None:
+        job_counts, text, first_failure = result
+        sid = jobs[index][0]
+        for key, value in job_counts.items():
+            counts[sid][key] += value
+        if text:
+            out.write(text)
+        if first_failure is not None:
+            failures[index] = first_failure
 
     if workers == 1:
-        for sid, chunk in jobs:
-            absorb(sid, registry.run_cells(sid, chunk))
+        for index, (sid, chunk) in enumerate(jobs):
+            absorb(index, _run_job(sid, chunk, fmt, stream))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
-                pool.submit(registry.run_cells, sid, chunk): sid
-                for sid, chunk in jobs
+                pool.submit(_run_job, sid, chunk, fmt, stream): index
+                for index, (sid, chunk) in enumerate(jobs)
             }
             for fut in as_completed(futures):
                 absorb(futures[fut], fut.result())
@@ -84,4 +127,5 @@ def run_sweep(
     return {
         "statements": {sid: counts[sid] for sid in sorted(counts)},
         "total": total,
+        "first_failure": failures[min(failures)] if failures else None,
     }

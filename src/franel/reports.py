@@ -6,9 +6,11 @@ downstream tooling never has to parse thousand-digit numerics.
 from __future__ import annotations
 
 import contextlib
-import json
+import functools
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Callable
 
 
 @dataclass(frozen=True)
@@ -44,22 +46,6 @@ class Report:
         return "pass" if self.passed else "fail"
 
 
-TSV_COLUMNS = (
-    "statement",
-    "params",
-    "modulus",
-    "lhs",
-    "rhs",
-    "verdict",
-    "witness",
-    "skipped_reason",
-)
-
-
-def _params_str(params: dict) -> str:
-    return ",".join(f"{k}={v}" for k, v in params.items())
-
-
 @contextlib.contextmanager
 def long_decimals():
     """Lift CPython's 4300-digit limit on int <-> decimal string conversion
@@ -79,53 +65,71 @@ def long_decimals():
         sys.set_int_max_str_digits(saved)
 
 
-def report_to_dict(r: Report) -> dict:
-    try:
-        return _report_fields(r)
-    except ValueError:  # a value past the int -> str digit limit
-        with long_decimals():
-            return _report_fields(r)
+def _retry_past_digit_limit(fmt: Callable[[Report], str]) -> Callable[[Report], str]:
+    """fmt, retried under long_decimals() when a value is past the
+    int -> str digit limit."""
+
+    @functools.wraps(fmt)
+    def formatted(r: Report) -> str:
+        try:
+            return fmt(r)
+        except ValueError:
+            with long_decimals():
+                return fmt(r)
+
+    return formatted
 
 
-def _report_fields(r: Report) -> dict:
-    d = {
-        "statement": r.statement,
-        "params": {k: str(v) for k, v in r.params.items()},
-        "modulus": "exact" if r.modulus is None else str(r.modulus),
-        "lhs": str(r.lhs),
-        "rhs": str(r.rhs),
-        "verdict": r.verdict,
-    }
-    if r.witness is not None:
-        d["witness"] = str(r.witness)
-    if r.skipped_reason is not None:
-        d["skipped_reason"] = r.skipped_reason
-    return d
+def _json_params(params: dict) -> str:
+    parts = []
+    for k in sorted(params):
+        v = params[k]
+        if type(v) is int:
+            parts.append(f'{_quote(k)}: "{v}"')
+        else:
+            parts.append(f"{_quote(k)}: {_quote(str(v))}")
+    return ", ".join(parts)
 
 
+@_retry_past_digit_limit
 def to_json_line(r: Report) -> str:
-    return json.dumps(report_to_dict(r), sort_keys=True)
+    """json.dumps(..., sort_keys=True) of the record with every value a
+    decimal string, written directly: keys in sorted order, strings (and
+    the str() of non-int params) escaped by json's own ASCII encoder, ints
+    as they are, since their digits need no escaping.  Params keys are
+    strings."""
+    modulus = "exact" if r.modulus is None else r.modulus
+    line = (
+        f'{{"lhs": "{r.lhs}", "modulus": "{modulus}", '
+        f'"params": {{{_json_params(r.params)}}}, "rhs": "{r.rhs}", '
+    )
+    if r.skipped_reason is not None:
+        line += f'"skipped_reason": {_quote(r.skipped_reason)}, '
+    line += f'"statement": {_quote(r.statement)}, "verdict": "{r.verdict}"'
+    if r.witness is not None:
+        line += f', "witness": "{r.witness}"'
+    return line + "}"
 
 
+@_retry_past_digit_limit
 def to_tsv_line(r: Report) -> str:
-    d = report_to_dict(r)
-    return "\t".join(
-        (
-            d["statement"],
-            _params_str(r.params),
-            d["modulus"],
-            d["lhs"],
-            d["rhs"],
-            d["verdict"],
-            d.get("witness", ""),
-            d.get("skipped_reason", ""),
-        )
+    """statement, params (k=v,... in insertion order), modulus, lhs, rhs,
+    verdict, witness, skipped_reason; tab-separated, unescaped."""
+    params = ",".join(f"{k}={v}" for k, v in r.params.items())
+    modulus = "exact" if r.modulus is None else r.modulus
+    witness = "" if r.witness is None else r.witness
+    reason = "" if r.skipped_reason is None else r.skipped_reason
+    return (
+        f"{r.statement}\t{params}\t{modulus}\t{r.lhs}\t{r.rhs}\t"
+        f"{r.verdict}\t{witness}\t{reason}"
     )
 
 
+FORMATTERS = {"json-lines": to_json_line, "tsv": to_tsv_line}
+
+
 def serialize(r: Report, fmt: str) -> str:
-    if fmt == "json-lines":
-        return to_json_line(r)
-    if fmt == "tsv":
-        return to_tsv_line(r)
-    raise ValueError(f"unknown format {fmt!r}")
+    formatter = FORMATTERS.get(fmt)
+    if formatter is None:
+        raise ValueError(f"unknown format {fmt!r}")
+    return formatter(r)

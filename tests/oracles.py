@@ -4,12 +4,13 @@ route; none is used by the package itself.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 from franel.combinatorics import central_binomials_upto, franel_upto
 from franel.conjectures import product_factor_columns
 from franel.modular import mod_inverse
-from franel.reports import Report
+from franel.reports import Report, long_decimals
 
 
 def family_sum_noinc(a: int, b: int, c: int, n: int) -> int:
@@ -91,4 +92,45 @@ def check_third_conjecture(
         params["degenerate"] = True
     return Report(
         statement=f"third_{variant}", params=params, modulus=max(m, 1), lhs=lhs, rhs=0
+    )
+
+
+def report_to_dict(r: Report) -> dict:
+    """The record as a dict of decimal strings: the route that
+    reports.to_json_line and to_tsv_line replaced."""
+    with long_decimals():
+        d = {
+            "statement": r.statement,
+            "params": {k: str(v) for k, v in r.params.items()},
+            "modulus": "exact" if r.modulus is None else str(r.modulus),
+            "lhs": str(r.lhs),
+            "rhs": str(r.rhs),
+            "verdict": r.verdict,
+        }
+        if r.witness is not None:
+            d["witness"] = str(r.witness)
+        if r.skipped_reason is not None:
+            d["skipped_reason"] = r.skipped_reason
+    return d
+
+
+def json_line_via_dict(r: Report) -> str:
+    return json.dumps(report_to_dict(r), sort_keys=True)
+
+
+def tsv_line_via_dict(r: Report) -> str:
+    d = report_to_dict(r)
+    with long_decimals():
+        params = ",".join(f"{k}={v}" for k, v in r.params.items())
+    return "\t".join(
+        (
+            d["statement"],
+            params,
+            d["modulus"],
+            d["lhs"],
+            d["rhs"],
+            d["verdict"],
+            d.get("witness", ""),
+            d.get("skipped_reason", ""),
+        )
     )

@@ -4,7 +4,11 @@ one test per criterion, each printing a pass/fail line.
 
 Run with `pytest -v tests/test_acceptance.py` (add -s to see the lines).
 """
+import hashlib
+import io
+import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -168,10 +172,23 @@ def test_criterion_zw_sun_forms():
 
 def test_criterion_harness_determinism_and_cache(tmp_path):
     started = time.monotonic()
-    s1 = run_sweep(workers=1)
-    s8 = run_sweep(workers=8)
+    streams = {1: io.StringIO(), 8: io.StringIO()}
+    s1 = run_sweep(workers=1, out=streams[1])
+    s8 = run_sweep(workers=8, out=streams[8])
     assert s1 == s8
     assert s1["total"]["fail"] == 0
+
+    # the record lines too, as perfbench digests them: sha256 of the sorted
+    # lines, each followed by a newline
+    digests = {}
+    for workers, stream in streams.items():
+        h = hashlib.sha256()
+        for line in sorted(stream.getvalue().encode().splitlines()):
+            h.update(line + b"\n")
+        digests[workers] = h.hexdigest()
+    del streams
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    assert digests[1] == digests[8] == json.loads(reference.read_text())["grid-stream"]["digest"]
 
     path = str(tmp_path / "cache.txt")
     table = build_franel_table(300)
@@ -183,5 +200,6 @@ def test_criterion_harness_determinism_and_cache(tmp_path):
     open(path, "w").write("\n".join(lines) + "\n")
     with pytest.raises(CacheError):
         load_table(path)
-    _announce("full-sweep summary identical for 1 and 8 workers; cache "
+    _announce("full-sweep summary and record lines identical for 1 and 8 "
+              "workers and to the benchmark reference; cache "
               "roundtrip lossless; corruption detected", started)

@@ -1,4 +1,7 @@
+import dataclasses
+import io
 import json
+import sys
 
 import pytest
 
@@ -7,7 +10,13 @@ from franel.cache import CacheError, load_table, store_table
 from franel.cli import main
 from franel.combinatorics import build_franel_table, franel
 from franel.harness import run_sweep
-from franel.reports import long_decimals, to_json_line
+from franel.reports import Report, long_decimals, to_json_line
+
+
+def _sorted_lines(statement_ids, workers, **kwargs):
+    out = io.StringIO()
+    run_sweep(statement_ids, workers=workers, out=out, **kwargs)
+    return sorted(out.getvalue().splitlines())
 
 
 class TestCache:
@@ -200,16 +209,62 @@ class TestSweepCommand:
         assert max(len(r["witness"]) for r in records) > 4300
         assert all(r["witness"].lstrip("-").isdigit() for r in records)
 
+    def test_witness_past_int_str_limit_in_pool_worker(self, default_int_str_limit, capsys):
+        # the worker serializes, at the limit it inherited from the parent
+        out = io.StringIO()
+        summary = run_sweep(["family_new1"], n_range=(1500, 1500), workers=2, out=out)
+        assert summary["total"] == {"pass": 7, "fail": 0, "skipped": 0}
+        library = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert max(len(r["witness"]) for r in library) > 4300
+        assert sys.get_int_max_str_digits() == 4300
+
+        rc = main(["verify", "--statements", "family_new1", "--n-range", "1500..1500",
+                   "--workers", "2"])
+        assert rc == 0
+        cli = [json.loads(line) for line in capsys.readouterr().out.splitlines()[:-1]]
+        assert sorted(cli, key=json.dumps) == sorted(library, key=json.dumps)
+        assert all(r["witness"].lstrip("-").isdigit() for r in cli)
+        assert sys.get_int_max_str_digits() == 4300
+
+    @pytest.mark.parametrize("fmt, line", [
+        ("json-lines", '{"lhs": "1", "modulus": "7", "params": {"n": "3"}, "rhs": "2", '
+                       '"statement": "strehl", "verdict": "fail"}'),
+        ("tsv", "strehl\tn=3\t7\t1\t2\tfail\t\t"),
+    ], ids=["json", "tsv"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("command", [
+        ["verify", "--statements", "strehl"],
+        ["sweep", "--statements", "strehl", "--quiet"],
+    ], ids=["verify", "sweep-quiet"])
+    def test_failing_record_exits_1_and_names_it(self, command, workers, fmt, line,
+                                                 monkeypatch, capsys):
+        stmt = registry.STATEMENTS["strehl"]
+
+        def run(n):
+            if n == 3:
+                return [Report("strehl", {"n": n}, modulus=7, lhs=1, rhs=2)]
+            return stmt.run(n)
+
+        # setitem, not a module attribute: forked pool workers inherit it
+        monkeypatch.setitem(registry.STATEMENTS, "strehl", dataclasses.replace(stmt, run=run))
+        rc = main([*command, "--n-range", "0..20", "--workers", str(workers),
+                   "--format", fmt])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert err == f"FAILED: 1 failing record(s); first: {line}\n"
+        records = out.splitlines()[:-1] if fmt == "json-lines" else out.splitlines()[:-2]
+        if command[0] == "verify":
+            assert len(records) == 21 and line in records
+        else:
+            assert records == []
+
     def test_prime_axis_records_same_at_one_and_two_workers_and_any_order(self):
         ids = ["theorem2", "theorem3", "conjecture1", "conjecture2", "reduction_chain"]
         lines = {}
         for workers in (2, 1):
             # an empty memo, also in the forked pool workers
             congruences.inverse_weighted_sum_mod.cache_clear()
-            out = []
-            run_sweep(ids, workers=workers,
-                      on_report=lambda sid, r: out.append(to_json_line(r)))
-            lines[workers] = sorted(out)
+            lines[workers] = _sorted_lines(ids, workers)
         congruences.inverse_weighted_sum_mod.cache_clear()
         descending = []
         for sid in ids:
@@ -224,10 +279,7 @@ class TestSweepCommand:
         for workers in (2, 1):
             # empty prefix tables, so pool workers walk up from mid-range chunks
             monkeypatch.setattr(congruences, "_FAMILY_CACHE", {})
-            out = []
-            run_sweep(ids, workers=workers,
-                      on_report=lambda sid, r: out.append(to_json_line(r)))
-            lines[workers] = sorted(out)
+            lines[workers] = _sorted_lines(ids, workers)
         assert len(lines[1]) == 20584
         assert lines[1] == lines[2]
 
