@@ -3,7 +3,6 @@ identities, supercongruences, and conjectured divisibility families."""
 
 from .combinatorics import (
     ROUTES,
-    FranelTable,
     InconsistencyError,
     binomial,
     binomial_generalized,
@@ -24,7 +23,6 @@ from .reports import Report
 
 __all__ = [
     "ROUTES",
-    "FranelTable",
     "InconsistencyError",
     "NotCoprimeError",
     "Report",

@@ -11,8 +11,6 @@ from __future__ import annotations
 import os
 import tempfile
 
-from .combinatorics import FranelTable
-
 HEADER_PREFIX = "franel-cache v1 N="
 
 
@@ -20,14 +18,17 @@ class CacheError(ValueError):
     """Malformed or corrupt cache file."""
 
 
-def store_table(path: str, table: FranelTable) -> None:
-    """Atomic write: temp file in the same directory, then rename."""
+def store_table(path: str, values: tuple[int, ...]) -> None:
+    """Write (f_0, ..., f_N) atomically: temp file in the same directory,
+    then rename."""
+    if not values:
+        raise ValueError("empty table")
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=".franel-cache-", dir=directory)
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(f"{HEADER_PREFIX}{table.n_max}\n")
-            for n, value in enumerate(table.values):
+            fh.write(f"{HEADER_PREFIX}{len(values) - 1}\n")
+            for n, value in enumerate(values):
                 fh.write(f"{n}\t{value}\n")
         os.replace(tmp, path)
     except BaseException:
@@ -36,7 +37,7 @@ def store_table(path: str, table: FranelTable) -> None:
         raise
 
 
-def load_table(path: str) -> FranelTable:
+def load_table(path: str) -> tuple[int, ...]:
     with open(path, "r") as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].startswith(HEADER_PREFIX):
@@ -78,4 +79,4 @@ def load_table(path: str) -> FranelTable:
             raise CacheError(
                 f"recurrence violated at index {n + 1} (line {n + 3})"
             )
-    return FranelTable(values=tuple(values), route="recurrence")
+    return tuple(values)

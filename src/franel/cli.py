@@ -53,6 +53,8 @@ def _positive_int(text: str) -> int:
 
 def _parse_routes(text: str) -> list[str]:
     routes = [r.strip() for r in text.split(",") if r.strip()]
+    if not routes:
+        raise argparse.ArgumentTypeError(f"no route given in {text!r}")
     for r in routes:
         if r not in ROUTES:
             raise argparse.ArgumentTypeError(
@@ -107,6 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_statements(text: str) -> list[str] | None:
     ids = [s.strip() for s in text.split(",") if s.strip()]
+    if not ids:
+        print(f"error: no statement id given in {text!r}", file=sys.stderr)
+        return None
     for sid in ids:
         if sid not in registry.STATEMENTS:
             print(
@@ -197,7 +202,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     ids = None
-    if args.statements:
+    if args.statements is not None:
         ids = _resolve_statements(args.statements)
         if ids is None:
             return EXIT_USAGE
@@ -227,7 +232,7 @@ def _cmd_cache(args) -> int:
     except OSError as exc:
         print(f"error: cannot read cache {args.cache!r}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(f"franel-cache v1 N={table.n_max} ok")
+    print(f"franel-cache v1 N={len(table) - 1} ok")
     return EXIT_OK
 
 

@@ -7,10 +7,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-
-ROUTES = ("direct", "strehl", "recurrence", "sun-expansion")
 
 
 class InconsistencyError(ArithmeticError):
@@ -114,6 +111,7 @@ _ROUTE_FN = {
     "recurrence": franel_recurrence,
     "sun-expansion": franel_sun_expansion,
 }
+ROUTES = tuple(_ROUTE_FN)
 
 
 def franel(n: int, route: str = "recurrence") -> int:
@@ -127,38 +125,13 @@ def franel(n: int, route: str = "recurrence") -> int:
     return fn(n)
 
 
-@dataclass(frozen=True)
-class FranelTable:
-    """Immutable table of f_0..f_N plus the route that produced it."""
-
-    values: tuple[int, ...]
-    route: str
-
-    def __post_init__(self):
-        if self.route not in ROUTES:
-            raise ValueError(f"unknown route {self.route!r}")
-        if not self.values:
-            raise ValueError("empty table")
-
-    @property
-    def n_max(self) -> int:
-        return len(self.values) - 1
-
-    def __getitem__(self, n: int) -> int:
-        return self.values[n]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def build_franel_table(n_max: int, route: str = "recurrence") -> FranelTable:
+def build_franel_table(n_max: int, route: str = "recurrence") -> tuple[int, ...]:
+    """(f_0, ..., f_n_max) by the selected route."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if route == "recurrence":
-        values = tuple(franel_upto(n_max))
-    else:
-        values = tuple(franel(n, route) for n in range(n_max + 1))
-    return FranelTable(values=values, route=route)
+        return tuple(franel_upto(n_max))
+    return tuple(franel(n, route) for n in range(n_max + 1))
 
 
 def macmahon_sides(n: int, x: int) -> tuple[int, int]:

@@ -26,6 +26,12 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
+def _require_odd_prime(p: int) -> None:
+    _require_prime(p)
+    if p == 2:
+        raise ValueError("p must be odd")
+
+
 # grow-only prefix tables [S_0, S_1, ...] of family_sum, one per (a, b, c),
 # shared like the Franel and central-binomial caches
 _FAMILY_CACHE: dict[tuple[int, int, int], list[int]] = {}
@@ -135,19 +141,9 @@ def check_theorem3(p: int) -> Report:
 # ---------------------------------------------------------------------------
 # auxiliary congruences
 
-AUX_IDS = (
-    "babbage",
-    "morley",
-    "jarvis_verrill",
-    "multinomial",
-    "half_binom",
-    "central_pmod",
-    "fermat_square",
-    "final_reflect",
-)
 
-
-def _aux_babbage(p: int) -> list[Report]:
+def check_babbage(p: int) -> list[Report]:
+    _require_odd_prime(p)
     m = p * p
     return [
         Report(
@@ -160,7 +156,8 @@ def _aux_babbage(p: int) -> list[Report]:
     ]
 
 
-def _aux_morley(p: int) -> list[Report]:
+def check_morley(p: int) -> list[Report]:
+    _require_odd_prime(p)
     if p <= 3:
         raise ValueError("morley requires p > 3")
     m = p**3
@@ -175,7 +172,8 @@ def _aux_morley(p: int) -> list[Report]:
     ]
 
 
-def _aux_jarvis_verrill(p: int) -> list[Report]:
+def check_jarvis_verrill(p: int) -> list[Report]:
+    _require_odd_prime(p)
     f = franel_upto(p - 1)
     out = []
     for n in range(p):
@@ -191,9 +189,10 @@ def _aux_jarvis_verrill(p: int) -> list[Report]:
     return out
 
 
-def _aux_multinomial(p: int) -> list[Report]:
+def check_multinomial(p: int) -> list[Report]:
     """Two-branch reduction of (p+2k)!/((2k)! k! (p-k)!) mod p^2 for
     1 <= k < p, k != (p-1)/2."""
+    _require_odd_prime(p)
     if p <= 3:
         raise ValueError("multinomial requires p > 3")
     m = p * p
@@ -217,8 +216,9 @@ def _aux_multinomial(p: int) -> list[Report]:
     return out
 
 
-def _aux_half_binom(p: int) -> list[Report]:
+def check_half_binom(p: int) -> list[Report]:
     """The k=(p-1)/2 term: exact product shape, then its value mod p^2."""
+    _require_odd_prime(p)
     m = p * p
     k = (p - 1) // 2
     num = (
@@ -249,7 +249,8 @@ def _aux_half_binom(p: int) -> list[Report]:
     ]
 
 
-def _aux_central_pmod(p: int) -> list[Report]:
+def check_central_pmod(p: int) -> list[Report]:
+    _require_odd_prime(p)
     half = (p - 1) // 2
     inv4 = mod_inverse(4, p)
     out = []
@@ -269,7 +270,8 @@ def _aux_central_pmod(p: int) -> list[Report]:
     return out
 
 
-def _aux_fermat_square(p: int) -> list[Report]:
+def check_fermat_square(p: int) -> list[Report]:
+    _require_odd_prime(p)
     m = p * p
     inv8 = mod_inverse(8, m)
     inv4 = mod_inverse(4, m)
@@ -281,7 +283,8 @@ def _aux_fermat_square(p: int) -> list[Report]:
     ]
 
 
-def _aux_final_reflect(p: int) -> list[Report]:
+def check_final_reflect(p: int) -> list[Report]:
+    _require_odd_prime(p)
     half = (p - 1) // 2
     out = []
     for k in range(half + 1):
@@ -295,27 +298,6 @@ def _aux_final_reflect(p: int) -> list[Report]:
             )
         )
     return out
-
-
-_AUX_FN = {
-    "babbage": _aux_babbage,
-    "morley": _aux_morley,
-    "jarvis_verrill": _aux_jarvis_verrill,
-    "multinomial": _aux_multinomial,
-    "half_binom": _aux_half_binom,
-    "central_pmod": _aux_central_pmod,
-    "fermat_square": _aux_fermat_square,
-    "final_reflect": _aux_final_reflect,
-}
-
-
-def check_auxiliary(aux_id: str, p: int) -> list[Report]:
-    if aux_id not in _AUX_FN:
-        raise ValueError(f"unknown auxiliary id {aux_id!r}; expected one of {AUX_IDS}")
-    _require_prime(p)
-    if p == 2:
-        raise ValueError("p must be odd")
-    return _AUX_FN[aux_id](p)
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +320,7 @@ def final3_rhs_terms(p: int) -> list[int]:
 def check_reduction_chain(p: int) -> list[Report]:
     """Every displayed intermediate congruence of the two proofs, verified
     numerically and independently (no elided steps reconstructed)."""
-    _require_prime(p)
-    if p == 2:
-        raise ValueError("p must be odd")
+    _require_odd_prime(p)
     m2 = p * p
     half = (p - 1) // 2
     reports: list[Report] = []

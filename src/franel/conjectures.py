@@ -149,17 +149,9 @@ def third_conjecture_grid(
     (-1)^k) and flagged in the report.  The per-multiplier factor columns
     are shared across tuples.
     """
-    from itertools import product as iproduct
-
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     out: list[Report] = []
-    if n == 1:
-        for m in range(1, m_max + 1):
-            for tup in iproduct(a_values, repeat=m):
-                for variant in ("linear", "quadratic"):
-                    out.append(_grid_report(variant, m, tup, n, 0, 1))
-        return out
     m2 = n * n
     f = franel_upto(n - 1)
     cols1 = {a: product_factor_columns(a, n, m2) for a in a_values}

@@ -70,20 +70,6 @@ def _run_product_note(p: int) -> list[Report]:
     ]
 
 
-def _aux_statement(aux_id: str, min_p: int = 3) -> Statement:
-    reason = (
-        f"{aux_id} requires an odd prime" if min_p == 3
-        else f"{aux_id} requires p > 3"
-    )
-    return Statement(
-        id=aux_id,
-        kind="p",
-        default_range=(3, 499),
-        run=lambda p, _id=aux_id: congruences.check_auxiliary(_id, p),
-        admissible=_skip_if(lambda p: p < min_p, reason),
-    )
-
-
 STATEMENTS: dict[str, Statement] = {
     s.id: s
     for s in [
@@ -144,16 +130,25 @@ STATEMENTS: dict[str, Statement] = {
         Statement("zw_strengthened", "n", (2, 500),
                   _single(lambda n: conjectures.check_zw_sun(n, "strengthened")),
                   _need(2, "zw_strengthened")),
+        # auxiliary congruences the proofs route through
+        Statement("babbage", "p", (3, 499), congruences.check_babbage,
+                  _skip_if(lambda p: p == 2, "babbage requires an odd prime")),
+        Statement("morley", "p", (3, 499), congruences.check_morley,
+                  _skip_if(lambda p: p <= 3, "morley requires p > 3")),
+        Statement("jarvis_verrill", "p", (3, 499), congruences.check_jarvis_verrill,
+                  _skip_if(lambda p: p == 2, "jarvis_verrill requires an odd prime")),
+        Statement("multinomial", "p", (3, 499), congruences.check_multinomial,
+                  _skip_if(lambda p: p <= 3, "multinomial requires p > 3")),
+        Statement("half_binom", "p", (3, 499), congruences.check_half_binom,
+                  _skip_if(lambda p: p == 2, "half_binom requires an odd prime")),
+        Statement("central_pmod", "p", (3, 499), congruences.check_central_pmod,
+                  _skip_if(lambda p: p == 2, "central_pmod requires an odd prime")),
+        Statement("fermat_square", "p", (3, 499), congruences.check_fermat_square,
+                  _skip_if(lambda p: p == 2, "fermat_square requires an odd prime")),
+        Statement("final_reflect", "p", (3, 499), congruences.check_final_reflect,
+                  _skip_if(lambda p: p == 2, "final_reflect requires an odd prime")),
     ]
 }
-
-_AUX_STATEMENTS = {
-    aux_id: _aux_statement(aux_id, min_p=5 if aux_id in ("morley", "multinomial") else 3)
-    for aux_id in congruences.AUX_IDS
-}
-STATEMENTS.update(_AUX_STATEMENTS)
-
-AUX_STATEMENT_IDS = tuple(congruences.AUX_IDS)
 
 
 def statement_ids() -> list[str]:

@@ -15,6 +15,7 @@ import pytest
 from franel import congruences as cg
 from franel import conjectures as cj
 from franel import identities as ids
+from franel import registry
 from franel.cache import CacheError, load_table, store_table
 from franel.combinatorics import ROUTES, build_franel_table, franel
 from franel.harness import run_sweep
@@ -29,10 +30,10 @@ def _announce(name, started=None):
 def test_criterion_franel_route_agreement():
     started = time.monotonic()
     tables = {route: build_franel_table(300, route) for route in ROUTES}
-    reference = tables["direct"].values
+    reference = tables["direct"]
     assert reference[:4] == (1, 2, 10, 56)
     for route in ROUTES:
-        assert tables[route].values == reference, route
+        assert tables[route] == reference, route
     elapsed = time.monotonic() - started
     assert elapsed < 10, f"route agreement took {elapsed:.1f}s (budget 10s)"
     _announce("franel route agreement, n <= 300", started)
@@ -104,13 +105,18 @@ def test_criterion_theorem3_mod_p():
 
 def test_criterion_auxiliary_congruences():
     started = time.monotonic()
-    for p in primes_in_range(3, 499):
-        for aux_id in cg.AUX_IDS:
-            if p == 3 and aux_id in ("morley", "multinomial"):
+    aux_ids = ("babbage", "morley", "jarvis_verrill", "multinomial",
+               "half_binom", "central_pmod", "fermat_square", "final_reflect")
+    for p in primes_in_range(2, 499):
+        for aux_id in aux_ids:
+            stmt = registry.STATEMENTS[aux_id]
+            assert stmt.run is getattr(cg, f"check_{aux_id}")
+            reports = registry.run_cell(aux_id, p)
+            if stmt.admissible(p) is not None:
+                assert [r.verdict for r in reports] == ["skipped"], (aux_id, p)
                 continue
-            reports = cg.check_auxiliary(aux_id, p)
             bad = [r.params for r in reports if not r.passed]
-            assert not bad, (aux_id, p, bad[:3])
+            assert reports and not bad, (aux_id, p, bad[:3])
     _announce("auxiliary congruences, admissible p < 500, all inner params",
               started)
 
@@ -193,7 +199,7 @@ def test_criterion_harness_determinism_and_cache(tmp_path):
     path = str(tmp_path / "cache.txt")
     table = build_franel_table(300)
     store_table(path, table)
-    assert load_table(path).values == table.values
+    assert load_table(path) == table
 
     lines = open(path).read().splitlines()
     lines[3] = lines[3].split("\t")[0] + "\t" + str(int(lines[3].split("\t")[1]) + 1)

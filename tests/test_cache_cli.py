@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import json
 import sys
@@ -25,13 +26,13 @@ class TestCache:
         table = build_franel_table(3)
         store_table(path, table)
         loaded = load_table(path)
-        assert loaded.values == (1, 2, 10, 56)
+        assert loaded == (1, 2, 10, 56)
 
     def test_roundtrip_large(self, tmp_path):
         path = str(tmp_path / "cache.txt")
         table = build_franel_table(200)
         store_table(path, table)
-        assert load_table(path).values == table.values
+        assert load_table(path) == table
 
     def test_tampered_value_detected(self, tmp_path):
         path = str(tmp_path / "cache.txt")
@@ -63,6 +64,12 @@ class TestCache:
         with pytest.raises(CacheError, match="expected 4 records"):
             load_table(str(path))
 
+    def test_empty_table_rejected(self, tmp_path):
+        target = tmp_path / "cache.txt"
+        with pytest.raises(ValueError, match="empty table"):
+            store_table(str(target), ())
+        assert not target.exists()
+
     def test_no_partial_file_on_failure(self, tmp_path):
         # writes go to a temp file first; target never appears on error
         target = tmp_path / "sub" / "cache.txt"
@@ -88,7 +95,7 @@ class TestComputeCommand:
     def test_cache_write(self, tmp_path, capsys):
         path = str(tmp_path / "cache.txt")
         assert main(["compute", "--n-range", "0..5", "--cache", path]) == 0
-        assert load_table(path).n_max == 5
+        assert load_table(path) == tuple(franel(n) for n in range(6))
 
     def test_unwritable_cache(self, tmp_path, capsys):
         rc = main(
@@ -102,6 +109,14 @@ class TestComputeCommand:
         with pytest.raises(SystemExit) as exc:
             main(["compute", "--n-range", "5..2"])
         assert exc.value.code == 2
+
+    def test_empty_route_list_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--n-range", "0..3", "--route", ","])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert "no route given" in err.splitlines()[-1]
 
     def test_value_past_int_str_limit(self, default_int_str_limit, capsys):
         assert main(["compute", "--n-range", "5000..5000"]) == 0
@@ -141,6 +156,18 @@ class TestVerifyCommand:
         assert by_verdict["skipped"] == ["5", "13", "17"]
         assert "fail" not in by_verdict
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--statements", ","],
+        ["sweep", "--statements", ","],
+        ["sweep", "--statements", ""],
+    ], ids=["verify-comma", "sweep-comma", "sweep-empty"])
+    def test_empty_statement_list_is_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: no statement id given")
+
     def test_unknown_statement_exits_2(self, capsys):
         assert main(["verify", "--statements", "bogus-id"]) == 2
         assert "unknown statement id" in capsys.readouterr().err
@@ -169,6 +196,21 @@ class TestSweepCommand:
         assert summary["statements"]["zw_strengthened"] == {
             "pass": 29, "fail": 0, "skipped": 1,
         }
+
+    def test_edge_of_domain_records_pinned(self):
+        # n from 0 and p from 2 reach every skip rule of the registry:
+        # 19 distinct skipped_reason strings, among them each auxiliary
+        # congruence's "requires an odd prime" / "requires p > 3"
+        out = io.StringIO()
+        summary = run_sweep(n_range=(0, 2), p_range=(2, 5), out=out)
+        lines = sorted(out.getvalue().splitlines())
+        assert summary["total"] == {"pass": 1759, "fail": 0, "skipped": 31}
+        reasons = {json.loads(line).get("skipped_reason") for line in lines} - {None}
+        assert len(reasons) == 19
+        digest = hashlib.sha256("".join(f"{line}\n" for line in lines).encode())
+        assert digest.hexdigest() == (
+            "0aa335f58e43244e52ac3e0270495ae3689f6df431609004d477501189ce8af9"
+        )
 
     def test_worker_counts_agree(self):
         kwargs = dict(

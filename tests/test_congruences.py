@@ -1,10 +1,16 @@
 import pytest
 
-from franel import congruences
+from franel import congruences, registry
 from franel.combinatorics import InconsistencyError, binomial, franel_upto
 from franel.congruences import (
-    AUX_IDS,
-    check_auxiliary,
+    check_babbage,
+    check_central_pmod,
+    check_fermat_square,
+    check_final_reflect,
+    check_half_binom,
+    check_jarvis_verrill,
+    check_morley,
+    check_multinomial,
     check_reduction_chain,
     check_theorem1,
     check_theorem2,
@@ -117,68 +123,93 @@ class TestTheorem3:
                 assert check_theorem3(p).passed
 
 
+# the auxiliary congruences, each registered with its congruences.check_<id>
+AUX_IDS = (
+    "babbage",
+    "morley",
+    "jarvis_verrill",
+    "multinomial",
+    "half_binom",
+    "central_pmod",
+    "fermat_square",
+    "final_reflect",
+)
+
+
+def assert_aux_cell(aux_id, p):
+    """Every report passes at an admissible p; an inadmissible p is exactly
+    one skipped record."""
+    stmt = registry.STATEMENTS[aux_id]
+    assert stmt.run is getattr(congruences, f"check_{aux_id}")
+    reports = registry.run_cell(aux_id, p)
+    if stmt.admissible(p) is None:
+        assert reports and all(r.passed for r in reports), (aux_id, p)
+    else:
+        assert [r.verdict for r in reports] == ["skipped"], (aux_id, p)
+
+
 class TestAuxiliary:
     def test_babbage(self):
-        (r,) = check_auxiliary("babbage", 5)
+        (r,) = check_babbage(5)
         assert r.passed and binomial(9, 4) == 126 and r.lhs == 126 % 25 == 1
 
     def test_morley(self):
-        (r,) = check_auxiliary("morley", 5)
+        (r,) = check_morley(5)
         assert r.passed and r.lhs == 6 and r.rhs == 256 % 125 == 6
         with pytest.raises(ValueError):
-            check_auxiliary("morley", 3)
+            check_morley(3)
 
     def test_jarvis_verrill(self):
-        reports = check_auxiliary("jarvis_verrill", 3)
+        reports = check_jarvis_verrill(3)
         assert [r.verdict for r in reports] == ["pass"] * 3
         # f_0 = 1 = f_2 (mod 3); f_1 = 2 = -8 f_1 (mod 3)
         assert reports[0].lhs == reports[0].rhs == 1
         assert reports[1].lhs == reports[1].rhs == 2
 
     def test_multinomial(self):
-        reports = {r.params["k"]: r for r in check_auxiliary("multinomial", 5)}
+        reports = {r.params["k"]: r for r in check_multinomial(5)}
         assert 2 not in reports  # k = (p-1)/2 routed to half_binom
         r = reports[1]
         assert r.passed and r.lhs == 105 % 25 == 5
         with pytest.raises(ValueError):
-            check_auxiliary("multinomial", 3)
+            check_multinomial(3)
 
     def test_half_binom(self):
-        exact, mod = check_auxiliary("half_binom", 5)
+        exact, mod = check_half_binom(5)
         assert exact.passed and exact.lhs == -4536
         assert mod.passed and mod.lhs == -4536 % 25 == (-(16**4)) % 25 == 14
 
     def test_central_pmod(self):
-        reports = {r.params["k"]: r for r in check_auxiliary("central_pmod", 5)}
+        reports = {r.params["k"]: r for r in check_central_pmod(5)}
         r = reports[2]
         assert r.passed and r.lhs == 6 * pow(16, -1, 5) % 5 == 1
 
     def test_fermat_square(self):
-        (r,) = check_auxiliary("fermat_square", 3)
+        (r,) = check_fermat_square(3)
         assert r.passed and r.modulus == 9 and r.rhs == 1
 
     def test_final_reflect(self):
         for p in (3, 5, 7, 11, 13):
-            assert all(r.passed for r in check_auxiliary("final_reflect", p))
+            assert all(r.passed for r in check_final_reflect(p))
 
     def test_half_binom_inexact_term_raises(self, monkeypatch):
         # every binomial 1: the k=(p-1)/2 numerator is k - p, not a multiple of p
         monkeypatch.setattr(congruences, "binomial", lambda n, k: 1)
         with pytest.raises(InconsistencyError):
-            check_auxiliary("half_binom", 5)
+            check_half_binom(5)
 
-    def test_unknown_id(self):
-        with pytest.raises(ValueError):
-            check_auxiliary("nonsense", 5)
+    @pytest.mark.parametrize("aux_id", AUX_IDS)
+    def test_requires_odd_prime(self, aux_id):
+        check = getattr(congruences, f"check_{aux_id}")
+        with pytest.raises(ValueError, match="p must be odd"):
+            check(2)
+        with pytest.raises(ValueError, match="not prime"):
+            check(9)
 
     def test_all_ids_small_sweep(self):
-        for p in primes_in_range(3, 60):
+        for p in primes_in_range(2, 60):
             for aux_id in AUX_IDS:
-                if p == 3 and aux_id in ("morley", "multinomial"):
-                    continue
-                assert all(
-                    r.passed for r in check_auxiliary(aux_id, p)
-                ), (aux_id, p)
+                assert_aux_cell(aux_id, p)
 
 
 class TestReductionChain:
