@@ -160,6 +160,17 @@ def _run_and_stream(args, statement_ids, quiet=False) -> int:
                     file=sys.stderr,
                 )
                 return EXIT_USAGE
+    for sid in registry.statement_ids() if statement_ids is None else statement_ids:
+        stmt = registry.STATEMENTS[sid]
+        rng = getattr(args, f"{stmt.kind}_range")
+        lo, hi = stmt.default_range if rng is None else rng
+        if not registry.cells_for(stmt, lo, hi):
+            print(
+                f"error: statement {sid!r} has no cell in {stmt.kind}-range "
+                f"{lo}..{hi}",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
     summary = run_sweep(
         statement_ids=statement_ids,
         n_range=getattr(args, "n_range", None),

@@ -1,13 +1,13 @@
 """Exact integer combinatorics: binomial coefficients and Franel numbers.
 
-Everything here is closed over (arbitrary-precision) integers, except the
-two rational helpers which use fractions.Fraction.  No floats anywhere.
+Everything here is closed over (arbitrary-precision) integers; the one
+rational identity is carried as reduced (numerator, denominator) int
+pairs.  No floats anywhere.
 """
 from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 
 
 class InconsistencyError(ArithmeticError):
@@ -156,16 +156,25 @@ def macmahon_sides(n: int, x: int) -> tuple[int, int]:
     return lhs, rhs
 
 
-def partial_fraction_sides(n: int) -> tuple[Fraction, Fraction]:
-    """Both sides of sum_k (-1)^k C(n,k)/(x+k) = n!/(x(x+1)...(x+n)) at x=1/2."""
+def partial_fraction_sides(n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Both sides of sum_k (-1)^k C(n,k)/(x+k) = n!/(x(x+1)...(x+n)) at x=1/2,
+    each a reduced (numerator, denominator) pair with denominator > 0.
+
+    Over L = (2n+1)!! = prod_j (2j+1) the left side is
+    sum_k (-1)^k C(n,k) 2L/(2k+1) / L and the right side n! 2^(n+1) / L.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    half = Fraction(1, 2)
-    lhs = sum(
-        (-1) ** k * binomial(n, k) / (half + k) for k in range(n + 1)
-    )
-    den = Fraction(1)
-    for j in range(n + 1):
-        den *= half + j
-    rhs = Fraction(math.factorial(n)) / den
-    return lhs, rhs
+    odd = math.prod(range(1, 2 * n + 2, 2))  # L
+    lhs = 0
+    term = 2 * odd  # (-1)^k C(n,k) 2L, stepped along the binomial row
+    for k in range(n + 1):
+        lhs += term // (2 * k + 1)
+        term = -term * (n - k) // (k + 1)
+    rhs = math.factorial(n) << (n + 1)
+    return _reduced(lhs, odd), _reduced(rhs, odd)
+
+
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    g = math.gcd(num, den)
+    return num // g, den // g

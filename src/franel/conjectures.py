@@ -6,6 +6,7 @@ product congruences mod n^2, and the strengthened alternating forms.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .combinatorics import (
@@ -146,8 +147,14 @@ def third_conjecture_grid(
     """Multi-index product sums vanishing mod n^2, for both weight variants
     (linear 3k+2, quadratic 9k^2+5k) over every multiplier tuple of length
     <= m_max.  Zero multipliers are admitted (the factor degenerates to
-    (-1)^k) and flagged in the report.  The per-multiplier factor columns
-    are shared across tuples.
+    (-1)^k) and flagged in the report.
+
+    A tuple's sum is sum_k prefix(k) * w(k) * c_a(k) mod n^2, where prefix
+    is the product column of the tuple without its last multiplier a and
+    c_a is a's factor column.  The 2 * len(a_values) residues
+    w(k) * c_a(k) mod n^2 of each k are packed into one int as base-2^width
+    digits, so one dot product of a prefix column with the packed rows
+    gives the sums of every one-multiplier extension of that prefix.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -162,29 +169,41 @@ def third_conjecture_grid(
     w_lin_alt = [w if k % 2 == 0 else -w % m2 for k, w in enumerate(w_lin)]
     w_quad_alt = [w if k % 2 == 0 else -w % m2 for k, w in enumerate(w_quad)]
 
-    def emit(m: int, tup: tuple[int, ...], col: list[int]) -> None:
-        wl = w_lin if m % 2 == 1 else w_lin_alt
-        wq = w_quad if m % 2 == 1 else w_quad_alt
-        s_lin = s_quad = 0
-        for k in range(n):
-            ck = col[k]
-            s_lin += wl[k] * ck
-            s_quad += wq[k] * ck
-        out.append(_grid_report("linear", m, tup, n, s_lin % m2, m2))
-        out.append(_grid_report("quadratic", m, tup, n, s_quad % m2, m2))
+    # Digit bound: a digit of a dot product is a sum of n products of two
+    # residues in [0, n^2 - 1], so it is at most n * (n^2 - 1)^2 < 2^width
+    # and never carries into the next digit.
+    width = max(1, (n * (n * n - 1) ** 2).bit_length())
+    mask = (1 << width) - 1
 
-    def combine(c1: list[int], c2: list[int]) -> list[int]:
-        return [x * y % m2 for x, y in zip(c1, c2)]
+    def packed_rows(wl: list[int], wq: list[int]) -> list[int]:
+        """Per k, the residues wl(k) c_a(k) and wq(k) c_a(k) for each a in
+        turn, as base-2^width digits from the lowest up."""
+        rows = [0] * n
+        shift = 0
+        for a in a_values:
+            for w in (wl, wq):
+                rows = [r | (x * c % m2) << shift for r, x, c in zip(rows, w, cols1[a])]
+                shift += width
+        return rows
 
-    prev: dict[tuple[int, ...], list[int]] = {(): [1] * n}
+    rows_odd = packed_rows(w_lin, w_quad)
+    rows_even = packed_rows(w_lin_alt, w_quad_alt)
+
+    prefixes: list[tuple[tuple[int, ...], list[int]]] = [((), [1] * n)]
     for m in range(1, m_max + 1):
-        cur: dict[tuple[int, ...], list[int]] = {}
-        for tup, col in prev.items():
+        rows = rows_odd if m % 2 == 1 else rows_even
+        longer = []
+        for tup, col in prefixes:
+            t = sum(map(operator.mul, col, rows))
             for a in a_values:
-                new = combine(col, cols1[a])
-                cur[tup + (a,)] = new
-                emit(m, tup + (a,), new)
-        prev = cur
+                ext = tup + (a,)
+                out.append(_grid_report("linear", m, ext, n, (t & mask) % m2, m2))
+                t >>= width
+                out.append(_grid_report("quadratic", m, ext, n, (t & mask) % m2, m2))
+                t >>= width
+                if m < m_max:
+                    longer.append((ext, [x * y % m2 for x, y in zip(col, cols1[a])]))
+        prefixes = longer
     return out
 
 

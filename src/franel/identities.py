@@ -49,13 +49,13 @@ def check_macmahon(n: int, x: int) -> Report:
 def check_partial_fraction(n: int) -> Report:
     """Both sides are exact rationals; compare numerators over the common
     denominator so the report stays integer-valued."""
-    lhs, rhs = partial_fraction_sides(n)
-    den = math.lcm(lhs.denominator, rhs.denominator)
+    (lhs_num, lhs_den), (rhs_num, rhs_den) = partial_fraction_sides(n)
+    den = math.lcm(lhs_den, rhs_den)
     return Report(
         statement="partial_fraction",
         params={"n": n},
-        lhs=lhs.numerator * (den // lhs.denominator),
-        rhs=rhs.numerator * (den // rhs.denominator),
+        lhs=lhs_num * (den // lhs_den),
+        rhs=rhs_num * (den // rhs_den),
     )
 
 

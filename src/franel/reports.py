@@ -13,7 +13,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Report:
     """One verification outcome.
 
@@ -21,6 +21,9 @@ class Report:
     witness carries the quotient for divisibility statements.
     A skipped_reason marks an out-of-hypothesis parameter; skipped
     reports are neither passes nor failures.
+
+    Slotted rather than frozen: hundreds of thousands are built per sweep,
+    and nothing assigns to or hashes one.
     """
 
     statement: str

@@ -95,6 +95,54 @@ def check_third_conjecture(
     )
 
 
+def third_conjecture_grid_per_tuple(
+    n: int, m_max: int = 3, a_values: tuple[int, ...] = (-3, -2, -1, 0, 1, 2, 3)
+) -> list[Report]:
+    """conjectures.third_conjecture_grid by one elementwise product column
+    and two weighted sums per tuple, in the same record order: the route
+    that the packed dot products replaced."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    out: list[Report] = []
+    m2 = n * n
+    f = franel_upto(n - 1)
+    cols1 = {a: product_factor_columns(a, n, m2) for a in a_values}
+    w_lin = [(3 * k + 2) * f[k] % m2 for k in range(n)]
+    w_quad = [(9 * k * k + 5 * k) * f[k] % m2 for k in range(n)]
+    w_lin_alt = [w if k % 2 == 0 else -w % m2 for k, w in enumerate(w_lin)]
+    w_quad_alt = [w if k % 2 == 0 else -w % m2 for k, w in enumerate(w_quad)]
+
+    def report(variant: str, m: int, tup: tuple[int, ...], lhs: int) -> Report:
+        params = {"m": m, "a": list(tup), "n": n, "variant": variant}
+        if 0 in tup:
+            params["degenerate"] = True
+        return Report(
+            statement=f"third_{variant}", params=params, modulus=m2, lhs=lhs, rhs=0
+        )
+
+    def emit(m: int, tup: tuple[int, ...], col: list[int]) -> None:
+        wl = w_lin if m % 2 == 1 else w_lin_alt
+        wq = w_quad if m % 2 == 1 else w_quad_alt
+        s_lin = s_quad = 0
+        for k in range(n):
+            ck = col[k]
+            s_lin += wl[k] * ck
+            s_quad += wq[k] * ck
+        out.append(report("linear", m, tup, s_lin % m2))
+        out.append(report("quadratic", m, tup, s_quad % m2))
+
+    prev: dict[tuple[int, ...], list[int]] = {(): [1] * n}
+    for m in range(1, m_max + 1):
+        cur: dict[tuple[int, ...], list[int]] = {}
+        for tup, col in prev.items():
+            for a in a_values:
+                new = [x * y % m2 for x, y in zip(col, cols1[a])]
+                cur[tup + (a,)] = new
+                emit(m, tup + (a,), new)
+        prev = cur
+    return out
+
+
 def report_to_dict(r: Report) -> dict:
     """The record as a dict of decimal strings: the route that
     reports.to_json_line and to_tsv_line replaced."""

@@ -338,6 +338,24 @@ class TestSweepCommand:
         (line,) = err.splitlines()
         assert "range is not used by any requested statement" in line
 
+    @pytest.mark.parametrize("argv, sid, rng", [
+        (["verify", "--statements", "babbage", "--p-range", "0..1"],
+         "babbage", "p-range 0..1"),
+        (["verify", "--statements", "theorem3", "--p-range", "24..28"],
+         "theorem3", "p-range 24..28"),
+        (["sweep", "--statements", "theorem1,theorem3", "--p-range", "24..28"],
+         "theorem3", "p-range 24..28"),
+        (["sweep", "--p-range", "0..1", "--quiet", "--format", "tsv"],
+         "babbage", "p-range 0..1"),
+    ], ids=["verify-no-prime", "verify-no-prime-gap", "sweep-subset", "sweep-grid"])
+    def test_range_with_no_cell_is_usage_error(self, argv, sid, rng, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: ")
+        assert repr(sid) in line and rng in line
+
     def test_records_then_summary(self, capsys):
         rc = main(["sweep", "--statements", "babbage", "--p-range", "3..20"])
         assert rc == 0

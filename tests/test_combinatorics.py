@@ -148,17 +148,23 @@ class TestMacmahon:
 
 class TestPartialFraction:
     def test_examples(self):
-        assert partial_fraction_sides(0) == (Fraction(2), Fraction(2))
-        assert partial_fraction_sides(1) == (Fraction(4, 3), Fraction(4, 3))
+        assert partial_fraction_sides(0) == ((2, 1), (2, 1))
+        assert partial_fraction_sides(1) == ((4, 3), (4, 3))
         lhs, rhs = partial_fraction_sides(2)
         assert lhs == rhs
 
     def test_oracle(self):
-        # brute-force the right side from its product definition
+        # brute-force both sides as Fractions from their definitions
         for n in range(30):
             lhs, rhs = partial_fraction_sides(n)
+            half = Fraction(1, 2)
+            lhs_q = sum(
+                (-1) ** k * math.comb(n, k) / (half + k) for k in range(n + 1)
+            )
             prod = Fraction(1)
             for j in range(n + 1):
-                prod *= Fraction(1, 2) + j
-            assert rhs == Fraction(math.factorial(n)) / prod
+                prod *= half + j
+            rhs_q = Fraction(math.factorial(n)) / prod
+            assert rhs == (rhs_q.numerator, rhs_q.denominator)
+            assert lhs == (lhs_q.numerator, lhs_q.denominator)
             assert lhs == rhs

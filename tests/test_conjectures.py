@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from franel import conjectures
@@ -16,7 +18,14 @@ from franel.conjectures import (
     third_conjecture_grid,
 )
 from franel.modular import primes_in_range
-from oracles import MultiIndexSpec, check_third_conjecture
+from franel.reports import to_json_line
+
+import oracles
+from oracles import (
+    MultiIndexSpec,
+    check_third_conjecture,
+    third_conjecture_grid_per_tuple,
+)
 
 
 class TestConjecture1:
@@ -156,6 +165,79 @@ class TestThirdConjecture:
     def test_small_sweep(self):
         for n in range(1, 30):
             assert all(r.passed for r in third_conjecture_grid(n)), n
+
+
+def _assert_grid_matches_single_checks(n, **grid_args):
+    """Every record of the grid at n equals the one-cell oracle's record,
+    and the grid has exactly one record per (tuple, variant)."""
+    a_values = grid_args.get("a_values", (-3, -2, -1, 0, 1, 2, 3))
+    cells = []
+    for r in third_conjecture_grid(n, **grid_args):
+        tup, variant = tuple(r.params["a"]), r.params["variant"]
+        single = check_third_conjecture(MultiIndexSpec(len(tup), tup), n, variant)
+        assert (r.statement, r.lhs, r.rhs, r.modulus, r.params) == (
+            single.statement,
+            single.lhs,
+            single.rhs,
+            single.modulus,
+            single.params,
+        ), (n, tup, variant)
+        cells.append((tup, variant))
+    expected = [
+        (tup, variant)
+        for m in range(1, grid_args.get("m_max", 3) + 1)
+        for tup in itertools.product(a_values, repeat=m)
+        for variant in ("linear", "quadratic")
+    ]
+    assert sorted(cells) == sorted(expected)
+
+
+class TestThirdConjectureKernel:
+    """The packed dot-product grid against the per-cell oracle and the
+    per-tuple route it replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 120])
+    def test_default_grid_matches_single_checks(self, n):
+        _assert_grid_matches_single_checks(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 9, 25, 40])
+    def test_wide_grid_matches_single_checks(self, n):
+        _assert_grid_matches_single_checks(
+            n, m_max=4, a_values=(-9, -8, -4, 0, 5, 9)
+        )
+
+    @pytest.mark.parametrize("n", [3, 9, 27, 81])
+    def test_digits_at_their_bound(self, n, monkeypatch):
+        # Worst-case residues: every factor column is -1 and the Franel
+        # column makes each even-length linear weight (-1)^k (3k+2) f_k equal
+        # 1 mod n^2 (3k+2 is a unit there when n is a power of 3), so every
+        # length-2 linear sum is n * (n^2 - 1)^2, the digit bound itself.
+        m2 = n * n
+
+        def columns(a, size, modulus):
+            return [modulus - 1] * size
+
+        def franel(top):
+            return [(-1) ** k * pow(3 * k + 2, -1, m2) for k in range(top + 1)]
+
+        for module in (conjectures, oracles):
+            monkeypatch.setattr(module, "product_factor_columns", columns)
+            monkeypatch.setattr(module, "franel_upto", franel)
+        grid = third_conjecture_grid(n)
+        assert list(map(to_json_line, grid)) == list(
+            map(to_json_line, third_conjecture_grid_per_tuple(n))
+        )
+        at_bound = [
+            r.lhs for r in grid
+            if r.params["m"] == 2 and r.params["variant"] == "linear"
+        ]
+        assert at_bound == [n * (m2 - 1) ** 2 % m2] * 49
+
+    def test_lines_identical_to_per_tuple_route(self):
+        for n in range(1, 121):
+            assert list(map(to_json_line, third_conjecture_grid(n))) == list(
+                map(to_json_line, third_conjecture_grid_per_tuple(n))
+            ), n
 
 
 class TestProductNote:

@@ -1,5 +1,7 @@
+import dataclasses
 import io
 import json
+import pickle
 import sys
 
 import pytest
@@ -43,6 +45,16 @@ GOLDEN = [
 def test_serialized_form_is_pinned(report, json_line, tsv_line):
     assert to_json_line(report) == json_line
     assert to_tsv_line(report) == tsv_line
+
+
+@pytest.mark.parametrize("report", [g[0] for g in GOLDEN],
+                         ids=["exact", "witness", "skipped"])
+def test_pickle_and_replace_keep_every_field(report):
+    # slots cost neither pickling nor dataclasses.replace
+    for copy in (pickle.loads(pickle.dumps(report)), dataclasses.replace(report)):
+        assert copy == report and copy is not report
+        assert to_json_line(copy) == to_json_line(report)
+    assert not hasattr(report, "__dict__")
 
 
 def test_serializes_past_int_str_limit(default_int_str_limit):
