@@ -39,8 +39,13 @@ def binomial_generalized(x: int, k: int) -> int:
     return (-1) ** k * math.comb(k - x - 1, k)
 
 
+@functools.lru_cache(maxsize=None)
 def franel_direct(n: int) -> int:
-    """Sum of cubes of the n-th binomial row."""
+    """Sum of cubes of the n-th binomial row.
+
+    Memoized because the recurrence, route-agreement, Strehl and
+    Sun-expansion statements all compare against it at the same n.
+    """
     return sum(binomial(n, k) ** 3 for k in range(n + 1))
 
 

@@ -4,12 +4,11 @@ auxiliary congruences their proofs route through.
 Divisibility statements keep the exact big-integer sum and emit the quotient
 as a witness.  The modular statements on the prime axis (Theorems 2 and 3,
 Conjectures 1 and 2, the reduction chain) read one memoized pair per prime:
-the weighted and unweighted inverse sums mod p^3, built by a division-free
-recurrence for g_k = (k!)^2 f_k, so the huge f_k never materialize there.
+the weighted and unweighted inverse sums mod p^3.  Every prime's pair comes
+from one shared ascending walk over P_k = C(2k,k) f_k, whose exact division
+at each step is checked, so a sweep over primes up to P walks to P once.
 """
 from __future__ import annotations
-
-import functools
 
 from .combinatorics import (
     InconsistencyError,
@@ -17,7 +16,7 @@ from .combinatorics import (
     central_binomials_upto,
     franel_upto,
 )
-from .modular import is_prime, mod_inverse
+from .modular import NotCoprimeError, is_prime, mod_inverse
 from .reports import Report
 
 
@@ -32,69 +31,115 @@ def _require_odd_prime(p: int) -> None:
         raise ValueError("p must be odd")
 
 
-# grow-only prefix tables [S_0, S_1, ...] of family_sum, one per (a, b, c),
-# shared like the Franel and central-binomial caches
-_FAMILY_CACHE: dict[tuple[int, int, int], list[int]] = {}
+# K: family_sum keeps every K-th prefix sum as a checkpoint
+_FAMILY_STRIDE = 32
+# per (a, b, c): the checkpoints [S_0, S_K, S_2K, ...] up to the cursor j,
+# then the cursor j and S_j, the furthest prefix reached so far
+_FAMILY_CACHE: dict[tuple[int, int, int], tuple[list[int], int, int]] = {}
 
 
 def family_sum(a: int, b: int, c: int, n: int) -> int:
     """Exact S_n = sum_{k=0}^{n-1} (a*k + b) c^(n-k-1) C(2k,k) f_k.
 
-    Read from a prefix table extended by S_0 = 0 and
-    S_{k+1} = c*S_k + (a*k + b) C(2k,k) f_k, so a sweep over n costs O(n)
-    big-integer steps in total whatever order it asks in.
+    Stepped by S_0 = 0 and S_{k+1} = c*S_k + (a*k + b) C(2k,k) f_k.  An n at
+    or past the cursor walks on from it, so an ascending sweep costs O(n)
+    big-integer steps in total; a lower n walks fewer than _FAMILY_STRIDE
+    steps from the checkpoint at or below it.  A triple holds about
+    n/_FAMILY_STRIDE big ints rather than all n prefix sums.
     """
     if n < 0:
         raise ValueError(f"family_sum: n must be nonnegative, got {n}")
-    table = _FAMILY_CACHE.setdefault((a, b, c), [0])
-    if len(table) <= n:
+    key = (a, b, c)
+    checkpoints, j, s = _FAMILY_CACHE.get(key) or ([0], 0, 0)
+    ahead = n >= j
+    if not ahead:
+        j = n - n % _FAMILY_STRIDE
+        s = checkpoints[j // _FAMILY_STRIDE]
+    if j < n:
         f = franel_upto(n - 1)
         cb = central_binomials_upto(n - 1)
-        s = table[-1]
-        for k in range(len(table) - 1, n):
+        for k in range(j, n):
             s = c * s + (a * k + b) * cb[k] * f[k]
-            table.append(s)
-    return table[n]
+            if ahead and (k + 1) % _FAMILY_STRIDE == 0:
+                checkpoints.append(s)
+    if ahead:
+        _FAMILY_CACHE[key] = (checkpoints, n, s)
+    return s
 
 
-@functools.lru_cache(maxsize=None)
+class _InverseWalk:
+    """The ascending walk that inverse_weighted_sum_mod reads from.
+
+    It holds k, P_{k-1} and P_k for P_k = C(2k,k) f_k, the two numerators
+    N_k = sum_{j<=k} w_j P_j (-16)^(k-j) for w_j = 3j+1 and w_j = 1, and the
+    pair of every odd prime p <= k + 1 it has passed.
+    """
+
+    def __init__(self) -> None:
+        self.k = 0
+        self.p_prev, self.p_k = 0, 1  # P_{-1} is multiplied by 0; P_0 = 1
+        self.weighted = self.unweighted = 1  # N_0 = P_0
+        self.pairs: dict[int, tuple[int, int]] = {}
+
+    def walk_to(self, k_max: int) -> None:
+        """Step to k_max by
+        (k+1)^3 P_{k+1} = 2(2k+1) [(7k^2+7k+2) P_k + 16k(2k-1) P_{k-1}],
+        N_{k+1} = -16 N_k + w_{k+1} P_{k+1}; every step multiplies or
+        divides a big int by a small one."""
+        k, p_prev, p_k = self.k, self.p_prev, self.p_k
+        weighted, unweighted = self.weighted, self.unweighted
+        pairs = self.pairs
+        while k < k_max:
+            num = (4 * k + 2) * (
+                (7 * k * k + 7 * k + 2) * p_k + 16 * k * (2 * k - 1) * p_prev
+            )
+            k += 1
+            p_next, r = divmod(num, k**3)
+            if r:
+                raise InconsistencyError(
+                    f"C(2k,k) f_k recurrence: division by {k**3} inexact at k={k}"
+                )
+            p_prev, p_k = p_k, p_next
+            weighted = -16 * weighted + (3 * k + 1) * p_k
+            unweighted = -16 * unweighted + p_k
+            p = k + 1
+            if p % 2 and is_prime(p):
+                m = p**3
+                inv = pow(16, 1 - p, m)  # ((-16)^(p-1))^-1, as p - 1 is even
+                pairs[p] = (weighted * inv % m, unweighted * inv % m)
+        self.k, self.p_prev, self.p_k = k, p_prev, p_k
+        self.weighted, self.unweighted = weighted, unweighted
+
+
+_INVERSE_WALK = _InverseWalk()
+
+
 def inverse_weighted_sum_mod(p: int) -> tuple[int, int]:
     """The weighted and unweighted inverse sums over 0 <= k < p,
 
         sum (3k+1) C(2k,k) f_k (-16)^(-k)  and  sum C(2k,k) f_k (-16)^(-k),
 
-    both mod p^3.  Computed without division: g_k = (k!)^2 f_k obeys
-    g_{k+1} = (7k^2+7k+2) g_k + 8k^4 g_{k-1}, each term is
-    w_k (2k)! g_k / D_k with D_k = (-16)^k (k!)^4, so each sum is
-    N / D_{p-1} with N <- -16k^4 N + w_k (2k)! g_k.  A prime costs O(p)
-    small-integer steps mod p^3 and one inverse; the big f_k are never
-    read.  Memoized per p, so theorem2, theorem3, conjecture1/2 and the
-    reduction chain, which reduce the pair to p^3, p^2 or p, pay for a
-    prime once.
+    both mod p^3.  Each sum is N_{p-1} / (-16)^(p-1), with N_{p-1} the exact
+    numerator that one shared walk (_InverseWalk) carries along with
+    P_k = C(2k,k) f_k.  The walk's division by (k+1)^3 is exact, and an
+    inexact one raises InconsistencyError.  The walk goes up once and
+    records the pair of every odd prime it passes, so a sweep over primes
+    up to P costs one walk to P in any query order; theorem2, theorem3,
+    conjecture1/2 and the reduction chain, which reduce the pair to p^3,
+    p^2 or p, then read it from memory.
 
-    Raises NotCoprimeError unless p is an odd prime, since otherwise
-    D_{p-1} shares a factor with p^3 (for p = 2, D_1 = -16 and p^3 = 8).
+    Raises NotCoprimeError unless p is an odd prime.  (-16)^(p-1) is
+    invertible mod p^3 for every odd p, so this is an explicit guard: the
+    statements are about primes, and for p = 2, -16 has no inverse mod 8.
     """
-    m = p**3
-    weighted = unweighted = 1  # the k = 0 term
-    g_prev, g = 1, 2  # g_{k-1}, g_k at k = 1
-    fact2k = 2  # (2k)!
-    half = (p - 1) // 2
-    fact_pm1 = 1  # (p-1)!, taken from (2k)! at 2k = p - 1; 1! for p = 2
-    for k in range(1, p):
-        kk = k * k
-        k4 = kk * kk
-        step = -16 * k4  # D_k / D_{k-1}
-        term = fact2k * g
-        weighted = (step * weighted + (3 * k + 1) * term) % m
-        unweighted = (step * unweighted + term) % m
-        if k == half:
-            fact_pm1 = fact2k
-        g_prev, g = g, ((7 * (kk + k) + 2) * g + 8 * k4 * g_prev) % m
-        fact2k = fact2k * (2 * k + 1) * (2 * k + 2) % m
-    # D_{p-1} = (-16)^(p-1) ((p-1)!)^4 = 16^(p-1) ((p-1)!)^4 for odd p
-    inv = mod_inverse(pow(16, p - 1, m) * pow(fact_pm1, 4, m), m)
-    return weighted * inv % m, unweighted * inv % m
+    walk = _INVERSE_WALK
+    pair = walk.pairs.get(p)
+    if pair is None:
+        if p % 2 == 0 or not is_prime(p):
+            raise NotCoprimeError(f"inverse sums need an odd prime p, got {p}")
+        walk.walk_to(p - 1)
+        pair = walk.pairs[p]
+    return pair
 
 
 def check_theorem1(n: int) -> Report:

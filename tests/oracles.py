@@ -40,6 +40,39 @@ def inverse_weighted_sum_bigint(p: int, m: int, weights: list[int] | None = None
     return total
 
 
+def inverse_weighted_sum_residue(p: int) -> tuple[int, int]:
+    """congruences.inverse_weighted_sum_mod by one O(p) loop mod p^3 per
+    prime: the route that the shared exact walk replaced.
+
+    Division-free: g_k = (k!)^2 f_k obeys
+    g_{k+1} = (7k^2+7k+2) g_k + 8k^4 g_{k-1}, each term is
+    w_k (2k)! g_k / D_k with D_k = (-16)^k (k!)^4, so each sum is
+    N / D_{p-1} with N <- -16k^4 N + w_k (2k)! g_k.  Raises NotCoprimeError
+    unless p is an odd prime, since otherwise D_{p-1} shares a factor with
+    p^3.
+    """
+    m = p**3
+    weighted = unweighted = 1  # the k = 0 term
+    g_prev, g = 1, 2  # g_{k-1}, g_k at k = 1
+    fact2k = 2  # (2k)!
+    half = (p - 1) // 2
+    fact_pm1 = 1  # (p-1)!, taken from (2k)! at 2k = p - 1; 1! for p = 2
+    for k in range(1, p):
+        kk = k * k
+        k4 = kk * kk
+        step = -16 * k4  # D_k / D_{k-1}
+        term = fact2k * g
+        weighted = (step * weighted + (3 * k + 1) * term) % m
+        unweighted = (step * unweighted + term) % m
+        if k == half:
+            fact_pm1 = fact2k
+        g_prev, g = g, ((7 * (kk + k) + 2) * g + 8 * k4 * g_prev) % m
+        fact2k = fact2k * (2 * k + 1) * (2 * k + 2) % m
+    # D_{p-1} = (-16)^(p-1) ((p-1)!)^4 = 16^(p-1) ((p-1)!)^4 for odd p
+    inv = mod_inverse(pow(16, p - 1, m) * pow(fact_pm1, 4, m), m)
+    return weighted * inv % m, unweighted * inv % m
+
+
 @dataclass(frozen=True)
 class MultiIndexSpec:
     """Multi-index configuration: m factors with integer multipliers a_i."""

@@ -300,14 +300,15 @@ class TestSweepCommand:
         else:
             assert records == []
 
-    def test_prime_axis_records_same_at_one_and_two_workers_and_any_order(self):
+    def test_prime_axis_records_same_at_one_and_two_workers_and_any_order(
+            self, monkeypatch):
         ids = ["theorem2", "theorem3", "conjecture1", "conjecture2", "reduction_chain"]
         lines = {}
         for workers in (2, 1):
-            # an empty memo, also in the forked pool workers
-            congruences.inverse_weighted_sum_mod.cache_clear()
+            # an empty walk, also in the forked pool workers
+            monkeypatch.setattr(congruences, "_INVERSE_WALK", congruences._InverseWalk())
             lines[workers] = _sorted_lines(ids, workers)
-        congruences.inverse_weighted_sum_mod.cache_clear()
+        monkeypatch.setattr(congruences, "_INVERSE_WALK", congruences._InverseWalk())
         descending = []
         for sid in ids:
             primes = registry.cells_for(registry.STATEMENTS[sid])[::-1]

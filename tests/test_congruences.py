@@ -1,7 +1,12 @@
 import pytest
 
 from franel import congruences, registry
-from franel.combinatorics import InconsistencyError, binomial, franel_upto
+from franel.combinatorics import (
+    InconsistencyError,
+    binomial,
+    central_binomials_upto,
+    franel_upto,
+)
 from franel.congruences import (
     check_babbage,
     check_central_pmod,
@@ -21,7 +26,11 @@ from franel.congruences import (
 )
 from franel.conjectures import NEW1_TRIPLES, NEW2_TRIPLES
 from franel.modular import NotCoprimeError, mod_inverse, primes_in_range
-from oracles import family_sum_noinc, inverse_weighted_sum_bigint
+from oracles import (
+    family_sum_noinc,
+    inverse_weighted_sum_bigint,
+    inverse_weighted_sum_residue,
+)
 
 # theorem1's weights, then the conjectured families
 REGISTERED = [(3, 1, -16)] + [(t.a, t.b, t.c) for t in NEW1_TRIPLES + NEW2_TRIPLES]
@@ -45,6 +54,17 @@ def test_family_sum_any_query_order(order, monkeypatch):
     for a, b, c in REGISTERED:
         for n in order:
             assert family_sum(a, b, c, n) == family_sum_noinc(a, b, c, n), (a, b, c, n)
+
+
+def test_family_sum_keeps_every_kth_prefix(monkeypatch):
+    monkeypatch.setattr(congruences, "_FAMILY_CACHE", {})
+    s = family_sum(102, 11, 10400, 3000)
+    checkpoints, j, s_j = congruences._FAMILY_CACHE[(102, 11, 10400)]
+    assert (j, s_j) == (3000, s)
+    assert len(checkpoints) + 1 <= 3000 / congruences._FAMILY_STRIDE + 2
+    # a lower n walks from a checkpoint and leaves the cursor where it was
+    assert family_sum(102, 11, 10400, 2999) == family_sum_noinc(102, 11, 10400, 2999)
+    assert congruences._FAMILY_CACHE[(102, 11, 10400)] == (checkpoints, 3000, s)
 
 
 def test_family_sum_rejects_negative_n():
@@ -283,6 +303,42 @@ def test_inverse_weighted_sum_matches_bigint():
             inverse_weighted_sum_bigint(p, m, [3 * k + 1 for k in range(p)]),
             inverse_weighted_sum_bigint(p, m),
         ), p
+
+
+@pytest.fixture(scope="module")
+def residue_pairs():
+    return {p: inverse_weighted_sum_residue(p) for p in primes_in_range(3, 3000)}
+
+
+@pytest.mark.parametrize("order", [
+    primes_in_range(3, 3000),  # ascending
+    primes_in_range(3, 3000)[::-1],  # descending
+    primes_in_range(1500, 3000) + primes_in_range(3, 1499),  # mid-range start
+], ids=["ascending", "descending", "mid-range-start"])
+def test_inverse_walk_matches_residue_route(order, residue_pairs, monkeypatch):
+    # an empty walk, as in a fresh pool worker handed any chunk
+    monkeypatch.setattr(congruences, "_INVERSE_WALK", congruences._InverseWalk())
+    assert len(order) == len(residue_pairs) == 429
+    for p in order:
+        assert inverse_weighted_sum_mod(p) == residue_pairs[p], p
+
+
+def test_inverse_walk_steps_central_binomial_times_franel():
+    walk = congruences._InverseWalk()
+    cb = central_binomials_upto(300)
+    f = franel_upto(300)
+    for k in range(301):
+        walk.walk_to(k)
+        assert (walk.k, walk.p_k) == (k, cb[k] * f[k])
+
+
+def test_inverse_walk_inexact_step_raises(monkeypatch):
+    walk = congruences._InverseWalk()
+    walk.walk_to(1)
+    walk.p_k = 5  # P_1 is 4; 5 leaves 27 P_3 = 36480, not a multiple of 27
+    monkeypatch.setattr(congruences, "_INVERSE_WALK", walk)
+    with pytest.raises(InconsistencyError, match="inexact at k=3"):
+        inverse_weighted_sum_mod(5)
 
 
 def test_inverse_weighted_sum_rejects_non_odd_prime():
