@@ -1,10 +1,10 @@
 """On-disk cache for Franel tables.
 
-Format: header line ``franel-cache v1 N=<max-index>`` followed by one
-``<n>\\t<decimal f_n>`` record per line, indices contiguous from 0, LF
-line endings.  Every value is re-validated against the recurrence on load,
-so a corrupt entry is caught, and its line named, before it poisons every
-congruence above it.
+Format: ASCII text, a header line ``franel-cache v1 N=<max-index>``
+followed by one ``<n>\\t<decimal f_n>`` record per line, indices contiguous
+from 0, LF line endings.  Every value is re-validated against the
+recurrence on load, so a corrupt entry is caught, and its line named,
+before it poisons every congruence above it.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ def store_table(path: str, values: tuple[int, ...]) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=".franel-cache-", dir=directory)
     try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
+        with os.fdopen(fd, "w", encoding="ascii", newline="\n") as fh:
             fh.write(f"{HEADER_PREFIX}{len(values) - 1}\n")
             for n, value in enumerate(values):
                 fh.write(f"{n}\t{value}\n")
@@ -38,8 +38,11 @@ def store_table(path: str, values: tuple[int, ...]) -> None:
 
 
 def load_table(path: str) -> tuple[int, ...]:
-    with open(path, "r") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError:
+        raise CacheError("non-ASCII bytes") from None
     if not lines or not lines[0].startswith(HEADER_PREFIX):
         raise CacheError("missing header")
     try:

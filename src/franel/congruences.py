@@ -2,13 +2,17 @@
 auxiliary congruences their proofs route through.
 
 Divisibility statements keep the exact big-integer sum and emit the quotient
-as a witness.  The modular statements on the prime axis (Theorems 2 and 3,
-Conjectures 1 and 2, the reduction chain) read one memoized pair per prime:
-the weighted and unweighted inverse sums mod p^3.  Every prime's pair comes
-from one shared ascending walk over P_k = C(2k,k) f_k, whose exact division
-at each step is checked, so a sweep over primes up to P walks to P once.
+as a witness.  Every sum sum_{k<n} (a*k + b) c^(n-1-k) C(2k,k) f_k comes from
+one ascending walk per base c over P_k = C(2k,k) f_k, whose exact division
+at each step is checked.  The modular statements on the prime axis
+(Theorems 2 and 3, Conjectures 1 and 2, the reduction chain) read one
+memoized pair per prime, the weighted and unweighted inverse sums mod p^3,
+which is the base -16 sum at n = p over the unit (-16)^(p-1).  So Theorem 1
+and the prime axis share one walk, and a sweep up to P walks to P once.
 """
 from __future__ import annotations
+
+import functools
 
 from .combinatorics import (
     InconsistencyError,
@@ -31,115 +35,85 @@ def _require_odd_prime(p: int) -> None:
         raise ValueError("p must be odd")
 
 
-# K: family_sum keeps every K-th prefix sum as a checkpoint
+# K: family_sum keeps the walk's state at every K-th step as a checkpoint
 _FAMILY_STRIDE = 32
-# per (a, b, c): the checkpoints [S_0, S_K, S_2K, ...] up to the cursor j,
-# then the cursor j and S_j, the furthest prefix reached so far
-_FAMILY_CACHE: dict[tuple[int, int, int], tuple[list[int], int, int]] = {}
+# per base c: the checkpoints [W_0, W_K, W_2K, ...] up to the cursor j, then
+# the cursor j and W_j, the furthest state reached so far, where
+# W_j = (U_j, V_j, P_{j-1}, P_j) as in family_sum
+_FAMILY_CACHE: dict[int, tuple[list[tuple[int, ...]], int, tuple[int, ...]]] = {}
+_FAMILY_START = (0, 0, 0, 1)  # W_0; P_{-1} is multiplied by 0, P_0 = 1
 
 
 def family_sum(a: int, b: int, c: int, n: int) -> int:
     """Exact S_n = sum_{k=0}^{n-1} (a*k + b) c^(n-k-1) C(2k,k) f_k.
 
-    Stepped by S_0 = 0 and S_{k+1} = c*S_k + (a*k + b) C(2k,k) f_k.  An n at
-    or past the cursor walks on from it, so an ascending sweep costs O(n)
-    big-integer steps in total; a lower n walks fewer than _FAMILY_STRIDE
-    steps from the checkpoint at or below it.  A triple holds about
-    n/_FAMILY_STRIDE big ints rather than all n prefix sums.
+    S_n = a*U_n + b*V_n, where U_n and V_n are the sums with weights k and
+    1, so one walk per base c serves every (a, b).  The walk steps
+    U_{k+1} = c*U_k + k*P_k and V_{k+1} = c*V_k + P_k along with
+    P_k = C(2k,k) f_k, by
+    (k+1)^3 P_{k+1} = 2(2k+1) [(7k^2+7k+2) P_k + 16k(2k-1) P_{k-1}];
+    an inexact division raises InconsistencyError.  Every step multiplies
+    or divides a big int by a small one.  An n at or past the cursor walks
+    on from it, so an ascending sweep costs O(n) steps in total; a lower n
+    walks fewer than _FAMILY_STRIDE steps from the checkpoint at or below
+    it.  A base holds four big ints per checkpoint, about 4n/_FAMILY_STRIDE.
     """
     if n < 0:
         raise ValueError(f"family_sum: n must be nonnegative, got {n}")
-    key = (a, b, c)
-    checkpoints, j, s = _FAMILY_CACHE.get(key) or ([0], 0, 0)
+    checkpoints, j, state = _FAMILY_CACHE.get(c) or ([_FAMILY_START], 0, _FAMILY_START)
     ahead = n >= j
     if not ahead:
         j = n - n % _FAMILY_STRIDE
-        s = checkpoints[j // _FAMILY_STRIDE]
-    if j < n:
-        f = franel_upto(n - 1)
-        cb = central_binomials_upto(n - 1)
-        for k in range(j, n):
-            s = c * s + (a * k + b) * cb[k] * f[k]
-            if ahead and (k + 1) % _FAMILY_STRIDE == 0:
-                checkpoints.append(s)
-    if ahead:
-        _FAMILY_CACHE[key] = (checkpoints, n, s)
-    return s
-
-
-class _InverseWalk:
-    """The ascending walk that inverse_weighted_sum_mod reads from.
-
-    It holds k, P_{k-1} and P_k for P_k = C(2k,k) f_k, the two numerators
-    N_k = sum_{j<=k} w_j P_j (-16)^(k-j) for w_j = 3j+1 and w_j = 1, and the
-    pair of every odd prime p <= k + 1 it has passed.
-    """
-
-    def __init__(self) -> None:
-        self.k = 0
-        self.p_prev, self.p_k = 0, 1  # P_{-1} is multiplied by 0; P_0 = 1
-        self.weighted = self.unweighted = 1  # N_0 = P_0
-        self.pairs: dict[int, tuple[int, int]] = {}
-
-    def walk_to(self, k_max: int) -> None:
-        """Step to k_max by
-        (k+1)^3 P_{k+1} = 2(2k+1) [(7k^2+7k+2) P_k + 16k(2k-1) P_{k-1}],
-        N_{k+1} = -16 N_k + w_{k+1} P_{k+1}; every step multiplies or
-        divides a big int by a small one."""
-        k, p_prev, p_k = self.k, self.p_prev, self.p_k
-        weighted, unweighted = self.weighted, self.unweighted
-        pairs = self.pairs
-        while k < k_max:
-            num = (4 * k + 2) * (
-                (7 * k * k + 7 * k + 2) * p_k + 16 * k * (2 * k - 1) * p_prev
+        state = checkpoints[j // _FAMILY_STRIDE]
+    u, v, p_prev, p_k = state
+    passed = []  # committed with the cursor, so a failed walk leaves no trace
+    for k in range(j, n):
+        u = c * u + k * p_k
+        v = c * v + p_k
+        num = (4 * k + 2) * (
+            (7 * k * k + 7 * k + 2) * p_k + 16 * k * (2 * k - 1) * p_prev
+        )
+        p_next, r = divmod(num, (k + 1) ** 3)
+        if r:
+            raise InconsistencyError(
+                f"C(2k,k) f_k recurrence: division by {(k + 1) ** 3} inexact"
+                f" at k={k + 1}"
             )
-            k += 1
-            p_next, r = divmod(num, k**3)
-            if r:
-                raise InconsistencyError(
-                    f"C(2k,k) f_k recurrence: division by {k**3} inexact at k={k}"
-                )
-            p_prev, p_k = p_k, p_next
-            weighted = -16 * weighted + (3 * k + 1) * p_k
-            unweighted = -16 * unweighted + p_k
-            p = k + 1
-            if p % 2 and is_prime(p):
-                m = p**3
-                inv = pow(16, 1 - p, m)  # ((-16)^(p-1))^-1, as p - 1 is even
-                pairs[p] = (weighted * inv % m, unweighted * inv % m)
-        self.k, self.p_prev, self.p_k = k, p_prev, p_k
-        self.weighted, self.unweighted = weighted, unweighted
+        p_prev, p_k = p_k, p_next
+        if ahead and (k + 1) % _FAMILY_STRIDE == 0:
+            passed.append((u, v, p_prev, p_k))
+    if ahead:
+        checkpoints.extend(passed)
+        _FAMILY_CACHE[c] = (checkpoints, n, (u, v, p_prev, p_k))
+    return a * u + b * v
 
 
-_INVERSE_WALK = _InverseWalk()
-
-
+@functools.lru_cache(maxsize=None)
 def inverse_weighted_sum_mod(p: int) -> tuple[int, int]:
     """The weighted and unweighted inverse sums over 0 <= k < p,
 
         sum (3k+1) C(2k,k) f_k (-16)^(-k)  and  sum C(2k,k) f_k (-16)^(-k),
 
-    both mod p^3.  Each sum is N_{p-1} / (-16)^(p-1), with N_{p-1} the exact
-    numerator that one shared walk (_InverseWalk) carries along with
-    P_k = C(2k,k) f_k.  The walk's division by (k+1)^3 is exact, and an
-    inexact one raises InconsistencyError.  The walk goes up once and
-    records the pair of every odd prime it passes, so a sweep over primes
-    up to P costs one walk to P in any query order; theorem2, theorem3,
+    both mod p^3.  Each sum is family_sum(a, b, -16, p) / (-16)^(p-1) for
+    (a, b) = (3, 1) and (0, 1), so it shares the base -16 walk with
+    Theorem 1 and the reduction chain.  Primes up to P cost one walk to P,
+    plus a walk of fewer than _FAMILY_STRIDE steps from a checkpoint for
+    each prime asked for below the cursor; theorem2, theorem3,
     conjecture1/2 and the reduction chain, which reduce the pair to p^3,
-    p^2 or p, then read it from memory.
+    p^2 or p, then read it from this memo.
 
     Raises NotCoprimeError unless p is an odd prime.  (-16)^(p-1) is
     invertible mod p^3 for every odd p, so this is an explicit guard: the
     statements are about primes, and for p = 2, -16 has no inverse mod 8.
     """
-    walk = _INVERSE_WALK
-    pair = walk.pairs.get(p)
-    if pair is None:
-        if p % 2 == 0 or not is_prime(p):
-            raise NotCoprimeError(f"inverse sums need an odd prime p, got {p}")
-        walk.walk_to(p - 1)
-        pair = walk.pairs[p]
-    return pair
+    if p % 2 == 0 or not is_prime(p):
+        raise NotCoprimeError(f"inverse sums need an odd prime p, got {p}")
+    m = p**3
+    inv = pow(16, 1 - p, m)  # ((-16)^(p-1))^-1, as p - 1 is even
+    return (
+        family_sum(3, 1, -16, p) * inv % m,
+        family_sum(0, 1, -16, p) * inv % m,
+    )
 
 
 def check_theorem1(n: int) -> Report:

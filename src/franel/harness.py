@@ -108,11 +108,12 @@ def run_sweep(
         if first_failure is not None:
             failures[index] = first_failure
 
-    if workers == 1:
+    if workers == 1 or not jobs:
         for index, (sid, chunk) in enumerate(jobs):
             absorb(index, _run_job(sid, chunk, fmt, stream))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the fork start method forks every worker at the first submit
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             futures = {
                 pool.submit(_run_job, sid, chunk, fmt, stream): index
                 for index, (sid, chunk) in enumerate(jobs)

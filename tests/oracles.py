@@ -14,8 +14,8 @@ from franel.reports import Report, long_decimals
 
 
 def family_sum_noinc(a: int, b: int, c: int, n: int) -> int:
-    """congruences.family_sum with each power c^(n-k-1) computed afresh
-    instead of by a running division."""
+    """congruences.family_sum term by term, from the f_k and C(2k,k) tables
+    and each power c^(n-k-1) computed afresh, instead of by the walk."""
     f = franel_upto(max(n - 1, 0))
     cb = central_binomials_upto(max(n - 1, 0))
     return sum((a * k + b) * c ** (n - k - 1) * cb[k] * f[k] for k in range(n))
@@ -23,8 +23,8 @@ def family_sum_noinc(a: int, b: int, c: int, n: int) -> int:
 
 def inverse_weighted_sum_bigint(p: int, m: int, weights: list[int] | None = None) -> int:
     """sum_{k=0}^{p-1} w(k) C(2k,k) f_k (-16)^(-k) mod m, w defaulting to 1,
-    reducing each big-integer f_k and C(2k,k) mod m: the route that
-    congruences.inverse_weighted_sum_mod replaced.
+    reducing each big-integer f_k and C(2k,k) mod m rather than dividing an
+    exact sum by (-16)^(p-1) as congruences.inverse_weighted_sum_mod does.
 
     Raises NotCoprimeError when 16 is not invertible mod m.
     """
@@ -42,7 +42,7 @@ def inverse_weighted_sum_bigint(p: int, m: int, weights: list[int] | None = None
 
 def inverse_weighted_sum_residue(p: int) -> tuple[int, int]:
     """congruences.inverse_weighted_sum_mod by one O(p) loop mod p^3 per
-    prime: the route that the shared exact walk replaced.
+    prime, rather than from the exact family_sum walk at base -16.
 
     Division-free: g_k = (k!)^2 f_k obeys
     g_{k+1} = (7k^2+7k+2) g_k + 8k^4 g_{k-1}, each term is

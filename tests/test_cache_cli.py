@@ -3,10 +3,11 @@ import hashlib
 import io
 import json
 import sys
+from concurrent.futures import Future
 
 import pytest
 
-from franel import congruences, registry
+from franel import congruences, harness, registry
 from franel.cache import CacheError, load_table, store_table
 from franel.cli import main
 from franel.combinatorics import build_franel_table, franel
@@ -223,6 +224,35 @@ class TestSweepCommand:
         assert s1 == s2
         assert s1["total"]["fail"] == 0
 
+    def test_pool_asks_for_no_more_workers_than_jobs(self, monkeypatch):
+        requested = []
+
+        class InlinePool:
+            """Runs each job at submit, in this process."""
+
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        summary = run_sweep(["theorem1"], n_range=(5, 5), workers=64)
+        assert requested == [1]
+        assert summary["total"] == {"pass": 1, "fail": 0, "skipped": 0}
+        # no job at all: no pool either, and an empty summary
+        summary = run_sweep(["theorem3"], p_range=(24, 28), workers=64)
+        assert requested == [1]
+        assert summary["total"] == {"pass": 0, "fail": 0, "skipped": 0}
+
     @pytest.mark.parametrize("command", [
         ["sweep"], ["verify", "--statements", "babbage"],
     ])
@@ -305,10 +335,12 @@ class TestSweepCommand:
         ids = ["theorem2", "theorem3", "conjecture1", "conjecture2", "reduction_chain"]
         lines = {}
         for workers in (2, 1):
-            # an empty walk, also in the forked pool workers
-            monkeypatch.setattr(congruences, "_INVERSE_WALK", congruences._InverseWalk())
+            # an empty walk and memo, also in the forked pool workers
+            monkeypatch.setattr(congruences, "_FAMILY_CACHE", {})
+            congruences.inverse_weighted_sum_mod.cache_clear()
             lines[workers] = _sorted_lines(ids, workers)
-        monkeypatch.setattr(congruences, "_INVERSE_WALK", congruences._InverseWalk())
+        monkeypatch.setattr(congruences, "_FAMILY_CACHE", {})
+        congruences.inverse_weighted_sum_mod.cache_clear()
         descending = []
         for sid in ids:
             primes = registry.cells_for(registry.STATEMENTS[sid])[::-1]
@@ -400,6 +432,21 @@ class TestCacheCommand:
         assert main(["cache", "--cache", path, "--n-range", "0..6000"]) == 0
         assert main(["cache", "--cache", path]) == 0
         assert "N=6000 ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("record", [
+        b"1\t\xff",
+        "1\t\u0662".encode(),  # an Arabic-Indic 2, which int() reads as f_1 = 2
+    ], ids=["invalid-utf8", "non-ascii-digit"])
+    def test_non_ascii_cache_exits_1(self, record, tmp_path, capsys):
+        path = tmp_path / "cache.txt"
+        path.write_bytes(b"franel-cache v1 N=1\n0\t1\n" + record + b"\n")
+        with pytest.raises(CacheError, match="non-ASCII"):
+            load_table(str(path))
+        assert main(["cache", "--cache", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: corrupt cache: ")
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["cache", "--cache", str(tmp_path / "nope.txt")]) == 2

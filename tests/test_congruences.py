@@ -44,27 +44,37 @@ def test_family_sum_matches_reference():
             assert family_sum(a, b, c, n) == family_sum_noinc(a, b, c, n), (a, b, c, n)
 
 
-@pytest.mark.parametrize("order", [
-    list(range(200, -1, -1)),  # descending
-    list(range(100, 201)) + list(range(100)),  # from a mid-range start
-], ids=["descending", "mid-range-start"])
-def test_family_sum_any_query_order(order, monkeypatch):
+# two more weight pairs on theorem1's base, so they share its walk
+SHARED_BASE = REGISTERED + [(0, 1, -16), (7, -2, -16)]
+MID_RANGE_START = list(range(100, 201)) + list(range(100))
+
+
+@pytest.mark.parametrize("queries", [
+    [(t, n) for t in SHARED_BASE for n in range(200, -1, -1)],  # descending
+    [(t, n) for t in SHARED_BASE for n in MID_RANGE_START],
+    [(t, n) for n in MID_RANGE_START for t in SHARED_BASE],  # every triple per n
+], ids=["descending", "mid-range-start", "interleaved"])
+def test_family_sum_any_query_order(queries, monkeypatch):
     # an empty table, as in a fresh pool worker handed a later chunk
     monkeypatch.setattr(congruences, "_FAMILY_CACHE", {})
-    for a, b, c in REGISTERED:
-        for n in order:
-            assert family_sum(a, b, c, n) == family_sum_noinc(a, b, c, n), (a, b, c, n)
+    for (a, b, c), n in queries:
+        assert family_sum(a, b, c, n) == family_sum_noinc(a, b, c, n), (a, b, c, n)
 
 
 def test_family_sum_keeps_every_kth_prefix(monkeypatch):
     monkeypatch.setattr(congruences, "_FAMILY_CACHE", {})
     s = family_sum(102, 11, 10400, 3000)
-    checkpoints, j, s_j = congruences._FAMILY_CACHE[(102, 11, 10400)]
-    assert (j, s_j) == (3000, s)
-    assert len(checkpoints) + 1 <= 3000 / congruences._FAMILY_STRIDE + 2
+    checkpoints, j, state = congruences._FAMILY_CACHE[10400]
+    assert (j, 102 * state[0] + 11 * state[1]) == (3000, s)
+    # (U, V, P_{j-1}, P_j) at every K-th step and at the cursor
+    ints = sum(map(len, checkpoints)) + len(state)
+    assert ints <= 4 * (3000 / congruences._FAMILY_STRIDE + 2)
     # a lower n walks from a checkpoint and leaves the cursor where it was
     assert family_sum(102, 11, 10400, 2999) == family_sum_noinc(102, 11, 10400, 2999)
-    assert congruences._FAMILY_CACHE[(102, 11, 10400)] == (checkpoints, 3000, s)
+    assert congruences._FAMILY_CACHE[10400] == (checkpoints, 3000, state)
+    # other weights on the same base read the same walk
+    assert family_sum(0, 1, 10400, 100) == family_sum_noinc(0, 1, 10400, 100)
+    assert list(congruences._FAMILY_CACHE) == [10400]
 
 
 def test_family_sum_rejects_negative_n():
@@ -316,33 +326,51 @@ def residue_pairs():
     primes_in_range(1500, 3000) + primes_in_range(3, 1499),  # mid-range start
 ], ids=["ascending", "descending", "mid-range-start"])
 def test_inverse_walk_matches_residue_route(order, residue_pairs, monkeypatch):
-    # an empty walk, as in a fresh pool worker handed any chunk
-    monkeypatch.setattr(congruences, "_INVERSE_WALK", congruences._InverseWalk())
+    # an empty walk and memo, as in a fresh pool worker handed any chunk
+    monkeypatch.setattr(congruences, "_FAMILY_CACHE", {})
+    inverse_weighted_sum_mod.cache_clear()
     assert len(order) == len(residue_pairs) == 429
     for p in order:
         assert inverse_weighted_sum_mod(p) == residue_pairs[p], p
 
 
-def test_inverse_walk_steps_central_binomial_times_franel():
-    walk = congruences._InverseWalk()
+def test_inverse_walk_steps_central_binomial_times_franel(monkeypatch):
+    # at c = 0 only the k = n-1 term is left, with weight b = 1
+    monkeypatch.setattr(congruences, "_FAMILY_CACHE", {})
     cb = central_binomials_upto(300)
     f = franel_upto(300)
     for k in range(301):
-        walk.walk_to(k)
-        assert (walk.k, walk.p_k) == (k, cb[k] * f[k])
+        assert family_sum(0, 1, 0, k + 1) == cb[k] * f[k], k
 
 
 def test_inverse_walk_inexact_step_raises(monkeypatch):
-    walk = congruences._InverseWalk()
-    walk.walk_to(1)
-    walk.p_k = 5  # P_1 is 4; 5 leaves 27 P_3 = 36480, not a multiple of 27
-    monkeypatch.setattr(congruences, "_INVERSE_WALK", walk)
+    monkeypatch.setattr(congruences, "_FAMILY_CACHE", {})
+    family_sum(0, 1, -16, 1)
+    checkpoints, j, (u, v, p_prev, p_k) = congruences._FAMILY_CACHE[-16]
+    assert (j, p_prev, p_k) == (1, 1, 4)
+    # P_1 is 4; 5 leaves 27 P_3 = 36480, not a multiple of 27
+    congruences._FAMILY_CACHE[-16] = (checkpoints, j, (u, v, p_prev, 5))
+    inverse_weighted_sum_mod.cache_clear()
     with pytest.raises(InconsistencyError, match="inexact at k=3"):
         inverse_weighted_sum_mod(5)
 
 
+def test_failed_walk_keeps_no_checkpoint(monkeypatch):
+    # a P_31 off by 2^13 keeps the k = 31 step exact, so the walk passes the
+    # checkpoint at 32 before the step to P_33 fails
+    monkeypatch.setattr(congruences, "_FAMILY_CACHE", {})
+    family_sum(0, 1, -16, 31)
+    checkpoints, j, (u, v, p_prev, p_k) = congruences._FAMILY_CACHE[-16]
+    bad = (u, v, p_prev, p_k + 2**13)
+    congruences._FAMILY_CACHE[-16] = (checkpoints, j, bad)
+    with pytest.raises(InconsistencyError, match="inexact at k=33"):
+        family_sum(0, 1, -16, 40)
+    assert congruences._FAMILY_CACHE[-16] == ([(0, 0, 0, 1)], 31, bad)
+
+
 def test_inverse_weighted_sum_rejects_non_odd_prime():
-    # D_{p-1} shares a factor with p^3: 16 for p = 2, a prime q < p otherwise
+    # the guard is explicit: (-16)^(p-1) is a unit mod p^3 for every odd p,
+    # and -16 has no inverse mod 8
     for n in (2, 4, 9, 15, 25):
         with pytest.raises(NotCoprimeError):
             inverse_weighted_sum_mod(n)
