@@ -2,16 +2,20 @@
 
 Format: ASCII text, a header line ``franel-cache v1 N=<max-index>``
 followed by one ``<n>\\t<decimal f_n>`` record per line, indices contiguous
-from 0, LF line endings.  Every value is re-validated against the
+from 0, LF line endings.  N and both fields of a record are plain decimals:
+digits only, with no sign, space or ``_``.  Every value is re-validated against the
 recurrence on load, so a corrupt entry is caught, and its line named,
 before it poisons every congruence above it.
 """
 from __future__ import annotations
 
 import os
+import re
 import tempfile
 
 HEADER_PREFIX = "franel-cache v1 N="
+# checked before int(), which also takes whitespace, a sign and "_"
+_DECIMAL = re.compile(r"[0-9]+")
 
 
 class CacheError(ValueError):
@@ -45,12 +49,10 @@ def load_table(path: str) -> tuple[int, ...]:
         raise CacheError("non-ASCII bytes") from None
     if not lines or not lines[0].startswith(HEADER_PREFIX):
         raise CacheError("missing header")
-    try:
-        n_max = int(lines[0][len(HEADER_PREFIX):])
-    except ValueError:
-        raise CacheError("malformed header") from None
-    if n_max < 0:
-        raise CacheError("malformed header: negative N")
+    n_field = lines[0][len(HEADER_PREFIX):]
+    if not _DECIMAL.fullmatch(n_field):
+        raise CacheError("malformed header")
+    n_max = int(n_field)
 
     records = lines[1:]
     if len(records) != n_max + 1:
@@ -62,10 +64,9 @@ def load_table(path: str) -> tuple[int, ...]:
         parts = line.split("\t")
         if len(parts) != 2:
             raise CacheError(f"malformed record (line {i + 2})")
-        try:
-            idx, value = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise CacheError(f"non-integer record (line {i + 2})") from None
+        if not all(_DECIMAL.fullmatch(part) for part in parts):
+            raise CacheError(f"non-decimal record (line {i + 2})")
+        idx, value = int(parts[0]), int(parts[1])
         if idx != i:
             raise CacheError(f"non-contiguous index {idx} (line {i + 2})")
         values.append(value)

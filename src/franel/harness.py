@@ -1,10 +1,12 @@
 """Sweep engine: runs statement grids serially or across worker processes.
 
-The grid is cut into jobs (one per statement serially, otherwise about
-four per worker and statement).  Each job counts its records by verdict
-and serializes them in the process that computed them, so a pool sends
-back text and counts, never report objects.  The parent only adds up
-counts and writes each job's text with one call.
+The grid is cut into jobs (one per cell serially, otherwise about four
+per worker and statement).  Each job counts its records by verdict and
+serializes them in the process that computed them, so a pool sends back
+text and counts, never report objects.  The parent only adds up counts
+and writes each job's text with one call as soon as the job finishes, and
+keeps no finished job's result, so a serial sweep holds one cell's
+records at a time.
 
 Workers share nothing mutable; each process rebuilds the (cheap) Franel and
 central-binomial caches on first use.  Summaries are count aggregates and
@@ -18,11 +20,6 @@ from typing import Iterable, TextIO
 
 from . import registry
 from .reports import FORMATTERS, serialize
-
-
-def _chunks(cells: list[int], size: int) -> Iterable[list[int]]:
-    for i in range(0, len(cells), size):
-        yield cells[i : i + size]
 
 
 def _empty_counts() -> dict:
@@ -80,7 +77,7 @@ def run_sweep(
         if sid not in registry.STATEMENTS:
             raise KeyError(sid)
 
-    jobs: list[tuple[str, list[int]]] = []
+    statement_cells: list[tuple[str, list[int]]] = []
     for sid in ids:
         stmt = registry.STATEMENTS[sid]
         lo, hi = (None, None)
@@ -89,18 +86,22 @@ def run_sweep(
         elif stmt.kind == "p" and p_range is not None:
             lo, hi = p_range
         cells = registry.cells_for(stmt, lo, hi)
-        if not cells:
-            continue
-        size = max(1, len(cells) // (workers * 4)) if workers > 1 else len(cells)
-        jobs.extend((sid, chunk) for chunk in _chunks(cells, size))
+        if cells:
+            statement_cells.append((sid, cells))
+
+    def jobs() -> Iterable[tuple[str, list[int]]]:
+        # made as they are run, so a serial sweep holds no list of jobs
+        for sid, cells in statement_cells:
+            size = max(1, len(cells) // (workers * 4)) if workers > 1 else 1
+            for i in range(0, len(cells), size):
+                yield sid, cells[i : i + size]
 
     counts: dict[str, dict] = {sid: _empty_counts() for sid in ids}
     failures: dict[int, str] = {}
     stream = out is not None
 
-    def absorb(index: int, result: tuple[dict, str, str | None]) -> None:
+    def absorb(index: int, sid: str, result: tuple[dict, str, str | None]) -> None:
         job_counts, text, first_failure = result
-        sid = jobs[index][0]
         for key, value in job_counts.items():
             counts[sid][key] += value
         if text:
@@ -108,18 +109,20 @@ def run_sweep(
         if first_failure is not None:
             failures[index] = first_failure
 
-    if workers == 1 or not jobs:
-        for index, (sid, chunk) in enumerate(jobs):
-            absorb(index, _run_job(sid, chunk, fmt, stream))
+    if workers == 1 or not statement_cells:
+        for index, (sid, chunk) in enumerate(jobs()):
+            absorb(index, sid, _run_job(sid, chunk, fmt, stream))
     else:
+        pool_jobs = list(jobs())
         # the fork start method forks every worker at the first submit
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(pool_jobs))) as pool:
             futures = {
-                pool.submit(_run_job, sid, chunk, fmt, stream): index
-                for index, (sid, chunk) in enumerate(jobs)
+                pool.submit(_run_job, sid, chunk, fmt, stream): (index, sid)
+                for index, (sid, chunk) in enumerate(pool_jobs)
             }
             for fut in as_completed(futures):
-                absorb(futures[fut], fut.result())
+                # pop, so that no finished job's text stays referenced
+                absorb(*futures.pop(fut), fut.result())
 
     total = _empty_counts()
     for c in counts.values():

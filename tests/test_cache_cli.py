@@ -3,7 +3,10 @@ import hashlib
 import io
 import json
 import sys
+import tracemalloc
+import weakref
 from concurrent.futures import Future
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,6 +22,33 @@ def _sorted_lines(statement_ids, workers, **kwargs):
     out = io.StringIO()
     run_sweep(statement_ids, workers=workers, out=out, **kwargs)
     return sorted(out.getvalue().splitlines())
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replace the process pool by one that runs each job at submit, in
+    this process.  Records each pool size asked for and a weak reference
+    to each Future."""
+    log = SimpleNamespace(requested=[], futures=[])
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            log.requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            log.futures.append(weakref.ref(fut))
+            return fut
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    return log
 
 
 class TestCache:
@@ -224,34 +254,65 @@ class TestSweepCommand:
         assert s1 == s2
         assert s1["total"]["fail"] == 0
 
-    def test_pool_asks_for_no_more_workers_than_jobs(self, monkeypatch):
-        requested = []
-
-        class InlinePool:
-            """Runs each job at submit, in this process."""
-
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                fut = Future()
-                fut.set_result(fn(*args))
-                return fut
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    def test_pool_asks_for_no_more_workers_than_jobs(self, inline_pool):
         summary = run_sweep(["theorem1"], n_range=(5, 5), workers=64)
-        assert requested == [1]
+        assert inline_pool.requested == [1]
         assert summary["total"] == {"pass": 1, "fail": 0, "skipped": 0}
         # no job at all: no pool either, and an empty summary
         summary = run_sweep(["theorem3"], p_range=(24, 28), workers=64)
-        assert requested == [1]
+        assert inline_pool.requested == [1]
         assert summary["total"] == {"pass": 0, "fail": 0, "skipped": 0}
+
+    def test_pool_keeps_no_absorbed_result(self, inline_pool):
+        # each Future holds its job's text; the parent must drop it once written
+        live_at_write = []
+
+        class Out(io.StringIO):
+            def write(self, text):
+                live_at_write.append(sum(ref() is not None for ref in inline_pool.futures))
+                return super().write(text)
+
+        out = Out()
+        summary = run_sweep(["babbage"], p_range=(3, 60), workers=2, out=out)
+        jobs = len(inline_pool.futures)
+        assert jobs > 1
+        # the job being written is still live, every earlier one is gone
+        assert live_at_write == list(range(jobs, 0, -1))
+        assert summary["total"] == {"pass": 16, "fail": 0, "skipped": 0}
+        assert len(out.getvalue().splitlines()) == 16
+
+    def test_serial_jobs_are_single_cells(self, monkeypatch):
+        job_cells = []
+        run_job = harness._run_job
+
+        def recording_run_job(sid, cells, *args):
+            job_cells.append((sid, list(cells)))
+            return run_job(sid, cells, *args)
+
+        monkeypatch.setattr(harness, "_run_job", recording_run_job)
+        out = io.StringIO()
+        summary = run_sweep(["strehl", "babbage"], n_range=(0, 6), p_range=(3, 13),
+                            workers=1, out=out)
+        assert job_cells == [("strehl", [n]) for n in range(7)] + [
+            ("babbage", [p]) for p in (3, 5, 7, 11, 13)
+        ]
+        assert summary["total"]["pass"] + summary["total"]["skipped"] == len(
+            out.getvalue().splitlines())
+
+    def test_serial_sweep_holds_one_cell_at_a_time(self):
+        # third_conjecture has 798 reports per n; a serial sweep must not
+        # hold a whole statement's reports, so five cells peak like one
+        def peak(n_range):
+            tracemalloc.start()
+            try:
+                run_sweep(["third_conjecture"], n_range=n_range, workers=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run_sweep(["third_conjecture"], n_range=(116, 120), workers=1)  # warm tables
+        one, five = peak((120, 120)), peak((116, 120))
+        assert five < 2 * one
 
     @pytest.mark.parametrize("command", [
         ["sweep"], ["verify", "--statements", "babbage"],
@@ -441,6 +502,29 @@ class TestCacheCommand:
         path = tmp_path / "cache.txt"
         path.write_bytes(b"franel-cache v1 N=1\n0\t1\n" + record + b"\n")
         with pytest.raises(CacheError, match="non-ASCII"):
+            load_table(str(path))
+        assert main(["cache", "--cache", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: corrupt cache: ")
+
+    @pytest.mark.parametrize("header, records, error", [
+        ("N= 2", ["0\t1", "1\t2", "2\t10"], "malformed header"),
+        ("N=+2", ["0\t1", "1\t2", "2\t10"], "malformed header"),
+        ("N=0_2", ["0\t1", "1\t2", "2\t10"], "malformed header"),
+        ("N=2", ["0\t1", "1\t 2", "2\t10"], r"non-decimal record \(line 3\)"),
+        ("N=2", ["0\t1", "1 \t2", "2\t10"], r"non-decimal record \(line 3\)"),
+        ("N=2", ["0\t1", "1\t+2", "2\t10"], r"non-decimal record \(line 3\)"),
+        ("N=2", ["0\t1", "+1\t2", "2\t10"], r"non-decimal record \(line 3\)"),
+        ("N=2", ["0\t1", "1\t2", "2\t1_0"], r"non-decimal record \(line 4\)"),
+    ], ids=["header-space", "header-sign", "header-underscore", "value-space",
+            "index-space", "value-sign", "index-sign", "value-underscore"])
+    def test_non_decimal_cache_exits_1(self, header, records, error, tmp_path, capsys):
+        # each file holds f_0..f_2 = 1, 2, 10 as int() reads them
+        path = tmp_path / "cache.txt"
+        path.write_text("\n".join([f"franel-cache v1 {header}", *records]) + "\n")
+        with pytest.raises(CacheError, match=error):
             load_table(str(path))
         assert main(["cache", "--cache", str(path)]) == 1
         out, err = capsys.readouterr()
