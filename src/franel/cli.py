@@ -10,10 +10,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import registry
 from .cache import CacheError, load_table, store_table
 from .combinatorics import ROUTES, build_franel_table
-from .harness import run_sweep
+from .harness import UsageError, run_sweep
 from .reports import long_decimals
 
 EXIT_OK = 0
@@ -77,27 +76,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--cross-check", action="store_true",
                            help="fail unless all requested routes agree")
     p_compute.add_argument("--cache", metavar="PATH",
-                           help="also write/extend the cache file atomically")
+                           help="also write f_0..f_HI to this cache file, "
+                           "atomically replacing it")
 
     p_verify = sub.add_parser("verify", help="run named checks over ranges")
     p_verify.add_argument("--statements", required=True,
                           help="comma-separated statement ids")
-    p_verify.add_argument("--n-range", type=_parse_n_range)
-    p_verify.add_argument("--p-range", type=_parse_range)
-    p_verify.add_argument("--format", choices=("json-lines", "tsv"),
-                          default="json-lines")
-    p_verify.add_argument("--workers", type=_positive_int, default=1)
-
     p_sweep = sub.add_parser("sweep", help="run the full verification grid")
     p_sweep.add_argument("--statements",
                          help="optional comma-separated subset of the grid")
-    p_sweep.add_argument("--n-range", type=_parse_n_range)
-    p_sweep.add_argument("--p-range", type=_parse_range)
-    p_sweep.add_argument("--format", choices=("json-lines", "tsv"),
-                         default="json-lines")
-    p_sweep.add_argument("--workers", type=_positive_int, default=1)
     p_sweep.add_argument("--quiet", action="store_true",
                          help="emit only the summary, not per-cell records")
+    for p_run in (p_verify, p_sweep):
+        p_run.add_argument("--n-range", type=_parse_n_range)
+        p_run.add_argument("--p-range", type=_parse_range)
+        p_run.add_argument("--format", choices=("json-lines", "tsv"),
+                           default="json-lines")
+        p_run.add_argument("--workers", type=_positive_int, default=1)
 
     p_cache = sub.add_parser("cache", help="build or validate a cache file")
     p_cache.add_argument("--cache", metavar="PATH", required=True)
@@ -107,20 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_statements(text: str) -> list[str] | None:
-    ids = [s.strip() for s in text.split(",") if s.strip()]
-    if not ids:
-        print(f"error: no statement id given in {text!r}", file=sys.stderr)
-        return None
-    for sid in ids:
-        if sid not in registry.STATEMENTS:
-            print(
-                f"error: unknown statement id {sid!r}; known ids: "
-                f"{', '.join(registry.statement_ids())}",
-                file=sys.stderr,
-            )
-            return None
-    return ids
+def _write_cache(path: str, table: tuple[int, ...]) -> int:
+    try:
+        store_table(path, table)
+    except OSError as exc:
+        print(f"error: cannot write cache {path!r}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_OK
 
 
 def _cmd_compute(args) -> int:
@@ -139,46 +127,26 @@ def _cmd_compute(args) -> int:
                     return EXIT_FAIL
     for n in range(lo, hi + 1):
         print(f"{n} {primary[n]}")
-    if args.cache:
-        try:
-            store_table(args.cache, primary)
-        except OSError as exc:
-            print(f"error: cannot write cache {args.cache!r}: {exc}",
-                  file=sys.stderr)
-            return EXIT_USAGE
-    return EXIT_OK
+    return _write_cache(args.cache, primary) if args.cache else EXIT_OK
 
 
-def _run_and_stream(args, statement_ids, quiet=False) -> int:
-    if statement_ids is not None:
-        kinds = {registry.STATEMENTS[sid].kind for sid in statement_ids}
-        for kind in ("n", "p"):
-            if getattr(args, f"{kind}_range") is not None and kind not in kinds:
-                print(
-                    f"error: --{kind}-range is not used by any requested "
-                    f"statement ({', '.join(statement_ids)})",
-                    file=sys.stderr,
-                )
-                return EXIT_USAGE
-    for sid in registry.statement_ids() if statement_ids is None else statement_ids:
-        stmt = registry.STATEMENTS[sid]
-        rng = getattr(args, f"{stmt.kind}_range")
-        lo, hi = stmt.default_range if rng is None else rng
-        if not registry.cells_for(stmt, lo, hi):
-            print(
-                f"error: statement {sid!r} has no cell in {stmt.kind}-range "
-                f"{lo}..{hi}",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-    summary = run_sweep(
-        statement_ids=statement_ids,
-        n_range=getattr(args, "n_range", None),
-        p_range=getattr(args, "p_range", None),
-        workers=args.workers,
-        fmt=args.format,
-        out=None if quiet else sys.stdout,
-    )
+def _cmd_sweep(args) -> int:
+    """verify and sweep: run_sweep decides whether the request is valid."""
+    ids = None
+    if args.statements is not None:
+        ids = [s.strip() for s in args.statements.split(",") if s.strip()]
+    try:
+        summary = run_sweep(
+            statement_ids=ids,
+            n_range=args.n_range,
+            p_range=args.p_range,
+            workers=args.workers,
+            fmt=args.format,
+            out=None if getattr(args, "quiet", False) else sys.stdout,
+        )
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     _print_summary(summary, args.format)
     if summary["total"]["fail"]:
         print(
@@ -204,37 +172,16 @@ def _print_summary(summary: dict, fmt: str) -> None:
         print(f"summary\tTOTAL\t{t['pass']}\t{t['fail']}\t{t['skipped']}")
 
 
-def _cmd_verify(args) -> int:
-    ids = _resolve_statements(args.statements)
-    if ids is None:
-        return EXIT_USAGE
-    return _run_and_stream(args, ids)
-
-
-def _cmd_sweep(args) -> int:
-    ids = None
-    if args.statements is not None:
-        ids = _resolve_statements(args.statements)
-        if ids is None:
-            return EXIT_USAGE
-    return _run_and_stream(args, ids, quiet=args.quiet)
-
-
 def _cmd_cache(args) -> int:
     if args.n_range is not None:
         lo, hi = args.n_range
         if lo != 0:
             print("error: cache files start at index 0", file=sys.stderr)
             return EXIT_USAGE
-        table = build_franel_table(hi, "recurrence")
-        try:
-            store_table(args.cache, table)
-        except OSError as exc:
-            print(f"error: cannot write cache {args.cache!r}: {exc}",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        print(f"wrote franel-cache v1 N={hi}")
-        return EXIT_OK
+        rc = _write_cache(args.cache, build_franel_table(hi, "recurrence"))
+        if rc == EXIT_OK:
+            print(f"wrote franel-cache v1 N={hi}")
+        return rc
     try:
         table = load_table(args.cache)
     except CacheError as exc:
@@ -254,9 +201,7 @@ def main(argv: list[str] | None = None) -> int:
     with long_decimals():
         if args.command == "compute":
             return _cmd_compute(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "sweep":
+        if args.command in ("verify", "sweep"):
             return _cmd_sweep(args)
         return _cmd_cache(args)
 

@@ -14,6 +14,17 @@ class InconsistencyError(ArithmeticError):
     """An exact division that must be exact left a nonzero remainder."""
 
 
+def exact_div(num: int, den: int, what: str, **at: int) -> int:
+    """num // den, raising InconsistencyError on a remainder.  The message
+    names what was divided and the indices in at, and is built only on
+    failure: "<what>: division by <den> inexact at k=3"."""
+    q, r = divmod(num, den)
+    if r:
+        where = ", ".join(f"{key}={value}" for key, value in at.items())
+        raise InconsistencyError(f"{what}: division by {den} inexact at {where}")
+    return q
+
+
 @functools.lru_cache(maxsize=None)
 def binomial(n: int, k: int) -> int:
     """C(n, k) for n >= 0; zero for k outside [0, n] (the vanishing-term
@@ -72,12 +83,7 @@ def _recurrence_extend(values: list[int], n_max: int) -> None:
     while len(values) <= n_max:
         n = len(values) - 1
         num = (7 * n * n + 7 * n + 2) * values[n] + 8 * n * n * values[n - 1]
-        q, r = divmod(num, (n + 1) * (n + 1))
-        if r:
-            raise InconsistencyError(
-                f"franel recurrence: division by {(n + 1) ** 2} inexact at n={n + 1}"
-            )
-        values.append(q)
+        values.append(exact_div(num, (n + 1) * (n + 1), "franel recurrence", n=n + 1))
 
 
 # shared grow-only table for the recurrence route (cheapest route; used as
@@ -101,8 +107,10 @@ def central_binomials_upto(k_max: int) -> list[int]:
     cache = _CENTRAL_CACHE
     while len(cache) <= k_max:
         k = len(cache) - 1
-        # C(2k+2, k+1) = C(2k, k) * 2(2k+1)/(k+1); division is exact
-        cache.append(cache[-1] * 2 * (2 * k + 1) // (k + 1))
+        # C(2k+2, k+1) = C(2k, k) * 2(2k+1)/(k+1)
+        cache.append(
+            exact_div(cache[-1] * 2 * (2 * k + 1), k + 1, "central binomial", k=k + 1)
+        )
     return cache[: k_max + 1]
 
 
@@ -174,8 +182,8 @@ def partial_fraction_sides(n: int) -> tuple[tuple[int, int], tuple[int, int]]:
     lhs = 0
     term = 2 * odd  # (-1)^k C(n,k) 2L, stepped along the binomial row
     for k in range(n + 1):
-        lhs += term // (2 * k + 1)
-        term = -term * (n - k) // (k + 1)
+        lhs += exact_div(term, 2 * k + 1, "partial fraction term", n=n, k=k)
+        term = exact_div(-term * (n - k), k + 1, "partial fraction step", n=n, k=k + 1)
     rhs = math.factorial(n) << (n + 1)
     return _reduced(lhs, odd), _reduced(rhs, odd)
 

@@ -18,6 +18,7 @@ from .combinatorics import (
     InconsistencyError,
     binomial,
     central_binomials_upto,
+    exact_div,
     franel_upto,
 )
 from .modular import NotCoprimeError, is_prime, mod_inverse
@@ -73,12 +74,7 @@ def family_sum(a: int, b: int, c: int, n: int) -> int:
         num = (4 * k + 2) * (
             (7 * k * k + 7 * k + 2) * p_k + 16 * k * (2 * k - 1) * p_prev
         )
-        p_next, r = divmod(num, (k + 1) ** 3)
-        if r:
-            raise InconsistencyError(
-                f"C(2k,k) f_k recurrence: division by {(k + 1) ** 3} inexact"
-                f" at k={k + 1}"
-            )
+        p_next = exact_div(num, (k + 1) ** 3, "C(2k,k) f_k recurrence", k=k + 1)
         p_prev, p_k = p_k, p_next
         if ahead and (k + 1) % _FAMILY_STRIDE == 0:
             passed.append((u, v, p_prev, p_k))
@@ -246,9 +242,7 @@ def check_half_binom(p: int) -> list[Report]:
         * binomial(2 * k, k)
         * (k - p)
     )
-    term, r = divmod(num, 2 * k + 1)
-    if r:
-        raise InconsistencyError(f"p={p}: the k=(p-1)/2 term is not an integer")
+    term = exact_div(num, 2 * k + 1, "the k=(p-1)/2 term", p=p)
     closed = -binomial(2 * p - 1, p - 1) * binomial(p - 1, k) ** 2
     return [
         Report(

@@ -1,5 +1,9 @@
 """Sweep engine: runs statement grids serially or across worker processes.
 
+run_sweep is the one place that decides whether a sweep request is valid:
+it works out each requested statement's cells once, and raises UsageError
+(the CLI's exit 2) before any output if the request cannot run.
+
 The grid is cut into jobs (one per cell serially, otherwise about four
 per worker and statement).  Each job counts its records by verdict and
 serializes them in the process that computed them, so a pool sends back
@@ -52,6 +56,11 @@ def _run_job(
     return counts, text, first_failure
 
 
+class UsageError(ValueError):
+    """A sweep request that cannot run: raised by run_sweep before it
+    writes any record or starts any pool."""
+
+
 def run_sweep(
     statement_ids: list[str] | None = None,
     n_range: tuple[int, int] | None = None,
@@ -60,7 +69,14 @@ def run_sweep(
     fmt: str = "json-lines",
     out: TextIO | None = None,
 ) -> dict:
-    """Run the requested statements over their grids.
+    """Run the requested statements (default: every statement) over their
+    grids; n_range and p_range replace the default range of every
+    requested statement on that axis.
+
+    Raises UsageError, before any record is written or any pool started,
+    for an empty id list, an unknown id, a range that no requested
+    statement takes, a requested statement left with no cell, workers < 1
+    or an unknown fmt.
 
     Returns {"statements": {id: {pass, fail, skipped}}, "total": {...},
     "first_failure": line or None}, where first_failure is the first
@@ -69,25 +85,35 @@ def run_sweep(
     (order unspecified under workers > 1).
     """
     if workers < 1:
-        raise ValueError("workers must be positive")
+        raise UsageError("workers must be positive")
     if fmt not in FORMATTERS:
-        raise ValueError(f"unknown format {fmt!r}")
+        raise UsageError(f"unknown format {fmt!r}")
     ids = registry.statement_ids() if statement_ids is None else list(statement_ids)
+    if not ids:
+        raise UsageError("no statement id given")
     for sid in ids:
         if sid not in registry.STATEMENTS:
-            raise KeyError(sid)
-
+            raise UsageError(
+                f"unknown statement id {sid!r}; known ids: "
+                f"{', '.join(registry.statement_ids())}"
+            )
+    stmts = [registry.STATEMENTS[sid] for sid in ids]
+    ranges = {"n": n_range, "p": p_range}
+    for kind, rng in ranges.items():
+        if rng is not None and all(stmt.kind != kind for stmt in stmts):
+            raise UsageError(
+                f"{kind}-range is not used by any requested statement "
+                f"({', '.join(ids)})"
+            )
     statement_cells: list[tuple[str, list[int]]] = []
-    for sid in ids:
-        stmt = registry.STATEMENTS[sid]
-        lo, hi = (None, None)
-        if stmt.kind == "n" and n_range is not None:
-            lo, hi = n_range
-        elif stmt.kind == "p" and p_range is not None:
-            lo, hi = p_range
+    for stmt in stmts:
+        lo, hi = ranges[stmt.kind] or stmt.default_range
         cells = registry.cells_for(stmt, lo, hi)
-        if cells:
-            statement_cells.append((sid, cells))
+        if not cells:
+            raise UsageError(
+                f"statement {stmt.id!r} has no cell in {stmt.kind}-range {lo}..{hi}"
+            )
+        statement_cells.append((stmt.id, cells))
 
     def jobs() -> Iterable[tuple[str, list[int]]]:
         # made as they are run, so a serial sweep holds no list of jobs
@@ -96,7 +122,7 @@ def run_sweep(
             for i in range(0, len(cells), size):
                 yield sid, cells[i : i + size]
 
-    counts: dict[str, dict] = {sid: _empty_counts() for sid in ids}
+    counts: dict[str, dict] = {sid: _empty_counts() for sid, _ in statement_cells}
     failures: dict[int, str] = {}
     stream = out is not None
 
@@ -109,7 +135,7 @@ def run_sweep(
         if first_failure is not None:
             failures[index] = first_failure
 
-    if workers == 1 or not statement_cells:
+    if workers == 1:
         for index, (sid, chunk) in enumerate(jobs()):
             absorb(index, sid, _run_job(sid, chunk, fmt, stream))
     else:

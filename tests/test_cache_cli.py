@@ -14,7 +14,7 @@ from franel import congruences, harness, registry
 from franel.cache import CacheError, load_table, store_table
 from franel.cli import main
 from franel.combinatorics import build_franel_table, franel
-from franel.harness import run_sweep
+from franel.harness import UsageError, run_sweep
 from franel.reports import Report, long_decimals, to_json_line
 
 
@@ -135,6 +135,14 @@ class TestComputeCommand:
         )
         assert rc == 2
         assert "cannot write cache" in capsys.readouterr().err
+
+    def test_cache_is_replaced_not_extended(self, tmp_path, capsys):
+        path = str(tmp_path / "cache.txt")
+        assert main(["cache", "--cache", path, "--n-range", "0..50"]) == 0
+        assert main(["compute", "--n-range", "3..5", "--cache", path]) == 0
+        capsys.readouterr()
+        assert main(["cache", "--cache", path]) == 0
+        assert capsys.readouterr().out == "franel-cache v1 N=5 ok\n"
 
     def test_bad_range(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -258,10 +266,35 @@ class TestSweepCommand:
         summary = run_sweep(["theorem1"], n_range=(5, 5), workers=64)
         assert inline_pool.requested == [1]
         assert summary["total"] == {"pass": 1, "fail": 0, "skipped": 0}
-        # no job at all: no pool either, and an empty summary
-        summary = run_sweep(["theorem3"], p_range=(24, 28), workers=64)
+        # no job at all is a usage error, raised before any pool is asked for
+        with pytest.raises(UsageError):
+            run_sweep(["theorem3"], p_range=(24, 28), workers=64)
         assert inline_pool.requested == [1]
-        assert summary["total"] == {"pass": 0, "fail": 0, "skipped": 0}
+
+    @pytest.mark.parametrize("ids, kwargs, message", [
+        ([], {}, "no statement id given"),
+        (["bogus-id"], {}, "unknown statement id 'bogus-id'; known ids: babbage, "),
+        (["theorem2"], {"n_range": (3, 10)}, "n-range is not used"),
+        (["strehl", "macmahon"], {"p_range": (3, 10)}, "p-range is not used"),
+        (["theorem2", "babbage"], {"n_range": (3, 10)}, "n-range is not used"),
+        (["zw_guo"], {"p_range": (3, 10)}, "p-range is not used"),
+        (["babbage"], {"p_range": (0, 1)}, "'babbage' has no cell in p-range 0..1"),
+        (["theorem3"], {"p_range": (24, 28)}, "'theorem3' has no cell in p-range 24..28"),
+        (["theorem1", "theorem3"], {"p_range": (24, 28)}, "'theorem3' has no cell"),
+        (None, {"p_range": (0, 1)}, "'babbage' has no cell in p-range 0..1"),
+        (["strehl"], {"workers": 0}, "workers must be positive"),
+        (["strehl"], {"fmt": "xml"}, "unknown format 'xml'"),
+    ], ids=["empty", "unknown", "n-unused", "p-unused", "n-unused-pair",
+            "p-unused-quiet", "no-prime", "no-prime-gap", "subset", "grid",
+            "workers", "format"])
+    def test_library_usage_error_before_output(self, ids, kwargs, message, inline_pool):
+        # the requests the CLI exits 2 on raise in run_sweep itself, before
+        # any record is written or any pool is asked for
+        out = io.StringIO()
+        with pytest.raises(UsageError, match=message):
+            run_sweep(ids, out=out, **{"workers": 2, **kwargs})
+        assert out.getvalue() == ""
+        assert inline_pool.requested == []
 
     def test_pool_keeps_no_absorbed_result(self, inline_pool):
         # each Future holds its job's text; the parent must drop it once written
@@ -534,3 +567,11 @@ class TestCacheCommand:
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["cache", "--cache", str(tmp_path / "nope.txt")]) == 2
+
+    def test_unwritable_cache_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "cache.txt"
+        assert main(["cache", "--cache", str(path), "--n-range", "0..3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith(f"error: cannot write cache {str(path)!r}")

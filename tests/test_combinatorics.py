@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from franel import combinatorics
 from franel.combinatorics import (
     ROUTES,
+    InconsistencyError,
     binomial,
     binomial_generalized,
     build_franel_table,
@@ -68,6 +70,12 @@ class TestBinomial:
     def test_central_binomials(self):
         cb = central_binomials_upto(30)
         assert cb == [factorial_binomial(2 * k, k) for k in range(31)]
+
+    def test_central_binomial_inexact_step_raises(self, monkeypatch):
+        # C(4,2) = 5 instead of 6: the next step is 50/3
+        monkeypatch.setattr(combinatorics, "_CENTRAL_CACHE", [1, 2, 5])
+        with pytest.raises(InconsistencyError, match="division by 3 inexact at k=3"):
+            central_binomials_upto(3)
 
 
 class TestGeneralizedBinomial:
