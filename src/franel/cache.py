@@ -13,6 +13,8 @@ import os
 import re
 import tempfile
 
+from .combinatorics import recurrence_rhs
+
 HEADER_PREFIX = "franel-cache v1 N="
 # checked before int(), which also takes whitespace, a sign and "_"
 _DECIMAL = re.compile(r"[0-9]+")
@@ -78,8 +80,7 @@ def load_table(path: str) -> tuple[int, ...]:
         raise CacheError("f_1 must be 2 (line 3)")
     for n in range(1, n_max):
         lhs = (n + 1) * (n + 1) * values[n + 1]
-        rhs = (7 * n * n + 7 * n + 2) * values[n] + 8 * n * n * values[n - 1]
-        if lhs != rhs:
+        if lhs != recurrence_rhs(n, values[n - 1], values[n]):
             raise CacheError(
                 f"recurrence violated at index {n + 1} (line {n + 3})"
             )

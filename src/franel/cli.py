@@ -13,7 +13,7 @@ import sys
 from .cache import CacheError, load_table, store_table
 from .combinatorics import ROUTES, build_franel_table
 from .harness import UsageError, run_sweep
-from .reports import long_decimals
+from .reports import VERDICTS, long_decimals
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -166,10 +166,9 @@ def _print_summary(summary: dict, fmt: str) -> None:
                   "total": summary["total"]}
         print(json.dumps(record, sort_keys=True))
     else:
-        for sid, c in summary["statements"].items():
-            print(f"summary\t{sid}\t{c['pass']}\t{c['fail']}\t{c['skipped']}")
-        t = summary["total"]
-        print(f"summary\tTOTAL\t{t['pass']}\t{t['fail']}\t{t['skipped']}")
+        rows = [*summary["statements"].items(), ("TOTAL", summary["total"])]
+        for sid, c in rows:
+            print("\t".join(["summary", sid, *(str(c[v]) for v in VERDICTS)]))
 
 
 def _cmd_cache(args) -> int:

@@ -77,12 +77,17 @@ def franel_sun_expansion(n: int) -> int:
     return total
 
 
+def recurrence_rhs(n: int, f_prev: int, f_n: int) -> int:
+    """(7n^2+7n+2) f_n + 8n^2 f_{n-1}, the right side of the three-term
+    recurrence (n+1)^2 f_{n+1} = (7n^2+7n+2) f_n + 8n^2 f_{n-1}."""
+    return (7 * n * n + 7 * n + 2) * f_n + 8 * n * n * f_prev
+
+
 def _recurrence_extend(values: list[int], n_max: int) -> None:
-    """Extend a Franel list in place up to index n_max via the three-term
-    recurrence (n+1)^2 f_{n+1} = (7n^2+7n+2) f_n + 8 n^2 f_{n-1}."""
+    """Extend a Franel list in place up to index n_max via the recurrence."""
     while len(values) <= n_max:
         n = len(values) - 1
-        num = (7 * n * n + 7 * n + 2) * values[n] + 8 * n * n * values[n - 1]
+        num = recurrence_rhs(n, values[n - 1], values[n])
         values.append(exact_div(num, (n + 1) * (n + 1), "franel recurrence", n=n + 1))
 
 
@@ -112,6 +117,21 @@ def central_binomials_upto(k_max: int) -> list[int]:
             exact_div(cache[-1] * 2 * (2 * k + 1), k + 1, "central binomial", k=k + 1)
         )
     return cache[: k_max + 1]
+
+
+def pulled_out_sum(n: int) -> int:
+    """sum_{k<n} C(n+2k,3k) C(3k,k)/(2k+1) C(2k,k) (k-n) (-4)^(n-k), the sum
+    that the proof of Theorem 1 pulls n C(2n,n) out of, with the integer
+    C(3k,k)/(2k+1) taken as C(3k,k) - 2 C(3k,k-1)."""
+    cb = central_binomials_upto(n - 1)
+    return sum(
+        binomial(n + 2 * k, 3 * k)
+        * (binomial(3 * k, k) - 2 * binomial(3 * k, k - 1))
+        * cb[k]
+        * (k - n)
+        * (-4) ** (n - k)
+        for k in range(n)
+    )
 
 
 def franel_recurrence(n: int) -> int:

@@ -20,9 +20,10 @@ from .combinatorics import (
     central_binomials_upto,
     exact_div,
     franel_upto,
+    pulled_out_sum,
 )
 from .modular import NotCoprimeError, is_prime, mod_inverse
-from .reports import Report
+from .reports import Report, divisibility_report
 
 
 def _require_prime(p: int) -> None:
@@ -116,16 +117,8 @@ def check_theorem1(n: int) -> Report:
     """Divisibility of the (3k+1)-weighted sum by n*C(2n,n), with witness."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    s = family_sum(3, 1, -16, n)
-    modulus = n * binomial(2 * n, n)
-    q, r = divmod(s, modulus)
-    return Report(
-        statement="theorem1",
-        params={"n": n},
-        modulus=modulus,
-        lhs=r,
-        rhs=0,
-        witness=q if r == 0 else None,
+    return divisibility_report(
+        "theorem1", {"n": n}, family_sum(3, 1, -16, n), n * binomial(2 * n, n)
     )
 
 
@@ -338,26 +331,17 @@ def check_reduction_chain(p: int) -> list[Report]:
     half = (p - 1) // 2
     reports: list[Report] = []
 
-    # exact pulled-out form: S = -p C(2p-1,p-1) * [4^(p-1) * inner-sum]
-    s_exact = family_sum(3, 1, -16, p)
-    inner = 0
-    cb = central_binomials_upto(p - 1)
-    for k in range(p):
-        gk = binomial(3 * k, k) - 2 * binomial(3 * k, k - 1)  # C(3k,k)/(2k+1)
-        inner += (
-            binomial(p + 2 * k, 3 * k)
-            * gk
-            * cb[k]
-            * (k - p)
-            * (-1) ** k
-            * 4 ** (p - 1 - k)
-        )
+    # exact pulled-out form: S = -p C(2p-1,p-1) * inner, where inner is the
+    # displayed sum of C(p+2k,3k) C(3k,k)/(2k+1) C(2k,k) (k-p) (-1)^k
+    # 4^(p-1-k); for odd p, (-1)^k 4^(p-1-k) = -(-4)^(p-k) / 4, so inner is
+    # minus a quarter of the pulled-out sum
+    inner = -exact_div(pulled_out_sum(p), 4, "pulled-out sum", p=p)
     reports.append(
         Report(
             statement="chain_newsum_pp",
             params={"p": p},
             modulus=None,
-            lhs=s_exact,
+            lhs=family_sum(3, 1, -16, p),
             rhs=-p * binomial(2 * p - 1, p - 1) * inner,
         )
     )
@@ -374,13 +358,17 @@ def check_reduction_chain(p: int) -> list[Report]:
     inv4_pow = pow(inv4, p - 1, m2)  # 4^(1-p)
     neg4_half = pow(-4 % m2, half, m2)
 
-    line1 = (p * inv4_pow + neg4_half) % m2
-    acc = 0
-    for k in range(1, half):  # 1 <= k <= (p-3)/2
-        num = (p - p * p * mod_inverse(k, m2)) % m2
-        den_inv = mod_inverse((2 * k + 1) * pow(4, k, m2), m2)
-        acc = (acc + cb[k] % m2 * num * den_inv) % m2
-    line1 = (line1 + inv4_pow * acc) % m2
+    # line 1 sums over 1 <= k <= (p-3)/2, line 2 over 0 <= k <= (p-3)/2;
+    # both weigh C(2k,k) by 1/((2k+1) 4^k)
+    cb = central_binomials_upto(p - 1)
+    acc1 = acc2 = 0
+    for k in range(half):
+        term = cb[k] % m2 * mod_inverse((2 * k + 1) * pow(4, k, m2), m2)
+        if k:
+            acc1 = (acc1 + term * (p - p * p * mod_inverse(k, m2))) % m2
+        acc2 = (acc2 + term * p) % m2
+    line1 = (p * inv4_pow + neg4_half + inv4_pow * acc1) % m2
+    line2 = (neg4_half + inv4_pow * acc2) % m2
     reports.append(
         Report(
             statement="chain_newsum2_line1",
@@ -390,12 +378,6 @@ def check_reduction_chain(p: int) -> list[Report]:
             rhs=line1,
         )
     )
-
-    acc = 0
-    for k in range(half):  # 0 <= k <= (p-3)/2
-        den_inv = mod_inverse((2 * k + 1) * pow(4, k, m2), m2)
-        acc = (acc + cb[k] % m2 * p * den_inv) % m2
-    line2 = (neg4_half + inv4_pow * acc) % m2
     reports.append(
         Report(
             statement="chain_newsum2_line2",

@@ -16,7 +16,7 @@ from .combinatorics import (
 )
 from .congruences import family_sum, inverse_weighted_sum_mod
 from .modular import is_prime, legendre_symbol, two_squares_decompose
-from .reports import Report
+from .reports import Report, divisibility_report
 
 
 @dataclass(frozen=True)
@@ -104,19 +104,11 @@ def check_family(t: FamilyTriple, n: int) -> Report:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     extra = t not in NEW1_TRIPLES and t not in NEW2_TRIPLES
-    s = family_sum(t.a, t.b, t.c, n)
-    modulus = n * binomial(2 * n, n)
-    q, r = divmod(s, modulus)
     params = {"a": t.a, "b": t.b, "c": t.c, "n": n}
     if extra:
         params["origin"] = "extra-paper"
-    return Report(
-        statement="family",
-        params=params,
-        modulus=modulus,
-        lhs=r,
-        rhs=0,
-        witness=q if r == 0 else None,
+    return divisibility_report(
+        "family", params, family_sum(t.a, t.b, t.c, n), n * binomial(2 * n, n)
     )
 
 
@@ -262,12 +254,6 @@ def check_zw_sun(n: int, variant: str = "guo") -> Report:
         modulus = n * n * (n - 1)
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    q, r = divmod(_zw_prefix(variant, n), modulus)
-    return Report(
-        statement=f"zw_{variant}",
-        params={"n": n},
-        modulus=modulus,
-        lhs=r,
-        rhs=0,
-        witness=q if r == 0 else None,
+    return divisibility_report(
+        f"zw_{variant}", {"n": n}, _zw_prefix(variant, n), modulus
     )

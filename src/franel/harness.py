@@ -23,11 +23,11 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Iterable, TextIO
 
 from . import registry
-from .reports import FORMATTERS, serialize
+from .reports import FORMATTERS, VERDICTS, serialize
 
 
 def _empty_counts() -> dict:
-    return {"pass": 0, "fail": 0, "skipped": 0}
+    return dict.fromkeys(VERDICTS, 0)
 
 
 def _run_job(
@@ -74,9 +74,9 @@ def run_sweep(
     requested statement on that axis.
 
     Raises UsageError, before any record is written or any pool started,
-    for an empty id list, an unknown id, a range that no requested
-    statement takes, a requested statement left with no cell, workers < 1
-    or an unknown fmt.
+    for an empty id list, an unknown or repeated id, a negative n_range, a
+    range that no requested statement takes, a requested statement left
+    with no cell, workers < 1 or an unknown fmt.
 
     Returns {"statements": {id: {pass, fail, skipped}}, "total": {...},
     "first_failure": line or None}, where first_failure is the first
@@ -97,6 +97,10 @@ def run_sweep(
                 f"unknown statement id {sid!r}; known ids: "
                 f"{', '.join(registry.statement_ids())}"
             )
+        if ids.count(sid) > 1:
+            raise UsageError(f"statement id {sid!r} given more than once")
+    if n_range is not None and n_range[0] < 0:
+        raise UsageError(f"n-range must be nonnegative, got {n_range[0]}..{n_range[1]}")
     stmts = [registry.STATEMENTS[sid] for sid in ids]
     ranges = {"n": n_range, "p": p_range}
     for kind, rng in ranges.items():

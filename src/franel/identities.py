@@ -16,6 +16,8 @@ from .combinatorics import (
     franel_sun_expansion,
     macmahon_sides,
     partial_fraction_sides,
+    pulled_out_sum,
+    recurrence_rhs,
 )
 from .reports import Report
 
@@ -132,21 +134,10 @@ def check_integrality(n: int) -> Report:
                 statement="integrality", params={"n": n, "k": k, "part": "b"},
                 lhs=num % 8, rhs=0,
             )
-    # (c): sum_k C(n+2k,3k) C(3k,k) C(2k,k) (k-n) (-4)^(n-k) / (8(2k+1))
-    num = 0
-    den = 8
-    for k in range(n):
-        term = (
-            binomial(n + 2 * k, 3 * k)
-            * (binomial(3 * k, k) - 2 * binomial(3 * k, k - 1))  # C(3k,k)/(2k+1)
-            * binomial(2 * k, k)
-            * (k - n)
-            * (-4) ** (n - k)
-        )
-        num += term
-    q, r = divmod(num, den)
+    # (c): the pulled-out sum divides exactly by 8
     return Report(
-        statement="integrality", params={"n": n, "part": "c"}, lhs=r, rhs=0
+        statement="integrality", params={"n": n, "part": "c"},
+        lhs=pulled_out_sum(n) % 8, rhs=0,
     )
 
 
@@ -154,11 +145,11 @@ def check_recurrence_step(n: int) -> Report:
     """One step of the three-term recurrence, against direct-route values."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    f = [franel_direct(n - 1), franel_direct(n), franel_direct(n + 1)]
-    lhs = (n + 1) * (n + 1) * f[2]
-    rhs = (7 * n * n + 7 * n + 2) * f[1] + 8 * n * n * f[0]
     return Report(
-        statement="recurrence", params={"n": n}, lhs=lhs, rhs=rhs
+        statement="recurrence",
+        params={"n": n},
+        lhs=(n + 1) * (n + 1) * franel_direct(n + 1),
+        rhs=recurrence_rhs(n, franel_direct(n - 1), franel_direct(n)),
     )
 
 

@@ -13,6 +13,10 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable
 
 
+# every verdict a record can have, in the order summaries list them
+VERDICTS = ("pass", "fail", "skipped")
+
+
 @dataclass(slots=True)
 class Report:
     """One verification outcome.
@@ -47,6 +51,14 @@ class Report:
         if self.skipped:
             return "skipped"
         return "pass" if self.passed else "fail"
+
+
+def divisibility_report(statement: str, params: dict, s: int, modulus: int) -> Report:
+    """The record of modulus | s: the remainder against 0, with the
+    quotient as witness when the division is exact."""
+    q, r = divmod(s, modulus)
+    witness = q if r == 0 else None
+    return Report(statement, params, modulus, lhs=r, rhs=0, witness=witness)
 
 
 @contextlib.contextmanager

@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from franel.combinatorics import central_binomials_upto, franel_upto
+from franel.combinatorics import binomial, central_binomials_upto, franel_upto
 from franel.conjectures import product_factor_columns
 from franel.modular import mod_inverse
 from franel.reports import Report, long_decimals
@@ -71,6 +71,26 @@ def inverse_weighted_sum_residue(p: int) -> tuple[int, int]:
     # D_{p-1} = (-16)^(p-1) ((p-1)!)^4 = 16^(p-1) ((p-1)!)^4 for odd p
     inv = mod_inverse(pow(16, p - 1, m) * pow(fact_pm1, 4, m), m)
     return weighted * inv % m, unweighted * inv % m
+
+
+def chain_inner_sum(p: int) -> int:
+    """The inner sum of the reduction chain's exact pulled-out form,
+    sum_{k<p} C(p+2k,3k) C(3k,k)/(2k+1) C(2k,k) (k-p) (-1)^k 4^(p-1-k),
+    term by term as the proof displays it: the route that
+    -combinatorics.pulled_out_sum(p) / 4 replaced."""
+    inner = 0
+    cb = central_binomials_upto(p - 1)
+    for k in range(p):
+        gk = binomial(3 * k, k) - 2 * binomial(3 * k, k - 1)  # C(3k,k)/(2k+1)
+        inner += (
+            binomial(p + 2 * k, 3 * k)
+            * gk
+            * cb[k]
+            * (k - p)
+            * (-1) ** k
+            * 4 ** (p - 1 - k)
+        )
+    return inner
 
 
 @dataclass(frozen=True)

@@ -211,6 +211,14 @@ class TestVerifyCommand:
         assert main(["verify", "--statements", "bogus-id"]) == 2
         assert "unknown statement id" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("statements", ["theorem1,theorem1", "strehl,theorem1,strehl"])
+    def test_repeated_statement_exits_2(self, statements, capsys):
+        assert main(["verify", "--statements", statements, "--n-range", "5..6"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: statement id ") and "given more than once" in line
+
     def test_tsv_format(self, capsys):
         assert main(
             ["verify", "--statements", "strehl", "--n-range", "0..2",
@@ -284,9 +292,13 @@ class TestSweepCommand:
         (None, {"p_range": (0, 1)}, "'babbage' has no cell in p-range 0..1"),
         (["strehl"], {"workers": 0}, "workers must be positive"),
         (["strehl"], {"fmt": "xml"}, "unknown format 'xml'"),
+        (["theorem1", "theorem1"], {"n_range": (5, 6)},
+         "statement id 'theorem1' given more than once"),
+        (["strehl"], {"n_range": (-1, 0)}, r"n-range must be nonnegative, got -1\.\.0"),
+        (["macmahon"], {"n_range": (-1, 0)}, "n-range must be nonnegative"),
     ], ids=["empty", "unknown", "n-unused", "p-unused", "n-unused-pair",
             "p-unused-quiet", "no-prime", "no-prime-gap", "subset", "grid",
-            "workers", "format"])
+            "workers", "format", "repeated", "negative-n-pass", "negative-n-raise"])
     def test_library_usage_error_before_output(self, ids, kwargs, message, inline_pool):
         # the requests the CLI exits 2 on raise in run_sweep itself, before
         # any record is written or any pool is asked for

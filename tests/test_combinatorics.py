@@ -14,9 +14,11 @@ from franel.combinatorics import (
     build_franel_table,
     central_binomials_upto,
     franel,
+    franel_direct,
     franel_upto,
     macmahon_sides,
     partial_fraction_sides,
+    recurrence_rhs,
 )
 
 
@@ -128,6 +130,13 @@ class TestFranel:
         assert build_franel_table(3, "recurrence") == (1, 2, 10, 56)
         assert build_franel_table(0, "direct") == (1,)
         assert build_franel_table(5, "sun-expansion")[-1] == 2252
+
+    def test_recurrence_rhs_against_direct_route(self):
+        # (n+1)^2 f_{n+1}, with f_{-1} = 0 at n = 0
+        f = [franel_direct(n) for n in range(302)]
+        for n in range(301):
+            f_prev = f[n - 1] if n else 0
+            assert recurrence_rhs(n, f_prev, f[n]) == (n + 1) ** 2 * f[n + 1]
 
     def test_table_strictly_increasing(self):
         values = franel_upto(200)

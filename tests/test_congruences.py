@@ -6,6 +6,7 @@ from franel.combinatorics import (
     binomial,
     central_binomials_upto,
     franel_upto,
+    pulled_out_sum,
 )
 from franel.congruences import (
     check_babbage,
@@ -27,6 +28,7 @@ from franel.congruences import (
 from franel.conjectures import NEW1_TRIPLES, NEW2_TRIPLES
 from franel.modular import NotCoprimeError, mod_inverse, primes_in_range
 from oracles import (
+    chain_inner_sum,
     family_sum_noinc,
     inverse_weighted_sum_bigint,
     inverse_weighted_sum_residue,
@@ -288,6 +290,11 @@ class TestReductionChain:
         )
         with pytest.raises(InconsistencyError, match="not divisible by p"):
             check_reduction_chain(5)
+
+    def test_pulled_out_sum_against_displayed_inner_sum(self):
+        # (-1)^k 4^(p-1-k) = -(-4)^(p-k) / 4 for odd p
+        for p in primes_in_range(3, 499):
+            assert -pulled_out_sum(p) // 4 == chain_inner_sum(p)
 
     def test_full_chain_small_primes(self):
         for p in primes_in_range(3, 80):
