@@ -3,6 +3,11 @@
 Everything here is closed over (arbitrary-precision) integers; the one
 rational identity is carried as reduced (numerator, denominator) int
 pairs.  No floats anywhere.
+
+Each hypergeometric sum steps its term t_{k+1} from t_k by the term
+ratio, a rational function of k: a product with small ints and one
+division through exact_div, which raises InconsistencyError on a
+remainder.  franel_direct and binomial stay plain math.comb.
 """
 from __future__ import annotations
 
@@ -25,14 +30,9 @@ def exact_div(num: int, den: int, what: str, **at: int) -> int:
     return q
 
 
-@functools.lru_cache(maxsize=None)
 def binomial(n: int, k: int) -> int:
     """C(n, k) for n >= 0; zero for k outside [0, n] (the vanishing-term
-    convention every sum in this package relies on).
-
-    Memoized because the sweeps query the same small set of coefficients
-    over and over; the values are immutable ints, so sharing is safe.
-    """
+    convention every sum in this package relies on)."""
     if n < 0:
         raise ValueError(f"binomial: n must be nonnegative, got {n}")
     if k < 0 or k > n:
@@ -52,27 +52,44 @@ def binomial_generalized(x: int, k: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def franel_direct(n: int) -> int:
-    """Sum of cubes of the n-th binomial row.
+    """Sum of cubes of the n-th binomial row, by math.comb: the reference
+    route that the stepped Strehl and Sun-expansion sums are checked against.
 
     Memoized because the recurrence, route-agreement, Strehl and
     Sun-expansion statements all compare against it at the same n.
     """
-    return sum(binomial(n, k) ** 3 for k in range(n + 1))
+    return sum(math.comb(n, k) ** 3 for k in range(n + 1))
 
 
 def franel_strehl(n: int) -> int:
-    return sum(binomial(n, k) ** 2 * binomial(2 * k, n) for k in range(n + 1))
+    """sum_k C(n,k)^2 C(2k,n), stepped by its term ratio from k = ceil(n/2),
+    below which C(2k,n) = 0."""
+    start = (n + 1) // 2
+    term = binomial(n, start) ** 2 * binomial(2 * start, n)
+    total = 0
+    for k in range(start, n + 1):
+        total += term
+        term = exact_div(
+            term * 2 * (n - k) ** 2 * (2 * k + 1),
+            (k + 1) * (2 * k + 2 - n) * (2 * k + 1 - n),
+            "strehl term", n=n, k=k + 1,
+        )
+    return total
 
 
 def franel_sun_expansion(n: int) -> int:
-    """Alternating central-binomial expansion with (-4)^(n-k) weights."""
+    """Alternating central-binomial expansion with (-4)^(n-k) weights:
+    sum_k C(n+2k,3k) C(3k,k) C(2k,k) (-4)^(n-k), whose term
+    (n+2k)!/((n-k)! k!^3) (-4)^(n-k) is stepped by its ratio
+    (n+2k+1)(n+2k+2)(n-k) / (-4 (k+1)^3)."""
+    term = (-4) ** n
     total = 0
     for k in range(n + 1):
-        total += (
-            binomial(n + 2 * k, 3 * k)
-            * binomial(3 * k, k)
-            * binomial(2 * k, k)
-            * (-4) ** (n - k)
+        total += term
+        term = exact_div(
+            -term * (n + 2 * k + 1) * (n + 2 * k + 2) * (n - k),
+            4 * (k + 1) ** 3,
+            "sun expansion term", n=n, k=k + 1,
         )
     return total
 
@@ -121,17 +138,19 @@ def central_binomials_upto(k_max: int) -> list[int]:
 
 def pulled_out_sum(n: int) -> int:
     """sum_{k<n} C(n+2k,3k) C(3k,k)/(2k+1) C(2k,k) (k-n) (-4)^(n-k), the sum
-    that the proof of Theorem 1 pulls n C(2n,n) out of, with the integer
-    C(3k,k)/(2k+1) taken as C(3k,k) - 2 C(3k,k-1)."""
-    cb = central_binomials_upto(n - 1)
-    return sum(
-        binomial(n + 2 * k, 3 * k)
-        * (binomial(3 * k, k) - 2 * binomial(3 * k, k - 1))
-        * cb[k]
-        * (k - n)
-        * (-4) ** (n - k)
-        for k in range(n)
-    )
+    that the proof of Theorem 1 pulls n C(2n,n) out of.  The term without
+    its (k-n) is the Sun-expansion term over 2k+1, stepped by the ratio
+    (n+2k+1)(n+2k+2)(n-k)(2k+1) / (-4 (k+1)^3 (2k+3))."""
+    term = (-4) ** n
+    total = 0
+    for k in range(n):
+        total += term * (k - n)
+        term = exact_div(
+            -term * (n + 2 * k + 1) * (n + 2 * k + 2) * (n - k) * (2 * k + 1),
+            4 * (k + 1) ** 3 * (2 * k + 3),
+            "pulled-out term", n=n, k=k + 1,
+        )
+    return total
 
 
 def franel_recurrence(n: int) -> int:
@@ -176,17 +195,28 @@ def macmahon_sides(n: int, x: int) -> tuple[int, int]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    lhs = sum(binomial(n, k) ** 3 * x**k for k in range(n + 1))
-    rhs = 0
-    for k in range(n // 2 + 1):  # C(n+k,3k) = 0 for k > n/2
-        rhs += (
-            binomial(n + k, 3 * k)
-            * binomial(3 * k, 2 * k)
-            * binomial(2 * k, k)
-            * x**k
-            * (1 + x) ** (n - 2 * k)
+    lhs = 0
+    term = 1  # C(n,k)^3 x^k
+    for k in range(n + 1):
+        lhs += term
+        term = exact_div(
+            term * x * (n - k) ** 3, (k + 1) ** 3,
+            "macmahon left term", n=n, x=x, k=k + 1,
         )
-    return lhs, rhs
+    # sum_k m_k x^k y^(n-2k) with y = 1+x and m_k = (n+k)!/((n-2k)! k!^3),
+    # by Horner in y^2 from k = 0, so y is never divided by (it is 0 at x = -1)
+    top = n // 2  # C(n+k,3k) = 0 for k > n/2
+    y2 = (1 + x) ** 2
+    acc = 0
+    term = 1  # m_k x^k
+    for k in range(top + 1):
+        acc = acc * y2 + term
+        term = exact_div(
+            term * x * (n + k + 1) * (n - 2 * k) * (n - 2 * k - 1),
+            (k + 1) ** 3,
+            "macmahon right term", n=n, x=x, k=k + 1,
+        )
+    return lhs, acc * (1 + x) ** (n - 2 * top)
 
 
 def partial_fraction_sides(n: int) -> tuple[tuple[int, int], tuple[int, int]]:

@@ -118,7 +118,8 @@ def check_theorem1(n: int) -> Report:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     return divisibility_report(
-        "theorem1", {"n": n}, family_sum(3, 1, -16, n), n * binomial(2 * n, n)
+        "theorem1", {"n": n}, family_sum(3, 1, -16, n),
+        n * central_binomials_upto(n)[n],
     )
 
 
@@ -206,10 +207,16 @@ def check_multinomial(p: int) -> list[Report]:
     m = p * p
     half = (p - 1) // 2
     out = []
+    value = 1  # the multinomial at k = 0
     for k in range(1, p):
+        # step from k-1 by (p+2k-1)(p+2k)(p-k+1) / ((2k-1)(2k)k)
+        value = exact_div(
+            value * (p + 2 * k - 1) * (p + 2 * k) * (p - k + 1),
+            (2 * k - 1) * 2 * k * k,
+            "multinomial step", p=p, k=k,
+        )
         if k == half:
             continue  # handled by half_binom
-        value = binomial(p + 2 * k, 3 * k) * binomial(3 * k, k) % m
         scale = p if k < half else 2 * p
         target = (-1) ** (k - 1) * scale * mod_inverse(k, m) % m
         out.append(
@@ -217,7 +224,7 @@ def check_multinomial(p: int) -> list[Report]:
                 statement="multinomial",
                 params={"p": p, "k": k, "branch": "low" if k < half else "high"},
                 modulus=m,
-                lhs=value,
+                lhs=value % m,
                 rhs=target,
             )
         )
@@ -261,6 +268,7 @@ def check_central_pmod(p: int) -> list[Report]:
     inv4 = mod_inverse(4, p)
     out = []
     power = 1
+    row = 1  # C(half, k), 0 past k = half
     cb = central_binomials_upto(p - 1)
     for k in range(p):
         out.append(
@@ -269,10 +277,11 @@ def check_central_pmod(p: int) -> list[Report]:
                 params={"p": p, "k": k},
                 modulus=p,
                 lhs=cb[k] * power % p,
-                rhs=(-1) ** k * binomial(half, k) % p,
+                rhs=(-1) ** k * row % p,
             )
         )
         power = power * inv4 % p
+        row = exact_div(row * (half - k), k + 1, "C(half,k) step", p=p, k=k + 1)
     return out
 
 
@@ -293,15 +302,21 @@ def check_final_reflect(p: int) -> list[Report]:
     _require_odd_prime(p)
     half = (p - 1) // 2
     out = []
+    c3 = binomial(3 * half, half)  # C(3j, j) at j = half - k, stepped down in j
     for k in range(half + 1):
+        j = half - k
         out.append(
             Report(
                 statement="final_reflect",
                 params={"p": p, "k": k},
                 modulus=p,
-                lhs=binomial(2 * k, half - k) % p,
-                rhs=(-1) ** (half - k) * binomial(3 * half - 3 * k, half - k) % p,
+                lhs=binomial(2 * k, j) % p,
+                rhs=(-1) ** j * c3 % p,
             )
+        )
+        c3 = exact_div(
+            c3 * 2 * j * (2 * j - 1), 3 * (3 * j - 1) * (3 * j - 2),
+            "C(3j,j) step", p=p, j=j - 1,
         )
     return out
 
@@ -311,16 +326,25 @@ def check_final_reflect(p: int) -> list[Report]:
 
 
 def final3_rhs_terms(p: int) -> list[int]:
-    """Exact terms of the reflected half-range sum equivalent (mod p) to the
-    unweighted inverse sum."""
+    """Exact terms (-1)^k C(half,k) C(3k,k) C(3(half-k), half-k) of the
+    reflected half-range sum equivalent (mod p) to the unweighted inverse
+    sum, for k = 0..half with half = (p-1)/2.  C(half,k) is stepped in k,
+    and the column C(3j,j), j = 0..half, read at j = k and at half - k."""
     half = (p - 1) // 2
-    return [
-        (-1) ** k
-        * binomial(half, k)
-        * binomial(3 * k, k)
-        * binomial(3 * half - 3 * k, half - k)
-        for k in range(half + 1)
-    ]
+    c3 = [1]  # C(3j, j)
+    for j in range(half):
+        c3.append(
+            exact_div(
+                c3[-1] * 3 * (3 * j + 1) * (3 * j + 2), 2 * (j + 1) * (2 * j + 1),
+                "C(3j,j) step", p=p, j=j + 1,
+            )
+        )
+    terms = []
+    row = 1  # (-1)^k C(half, k)
+    for k in range(half + 1):
+        terms.append(row * c3[k] * c3[half - k])
+        row = exact_div(-row * (half - k), k + 1, "C(half,k) step", p=p, k=k + 1)
+    return terms
 
 
 def check_reduction_chain(p: int) -> list[Report]:
@@ -336,13 +360,15 @@ def check_reduction_chain(p: int) -> list[Report]:
     # 4^(p-1-k); for odd p, (-1)^k 4^(p-1-k) = -(-4)^(p-k) / 4, so inner is
     # minus a quarter of the pulled-out sum
     inner = -exact_div(pulled_out_sum(p), 4, "pulled-out sum", p=p)
+    cb = central_binomials_upto(p)
     reports.append(
         Report(
             statement="chain_newsum_pp",
             params={"p": p},
             modulus=None,
             lhs=family_sum(3, 1, -16, p),
-            rhs=-p * binomial(2 * p - 1, p - 1) * inner,
+            # C(2p-1, p-1) = C(2p, p)/2
+            rhs=-p * exact_div(cb[p], 2, "C(2p,p)/2", p=p) * inner,
         )
     )
 
@@ -360,7 +386,6 @@ def check_reduction_chain(p: int) -> list[Report]:
 
     # line 1 sums over 1 <= k <= (p-3)/2, line 2 over 0 <= k <= (p-3)/2;
     # both weigh C(2k,k) by 1/((2k+1) 4^k)
-    cb = central_binomials_upto(p - 1)
     acc1 = acc2 = 0
     for k in range(half):
         term = cb[k] % m2 * mod_inverse((2 * k + 1) * pow(4, k, m2), m2)
@@ -389,11 +414,10 @@ def check_reduction_chain(p: int) -> list[Report]:
     )
 
     acc = 0
+    row = 1  # (-1)^k C(half, k)
     for k in range(half):
-        acc = (
-            acc
-            + (-1) ** k * binomial(half, k) * p * mod_inverse(2 * k + 1, m2)
-        ) % m2
+        acc = (acc + row * p * mod_inverse(2 * k + 1, m2)) % m2
+        row = exact_div(-row * (half - k), k + 1, "C(half,k) step", p=p, k=k + 1)
     line3 = (neg4_half + inv4_pow * acc) % m2
     reports.append(
         Report(

@@ -10,8 +10,9 @@ import operator
 from dataclasses import dataclass
 
 from .combinatorics import (
-    binomial,
     binomial_generalized,
+    central_binomials_upto,
+    exact_div,
     franel_upto,
 )
 from .congruences import family_sum, inverse_weighted_sum_mod
@@ -108,18 +109,24 @@ def check_family(t: FamilyTriple, n: int) -> Report:
     if extra:
         params["origin"] = "extra-paper"
     return divisibility_report(
-        "family", params, family_sum(t.a, t.b, t.c, n), n * binomial(2 * n, n)
+        "family", params, family_sum(t.a, t.b, t.c, n),
+        n * central_binomials_upto(n)[n],
     )
 
 
 def product_factor_columns(a: int, n: int, modulus: int) -> list[int]:
-    """[C(a*n-1, k) * C(a*n+k, k) mod modulus for k in 0..n-1]."""
-    return [
-        binomial_generalized(a * n - 1, k)
-        * binomial_generalized(a * n + k, k)
-        % modulus
-        for k in range(n)
-    ]
+    """[C(a*n-1, k) * C(a*n+k, k) mod modulus for k in 0..n-1], the exact
+    product stepped in k by (a*n-1-k)(a*n+k+1) / (k+1)^2, which holds for
+    a <= 0 too (C(-1,k) C(k,k) = (-1)^k at a = 0)."""
+    col = []
+    term = 1
+    for k in range(n):
+        col.append(term % modulus)
+        term = exact_div(
+            term * (a * n - 1 - k) * (a * n + k + 1), (k + 1) ** 2,
+            "factor column step", a=a, n=n, k=k + 1,
+        )
+    return col
 
 
 def _grid_report(

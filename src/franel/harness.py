@@ -74,9 +74,10 @@ def run_sweep(
     requested statement on that axis.
 
     Raises UsageError, before any record is written or any pool started,
-    for an empty id list, an unknown or repeated id, a negative n_range, a
-    range that no requested statement takes, a requested statement left
-    with no cell, workers < 1 or an unknown fmt.
+    for a bare string in place of the id list, an empty id list, an
+    unknown or repeated id, a negative n_range, a range that no requested
+    statement takes, a requested statement left with no cell, workers < 1
+    or an unknown fmt.
 
     Returns {"statements": {id: {pass, fail, skipped}}, "total": {...},
     "first_failure": line or None}, where first_failure is the first
@@ -88,6 +89,10 @@ def run_sweep(
         raise UsageError("workers must be positive")
     if fmt not in FORMATTERS:
         raise UsageError(f"unknown format {fmt!r}")
+    if isinstance(statement_ids, str):
+        raise UsageError(
+            f"statement_ids must be a list of ids, not the string {statement_ids!r}"
+        )
     ids = registry.statement_ids() if statement_ids is None else list(statement_ids)
     if not ids:
         raise UsageError("no statement id given")

@@ -10,6 +10,8 @@ import math
 from .combinatorics import (
     ROUTES,
     binomial,
+    central_binomials_upto,
+    exact_div,
     franel,
     franel_direct,
     franel_strehl,
@@ -62,16 +64,17 @@ def check_partial_fraction(n: int) -> Report:
 
 
 def induction_lhs(n: int, k: int) -> int:
-    """The raw weighted sum on the left of the induction identity."""
+    """The raw weighted sum on the left of the induction identity,
+    sum_{k<=m<n} (3m+1) (-16)^(n-m-1) C(2m,m) C(m+2k,3k) (-4)^(m-k): Horner
+    in -16 over m, with C(m+2k,3k) stepped in m by (m+2k+1)/(m+1-k)."""
+    cb = central_binomials_upto(n - 1)
     total = 0
+    c = 1  # C(m+2k, 3k) at m = k
+    power = 1  # (-4)^(m-k)
     for m in range(k, n):
-        total += (
-            (3 * m + 1)
-            * (-16) ** (n - m - 1)
-            * binomial(2 * m, m)
-            * binomial(m + 2 * k, 3 * k)
-            * (-4) ** (m - k)
-        )
+        total = -16 * total + (3 * m + 1) * cb[m] * c * power
+        c = exact_div(c * (m + 2 * k + 1), m + 1 - k, "C(m+2k,3k) step", k=k, m=m + 1)
+        power *= -4
     return total
 
 
@@ -97,10 +100,15 @@ def check_summation_lemma(n: int, k: int) -> Report:
     """Alternating sum telescoping to a single (possibly zero) binomial."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    lhs = sum(
-        binomial(n, m) * binomial(m + 2 * k, 3 * k) * (-1) ** (m - k)
-        for m in range(k, n + 1)
-    )
+    # t_m = C(n,m) C(m+2k,3k) (-1)^(m-k), stepped in m from t_k = C(n,k)
+    lhs = 0
+    term = binomial(n, k)
+    for m in range(k, n + 1):
+        lhs += term
+        term = exact_div(
+            -term * (n - m) * (m + 2 * k + 1), (m + 1) * (m + 1 - k),
+            "summation lemma term", n=n, k=k, m=m + 1,
+        )
     rhs = binomial(2 * k, n - k) * (-1) ** (n - k)
     return Report(
         statement="summation_lemma", params={"n": n, "k": k}, lhs=lhs, rhs=rhs
@@ -119,21 +127,36 @@ def check_integrality(n: int) -> Report:
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    cb = central_binomials_upto(n - 1)
+    # C(3k,k) and C(3k,k-1), each stepped in k by its own ratio, so that (a)
+    # compares two independent columns; C(3k,k-1) is 0 at k = 0, and its
+    # steps start from C(3,0) = 1 at k = 1
+    c3k, c3k_1 = 1, 0
     for k in range(n):
-        c3k = binomial(3 * k, k)
         q, r = divmod(c3k, 2 * k + 1)
-        alt = c3k - 2 * binomial(3 * k, k - 1)
+        alt = c3k - 2 * c3k_1
         if r != 0 or q != alt:
             return Report(
                 statement="integrality", params={"n": n, "k": k, "part": "a"},
                 lhs=q if r == 0 else c3k, rhs=alt if r == 0 else q * (2 * k + 1),
             )
-        num = binomial(2 * k, k) * (-4) ** (n - k)
+        num = cb[k] * (-4) ** (n - k)
         if num % 8:
             return Report(
                 statement="integrality", params={"n": n, "k": k, "part": "b"},
                 lhs=num % 8, rhs=0,
             )
+        c3k = exact_div(
+            c3k * 3 * (3 * k + 1) * (3 * k + 2), 2 * (k + 1) * (2 * k + 1),
+            "C(3k,k) step", k=k + 1,
+        )
+        if k:
+            c3k_1 = exact_div(
+                c3k_1 * 3 * (3 * k + 1) * (3 * k + 2), 2 * k * (2 * k + 3),
+                "C(3k,k-1) step", k=k + 1,
+            )
+        else:
+            c3k_1 = 1
     # (c): the pulled-out sum divides exactly by 8
     return Report(
         statement="integrality", params={"n": n, "part": "c"},

@@ -7,7 +7,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from franel.combinatorics import binomial, central_binomials_upto, franel_upto
+from franel.combinatorics import (
+    binomial,
+    binomial_generalized,
+    central_binomials_upto,
+    franel_upto,
+)
 from franel.conjectures import product_factor_columns
 from franel.modular import mod_inverse
 from franel.reports import Report, long_decimals
@@ -91,6 +96,130 @@ def chain_inner_sum(p: int) -> int:
             * 4 ** (p - 1 - k)
         )
     return inner
+
+
+# The hypergeometric sums below are the math.comb forms that the package
+# now steps by term ratio: each term taken afresh from binomial coefficients.
+
+
+def franel_strehl_comb(n: int) -> int:
+    return sum(binomial(n, k) ** 2 * binomial(2 * k, n) for k in range(n + 1))
+
+
+def franel_sun_expansion_comb(n: int) -> int:
+    return sum(
+        binomial(n + 2 * k, 3 * k)
+        * binomial(3 * k, k)
+        * binomial(2 * k, k)
+        * (-4) ** (n - k)
+        for k in range(n + 1)
+    )
+
+
+def pulled_out_sums_comb(n_max: int) -> list[int]:
+    """[combinatorics.pulled_out_sum(n) for n in 0..n_max], each term from
+    binomials, with the integer C(3k,k)/(2k+1) taken as
+    C(3k,k) - 2 C(3k,k-1).  The factors that depend on k alone are
+    computed once for every n."""
+    col = [
+        (binomial(3 * k, k) - 2 * binomial(3 * k, k - 1)) * binomial(2 * k, k)
+        for k in range(n_max)
+    ]
+    return [
+        sum(
+            binomial(n + 2 * k, 3 * k) * col[k] * (k - n) * (-4) ** (n - k)
+            for k in range(n)
+        )
+        for n in range(n_max + 1)
+    ]
+
+
+def macmahon_sides_comb(n: int, x: int) -> tuple[int, int]:
+    lhs = sum(binomial(n, k) ** 3 * x**k for k in range(n + 1))
+    rhs = sum(
+        binomial(n + k, 3 * k)
+        * binomial(3 * k, 2 * k)
+        * binomial(2 * k, k)
+        * x**k
+        * (1 + x) ** (n - 2 * k)
+        for k in range(n // 2 + 1)
+    )
+    return lhs, rhs
+
+
+def product_factor_columns_comb(a: int, n: int, modulus: int) -> list[int]:
+    return [
+        binomial_generalized(a * n - 1, k) * binomial_generalized(a * n + k, k) % modulus
+        for k in range(n)
+    ]
+
+
+def multinomial_lhs_comb(p: int) -> list[int]:
+    """The lhs column of congruences.check_multinomial(p), in record order."""
+    m = p * p
+    half = (p - 1) // 2
+    return [
+        binomial(p + 2 * k, 3 * k) * binomial(3 * k, k) % m
+        for k in range(1, p)
+        if k != half
+    ]
+
+
+def central_pmod_rhs_comb(p: int) -> list[int]:
+    """The rhs column of congruences.check_central_pmod(p)."""
+    half = (p - 1) // 2
+    return [(-1) ** k * binomial(half, k) % p for k in range(p)]
+
+
+def chain_newsum3_rhs_comb(p: int) -> int:
+    """The rhs of the chain_newsum3 record of congruences.check_reduction_chain."""
+    m2 = p * p
+    half = (p - 1) // 2
+    acc = 0
+    for k in range(half):
+        acc = (
+            acc + (-1) ** k * binomial(half, k) * p * mod_inverse(2 * k + 1, m2)
+        ) % m2
+    inv4_pow = pow(mod_inverse(4, m2), p - 1, m2)
+    return (pow(-4 % m2, half, m2) + inv4_pow * acc) % m2
+
+
+def final3_rhs_terms_comb(p: int) -> list[int]:
+    half = (p - 1) // 2
+    return [
+        (-1) ** k
+        * binomial(half, k)
+        * binomial(3 * k, k)
+        * binomial(3 * half - 3 * k, half - k)
+        for k in range(half + 1)
+    ]
+
+
+def final_reflect_rhs_comb(p: int) -> list[int]:
+    """The rhs column of congruences.check_final_reflect(p)."""
+    half = (p - 1) // 2
+    return [
+        (-1) ** (half - k) * binomial(3 * half - 3 * k, half - k) % p
+        for k in range(half + 1)
+    ]
+
+
+def induction_lhs_comb(n: int, k: int) -> int:
+    return sum(
+        (3 * m + 1)
+        * (-16) ** (n - m - 1)
+        * binomial(2 * m, m)
+        * binomial(m + 2 * k, 3 * k)
+        * (-4) ** (m - k)
+        for m in range(k, n)
+    )
+
+
+def summation_lemma_lhs_comb(n: int, k: int) -> int:
+    return sum(
+        binomial(n, m) * binomial(m + 2 * k, 3 * k) * (-1) ** (m - k)
+        for m in range(k, n + 1)
+    )
 
 
 @dataclass(frozen=True)

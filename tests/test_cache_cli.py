@@ -296,9 +296,12 @@ class TestSweepCommand:
          "statement id 'theorem1' given more than once"),
         (["strehl"], {"n_range": (-1, 0)}, r"n-range must be nonnegative, got -1\.\.0"),
         (["macmahon"], {"n_range": (-1, 0)}, "n-range must be nonnegative"),
+        ("theorem1", {"n_range": (5, 6)},
+         "statement_ids must be a list of ids, not the string 'theorem1'"),
     ], ids=["empty", "unknown", "n-unused", "p-unused", "n-unused-pair",
             "p-unused-quiet", "no-prime", "no-prime-gap", "subset", "grid",
-            "workers", "format", "repeated", "negative-n-pass", "negative-n-raise"])
+            "workers", "format", "repeated", "negative-n-pass", "negative-n-raise",
+            "bare-string"])
     def test_library_usage_error_before_output(self, ids, kwargs, message, inline_pool):
         # the requests the CLI exits 2 on raise in run_sweep itself, before
         # any record is written or any pool is asked for
