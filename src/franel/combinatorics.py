@@ -19,13 +19,14 @@ class InconsistencyError(ArithmeticError):
     """An exact division that must be exact left a nonzero remainder."""
 
 
-def exact_div(num: int, den: int, what: str, **at: int) -> int:
+def exact_div(num: int, den: int, what: str, names: str, *at: int) -> int:
     """num // den, raising InconsistencyError on a remainder.  The message
-    names what was divided and the indices in at, and is built only on
-    failure: "<what>: division by <den> inexact at k=3"."""
+    names what was divided and the indices at, named by the space-separated
+    names, and is built only on failure: exact_div(7, 3, "term", "n k", 5, 3)
+    raises "term: division by 3 inexact at n=5, k=3"."""
     q, r = divmod(num, den)
     if r:
-        where = ", ".join(f"{key}={value}" for key, value in at.items())
+        where = ", ".join(f"{key}={value}" for key, value in zip(names.split(), at))
         raise InconsistencyError(f"{what}: division by {den} inexact at {where}")
     return q
 
@@ -72,7 +73,7 @@ def franel_strehl(n: int) -> int:
         term = exact_div(
             term * 2 * (n - k) ** 2 * (2 * k + 1),
             (k + 1) * (2 * k + 2 - n) * (2 * k + 1 - n),
-            "strehl term", n=n, k=k + 1,
+            "strehl term", "n k", n, k + 1,
         )
     return total
 
@@ -89,7 +90,7 @@ def franel_sun_expansion(n: int) -> int:
         term = exact_div(
             -term * (n + 2 * k + 1) * (n + 2 * k + 2) * (n - k),
             4 * (k + 1) ** 3,
-            "sun expansion term", n=n, k=k + 1,
+            "sun expansion term", "n k", n, k + 1,
         )
     return total
 
@@ -105,7 +106,7 @@ def _recurrence_extend(values: list[int], n_max: int) -> None:
     while len(values) <= n_max:
         n = len(values) - 1
         num = recurrence_rhs(n, values[n - 1], values[n])
-        values.append(exact_div(num, (n + 1) * (n + 1), "franel recurrence", n=n + 1))
+        values.append(exact_div(num, (n + 1) * (n + 1), "franel recurrence", "n", n + 1))
 
 
 # shared grow-only table for the recurrence route (cheapest route; used as
@@ -124,16 +125,28 @@ def franel_upto(n_max: int) -> list[int]:
 _CENTRAL_CACHE: list[int] = [1]
 
 
-def central_binomials_upto(k_max: int) -> list[int]:
-    """[C(0,0), C(2,1), ..., C(2*k_max, k_max)] from a shared cache."""
+def _central_extend(k_max: int) -> None:
     cache = _CENTRAL_CACHE
     while len(cache) <= k_max:
         k = len(cache) - 1
         # C(2k+2, k+1) = C(2k, k) * 2(2k+1)/(k+1)
         cache.append(
-            exact_div(cache[-1] * 2 * (2 * k + 1), k + 1, "central binomial", k=k + 1)
+            exact_div(cache[-1] * 2 * (2 * k + 1), k + 1, "central binomial", "k", k + 1)
         )
-    return cache[: k_max + 1]
+
+
+def central_binomials_upto(k_max: int) -> list[int]:
+    """[C(0,0), C(2,1), ..., C(2*k_max, k_max)] from a shared cache."""
+    _central_extend(k_max)
+    return _CENTRAL_CACHE[: k_max + 1]
+
+
+def central_binomial(k: int) -> int:
+    """C(2k, k) from the same shared cache, without copying a prefix."""
+    if k < 0:
+        raise ValueError(f"central_binomial: k must be nonnegative, got {k}")
+    _central_extend(k)
+    return _CENTRAL_CACHE[k]
 
 
 def pulled_out_sum(n: int) -> int:
@@ -148,7 +161,7 @@ def pulled_out_sum(n: int) -> int:
         term = exact_div(
             -term * (n + 2 * k + 1) * (n + 2 * k + 2) * (n - k) * (2 * k + 1),
             4 * (k + 1) ** 3 * (2 * k + 3),
-            "pulled-out term", n=n, k=k + 1,
+            "pulled-out term", "n k", n, k + 1,
         )
     return total
 
@@ -201,7 +214,7 @@ def macmahon_sides(n: int, x: int) -> tuple[int, int]:
         lhs += term
         term = exact_div(
             term * x * (n - k) ** 3, (k + 1) ** 3,
-            "macmahon left term", n=n, x=x, k=k + 1,
+            "macmahon left term", "n x k", n, x, k + 1,
         )
     # sum_k m_k x^k y^(n-2k) with y = 1+x and m_k = (n+k)!/((n-2k)! k!^3),
     # by Horner in y^2 from k = 0, so y is never divided by (it is 0 at x = -1)
@@ -214,7 +227,7 @@ def macmahon_sides(n: int, x: int) -> tuple[int, int]:
         term = exact_div(
             term * x * (n + k + 1) * (n - 2 * k) * (n - 2 * k - 1),
             (k + 1) ** 3,
-            "macmahon right term", n=n, x=x, k=k + 1,
+            "macmahon right term", "n x k", n, x, k + 1,
         )
     return lhs, acc * (1 + x) ** (n - 2 * top)
 
@@ -232,8 +245,8 @@ def partial_fraction_sides(n: int) -> tuple[tuple[int, int], tuple[int, int]]:
     lhs = 0
     term = 2 * odd  # (-1)^k C(n,k) 2L, stepped along the binomial row
     for k in range(n + 1):
-        lhs += exact_div(term, 2 * k + 1, "partial fraction term", n=n, k=k)
-        term = exact_div(-term * (n - k), k + 1, "partial fraction step", n=n, k=k + 1)
+        lhs += exact_div(term, 2 * k + 1, "partial fraction term", "n k", n, k)
+        term = exact_div(-term * (n - k), k + 1, "partial fraction step", "n k", n, k + 1)
     rhs = math.factorial(n) << (n + 1)
     return _reduced(lhs, odd), _reduced(rhs, odd)
 

@@ -17,6 +17,7 @@ import functools
 from .combinatorics import (
     InconsistencyError,
     binomial,
+    central_binomial,
     central_binomials_upto,
     exact_div,
     franel_upto,
@@ -75,7 +76,7 @@ def family_sum(a: int, b: int, c: int, n: int) -> int:
         num = (4 * k + 2) * (
             (7 * k * k + 7 * k + 2) * p_k + 16 * k * (2 * k - 1) * p_prev
         )
-        p_next = exact_div(num, (k + 1) ** 3, "C(2k,k) f_k recurrence", k=k + 1)
+        p_next = exact_div(num, (k + 1) ** 3, "C(2k,k) f_k recurrence", "k", k + 1)
         p_prev, p_k = p_k, p_next
         if ahead and (k + 1) % _FAMILY_STRIDE == 0:
             passed.append((u, v, p_prev, p_k))
@@ -119,7 +120,7 @@ def check_theorem1(n: int) -> Report:
         raise ValueError(f"need n >= 2, got {n}")
     return divisibility_report(
         "theorem1", {"n": n}, family_sum(3, 1, -16, n),
-        n * central_binomials_upto(n)[n],
+        n * central_binomial(n),
     )
 
 
@@ -213,7 +214,7 @@ def check_multinomial(p: int) -> list[Report]:
         value = exact_div(
             value * (p + 2 * k - 1) * (p + 2 * k) * (p - k + 1),
             (2 * k - 1) * 2 * k * k,
-            "multinomial step", p=p, k=k,
+            "multinomial step", "p k", p, k,
         )
         if k == half:
             continue  # handled by half_binom
@@ -242,7 +243,7 @@ def check_half_binom(p: int) -> list[Report]:
         * binomial(2 * k, k)
         * (k - p)
     )
-    term = exact_div(num, 2 * k + 1, "the k=(p-1)/2 term", p=p)
+    term = exact_div(num, 2 * k + 1, "the k=(p-1)/2 term", "p", p)
     closed = -binomial(2 * p - 1, p - 1) * binomial(p - 1, k) ** 2
     return [
         Report(
@@ -281,7 +282,7 @@ def check_central_pmod(p: int) -> list[Report]:
             )
         )
         power = power * inv4 % p
-        row = exact_div(row * (half - k), k + 1, "C(half,k) step", p=p, k=k + 1)
+        row = exact_div(row * (half - k), k + 1, "C(half,k) step", "p k", p, k + 1)
     return out
 
 
@@ -316,7 +317,7 @@ def check_final_reflect(p: int) -> list[Report]:
         )
         c3 = exact_div(
             c3 * 2 * j * (2 * j - 1), 3 * (3 * j - 1) * (3 * j - 2),
-            "C(3j,j) step", p=p, j=j - 1,
+            "C(3j,j) step", "p j", p, j - 1,
         )
     return out
 
@@ -336,14 +337,14 @@ def final3_rhs_terms(p: int) -> list[int]:
         c3.append(
             exact_div(
                 c3[-1] * 3 * (3 * j + 1) * (3 * j + 2), 2 * (j + 1) * (2 * j + 1),
-                "C(3j,j) step", p=p, j=j + 1,
+                "C(3j,j) step", "p j", p, j + 1,
             )
         )
     terms = []
     row = 1  # (-1)^k C(half, k)
     for k in range(half + 1):
         terms.append(row * c3[k] * c3[half - k])
-        row = exact_div(-row * (half - k), k + 1, "C(half,k) step", p=p, k=k + 1)
+        row = exact_div(-row * (half - k), k + 1, "C(half,k) step", "p k", p, k + 1)
     return terms
 
 
@@ -359,7 +360,7 @@ def check_reduction_chain(p: int) -> list[Report]:
     # displayed sum of C(p+2k,3k) C(3k,k)/(2k+1) C(2k,k) (k-p) (-1)^k
     # 4^(p-1-k); for odd p, (-1)^k 4^(p-1-k) = -(-4)^(p-k) / 4, so inner is
     # minus a quarter of the pulled-out sum
-    inner = -exact_div(pulled_out_sum(p), 4, "pulled-out sum", p=p)
+    inner = -exact_div(pulled_out_sum(p), 4, "pulled-out sum", "p", p)
     cb = central_binomials_upto(p)
     reports.append(
         Report(
@@ -368,7 +369,7 @@ def check_reduction_chain(p: int) -> list[Report]:
             modulus=None,
             lhs=family_sum(3, 1, -16, p),
             # C(2p-1, p-1) = C(2p, p)/2
-            rhs=-p * exact_div(cb[p], 2, "C(2p,p)/2", p=p) * inner,
+            rhs=-p * exact_div(cb[p], 2, "C(2p,p)/2", "p", p) * inner,
         )
     )
 
@@ -417,7 +418,7 @@ def check_reduction_chain(p: int) -> list[Report]:
     row = 1  # (-1)^k C(half, k)
     for k in range(half):
         acc = (acc + row * p * mod_inverse(2 * k + 1, m2)) % m2
-        row = exact_div(-row * (half - k), k + 1, "C(half,k) step", p=p, k=k + 1)
+        row = exact_div(-row * (half - k), k + 1, "C(half,k) step", "p k", p, k + 1)
     line3 = (neg4_half + inv4_pow * acc) % m2
     reports.append(
         Report(

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .combinatorics import (
     binomial_generalized,
-    central_binomials_upto,
+    central_binomial,
     exact_div,
     franel_upto,
 )
@@ -110,7 +110,7 @@ def check_family(t: FamilyTriple, n: int) -> Report:
         params["origin"] = "extra-paper"
     return divisibility_report(
         "family", params, family_sum(t.a, t.b, t.c, n),
-        n * central_binomials_upto(n)[n],
+        n * central_binomial(n),
     )
 
 
@@ -124,7 +124,7 @@ def product_factor_columns(a: int, n: int, modulus: int) -> list[int]:
         col.append(term % modulus)
         term = exact_div(
             term * (a * n - 1 - k) * (a * n + k + 1), (k + 1) ** 2,
-            "factor column step", a=a, n=n, k=k + 1,
+            "factor column step", "a n k", a, n, k + 1,
         )
     return col
 

@@ -16,10 +16,12 @@ Workers share nothing mutable; each process rebuilds the (cheap) Franel and
 central-binomial caches on first use.  Summaries are count aggregates and
 therefore identical for any worker count; so is the sorted multiset of
 record lines, though their order differs under workers > 1.
+
+The process pool (concurrent.futures and multiprocessing) is imported only
+when a pool starts, so a serial sweep never loads it.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Iterable, TextIO
 
 from . import registry
@@ -148,6 +150,10 @@ def run_sweep(
         for index, (sid, chunk) in enumerate(jobs()):
             absorb(index, sid, _run_job(sid, chunk, fmt, stream))
     else:
+        # imported only here, so that a serial sweep never loads the pool
+        # stack (multiprocessing, socket, selectors, pickle, logging)
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
         pool_jobs = list(jobs())
         # the fork start method forks every worker at the first submit
         with ProcessPoolExecutor(max_workers=min(workers, len(pool_jobs))) as pool:

@@ -73,7 +73,7 @@ def induction_lhs(n: int, k: int) -> int:
     power = 1  # (-4)^(m-k)
     for m in range(k, n):
         total = -16 * total + (3 * m + 1) * cb[m] * c * power
-        c = exact_div(c * (m + 2 * k + 1), m + 1 - k, "C(m+2k,3k) step", k=k, m=m + 1)
+        c = exact_div(c * (m + 2 * k + 1), m + 1 - k, "C(m+2k,3k) step", "k m", k, m + 1)
         power *= -4
     return total
 
@@ -107,7 +107,7 @@ def check_summation_lemma(n: int, k: int) -> Report:
         lhs += term
         term = exact_div(
             -term * (n - m) * (m + 2 * k + 1), (m + 1) * (m + 1 - k),
-            "summation lemma term", n=n, k=k, m=m + 1,
+            "summation lemma term", "n k m", n, k, m + 1,
         )
     rhs = binomial(2 * k, n - k) * (-1) ** (n - k)
     return Report(
@@ -148,12 +148,12 @@ def check_integrality(n: int) -> Report:
             )
         c3k = exact_div(
             c3k * 3 * (3 * k + 1) * (3 * k + 2), 2 * (k + 1) * (2 * k + 1),
-            "C(3k,k) step", k=k + 1,
+            "C(3k,k) step", "k", k + 1,
         )
         if k:
             c3k_1 = exact_div(
                 c3k_1 * 3 * (3 * k + 1) * (3 * k + 2), 2 * k * (2 * k + 3),
-                "C(3k,k-1) step", k=k + 1,
+                "C(3k,k-1) step", "k", k + 1,
             )
         else:
             c3k_1 = 1

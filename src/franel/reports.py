@@ -48,9 +48,11 @@ class Report:
 
     @property
     def verdict(self) -> str:
-        if self.skipped:
+        # the fields, not the two properties above: one property call per
+        # record, and every record's verdict is read at least once
+        if self.skipped_reason is not None:
             return "skipped"
-        return "pass" if self.passed else "fail"
+        return "pass" if self.lhs == self.rhs else "fail"
 
 
 def divisibility_report(statement: str, params: dict, s: int, modulus: int) -> Report:

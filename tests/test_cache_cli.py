@@ -1,7 +1,10 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 import weakref
@@ -47,7 +50,7 @@ def inline_pool(monkeypatch):
             log.futures.append(weakref.ref(fut))
             return fut
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return log
 
 
@@ -346,6 +349,35 @@ class TestSweepCommand:
         ]
         assert summary["total"]["pass"] + summary["total"]["skipped"] == len(
             out.getvalue().splitlines())
+
+    @pytest.mark.parametrize("workers, pool", [("1", False), ("2", True)])
+    def test_pool_stack_imported_only_for_a_pool(self, workers, pool):
+        # in a fresh interpreter, since pytest itself may load multiprocessing;
+        # morley over 5..13 is four cells, so two workers get four jobs
+        probe = (
+            "import json, sys\n"
+            "bare = set(sys.modules)\n"
+            "from franel.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(json.dumps([code, sorted(set(sys.modules) - bare)]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run(
+            [sys.executable, "-c", probe, "sweep", "--statements", "morley",
+             "--p-range", "5..13", "--quiet", "--workers", workers],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        code, loaded = json.loads(done.stdout.splitlines()[-1])
+        assert code == 0
+        pool_modules = [m for m in loaded if m == "concurrent.futures.process"
+                        or m.split(".")[0] == "multiprocessing"]
+        if pool:
+            assert "concurrent.futures.process" in pool_modules
+            assert "multiprocessing" in pool_modules
+        else:
+            assert pool_modules == []
 
     def test_serial_sweep_holds_one_cell_at_a_time(self):
         # third_conjecture has 798 reports per n; a serial sweep must not

@@ -12,7 +12,9 @@ from franel.combinatorics import (
     binomial,
     binomial_generalized,
     build_franel_table,
+    central_binomial,
     central_binomials_upto,
+    exact_div,
     franel,
     franel_direct,
     franel_upto,
@@ -69,9 +71,21 @@ class TestBinomial:
         for k in (-1, 0, 1, 7, 1049, 1050, 2099, 2100, 2101):
             assert binomial(n, k) == factorial_binomial(n, k), k
 
-    def test_central_binomials(self):
+    def test_central_binomials(self, monkeypatch):
+        # the single-entry read grows the shared cache on its own
+        monkeypatch.setattr(combinatorics, "_CENTRAL_CACHE", [1])
+        assert central_binomial(30) == factorial_binomial(60, 30)
         cb = central_binomials_upto(30)
         assert cb == [factorial_binomial(2 * k, k) for k in range(31)]
+        assert [central_binomial(k) for k in range(31)] == cb
+        with pytest.raises(ValueError):
+            central_binomial(-1)
+
+    def test_exact_div_message_names_each_index(self):
+        assert exact_div(12, 3, "term", "n k", 5, 3) == 4
+        with pytest.raises(InconsistencyError) as err:
+            exact_div(7, 3, "term", "n x k", 5, -1, 3)
+        assert str(err.value) == "term: division by 3 inexact at n=5, x=-1, k=3"
 
     def test_central_binomial_inexact_step_raises(self, monkeypatch):
         # C(4,2) = 5 instead of 6: the next step is 50/3
