@@ -113,7 +113,8 @@ def _write_cache(path: str, table: tuple[int, ...]) -> int:
 
 def _cmd_compute(args) -> int:
     lo, hi = args.n_range
-    tables = {route: build_franel_table(hi, route) for route in args.route}
+    routes = args.route if args.cross_check else args.route[:1]
+    tables = {route: build_franel_table(hi, route) for route in routes}
     primary = tables[args.route[0]]
     if args.cross_check:
         for route, table in tables.items():

@@ -149,6 +149,27 @@ def central_binomial(k: int) -> int:
     return _CENTRAL_CACHE[k]
 
 
+def triple_binomials_upto(k_max: int) -> list[int]:
+    """[C(0,0), C(3,1), ..., C(3*k_max, k_max)], each stepped from the one
+    before by 3(3k+1)(3k+2) / (2(k+1)(2k+1))."""
+    col = [1]
+    for k in range(k_max):
+        col.append(exact_div(
+            col[-1] * 3 * (3 * k + 1) * (3 * k + 2), 2 * (k + 1) * (2 * k + 1),
+            "C(3k,k) step", "k", k + 1,
+        ))
+    return col
+
+
+def alternating_row(h: int) -> list[int]:
+    """[(-1)^k C(h, k) for k in 0..h], each stepped from the one before by
+    -(h-k)/(k+1)."""
+    row = [1]
+    for k in range(h):
+        row.append(exact_div(-row[-1] * (h - k), k + 1, "C(h,k) step", "h k", h, k + 1))
+    return row
+
+
 def pulled_out_sum(n: int) -> int:
     """sum_{k<n} C(n+2k,3k) C(3k,k)/(2k+1) C(2k,k) (k-n) (-4)^(n-k), the sum
     that the proof of Theorem 1 pulls n C(2n,n) out of.  The term without

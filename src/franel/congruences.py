@@ -16,12 +16,14 @@ import functools
 
 from .combinatorics import (
     InconsistencyError,
+    alternating_row,
     binomial,
     central_binomial,
     central_binomials_upto,
     exact_div,
     franel_upto,
     pulled_out_sum,
+    triple_binomials_upto,
 )
 from .modular import NotCoprimeError, is_prime, mod_inverse
 from .reports import Report, divisibility_report
@@ -61,6 +63,12 @@ def family_sum(a: int, b: int, c: int, n: int) -> int:
     walks fewer than _FAMILY_STRIDE steps from the checkpoint at or below
     it.  A base holds four big ints per checkpoint, about 4n/_FAMILY_STRIDE.
     """
+    u, v = _family_walk(c, n)
+    return a * u + b * v
+
+
+def _family_walk(c: int, n: int) -> tuple[int, int]:
+    """(U_n, V_n) of the base c walk that family_sum describes."""
     if n < 0:
         raise ValueError(f"family_sum: n must be nonnegative, got {n}")
     checkpoints, j, state = _FAMILY_CACHE.get(c) or ([_FAMILY_START], 0, _FAMILY_START)
@@ -83,7 +91,7 @@ def family_sum(a: int, b: int, c: int, n: int) -> int:
     if ahead:
         checkpoints.extend(passed)
         _FAMILY_CACHE[c] = (checkpoints, n, (u, v, p_prev, p_k))
-    return a * u + b * v
+    return u, v
 
 
 @functools.lru_cache(maxsize=None)
@@ -93,12 +101,12 @@ def inverse_weighted_sum_mod(p: int) -> tuple[int, int]:
         sum (3k+1) C(2k,k) f_k (-16)^(-k)  and  sum C(2k,k) f_k (-16)^(-k),
 
     both mod p^3.  Each sum is family_sum(a, b, -16, p) / (-16)^(p-1) for
-    (a, b) = (3, 1) and (0, 1), so it shares the base -16 walk with
-    Theorem 1 and the reduction chain.  Primes up to P cost one walk to P,
-    plus a walk of fewer than _FAMILY_STRIDE steps from a checkpoint for
-    each prime asked for below the cursor; theorem2, theorem3,
-    conjecture1/2 and the reduction chain, which reduce the pair to p^3,
-    p^2 or p, then read it from this memo.
+    (a, b) = (3, 1) and (0, 1), and both come from one pass of the base -16
+    walk that Theorem 1 and the reduction chain share.  Primes up to P
+    cost one walk to P, plus a walk of fewer than _FAMILY_STRIDE steps from
+    a checkpoint for each prime asked for below the cursor; theorem2,
+    theorem3, conjecture1/2 and the reduction chain, which reduce the pair
+    to p^3, p^2 or p, then read it from this memo.
 
     Raises NotCoprimeError unless p is an odd prime.  (-16)^(p-1) is
     invertible mod p^3 for every odd p, so this is an explicit guard: the
@@ -108,10 +116,8 @@ def inverse_weighted_sum_mod(p: int) -> tuple[int, int]:
         raise NotCoprimeError(f"inverse sums need an odd prime p, got {p}")
     m = p**3
     inv = pow(16, 1 - p, m)  # ((-16)^(p-1))^-1, as p - 1 is even
-    return (
-        family_sum(3, 1, -16, p) * inv % m,
-        family_sum(0, 1, -16, p) * inv % m,
-    )
+    u, v = _family_walk(-16, p)
+    return (3 * u + v) * inv % m, v * inv % m
 
 
 def check_theorem1(n: int) -> Report:
@@ -269,7 +275,7 @@ def check_central_pmod(p: int) -> list[Report]:
     inv4 = mod_inverse(4, p)
     out = []
     power = 1
-    row = 1  # C(half, k), 0 past k = half
+    row = alternating_row(half) + [0] * half  # C(half, k) is 0 past k = half
     cb = central_binomials_upto(p - 1)
     for k in range(p):
         out.append(
@@ -278,11 +284,10 @@ def check_central_pmod(p: int) -> list[Report]:
                 params={"p": p, "k": k},
                 modulus=p,
                 lhs=cb[k] * power % p,
-                rhs=(-1) ** k * row % p,
+                rhs=row[k] % p,
             )
         )
         power = power * inv4 % p
-        row = exact_div(row * (half - k), k + 1, "C(half,k) step", "p k", p, k + 1)
     return out
 
 
@@ -303,7 +308,7 @@ def check_final_reflect(p: int) -> list[Report]:
     _require_odd_prime(p)
     half = (p - 1) // 2
     out = []
-    c3 = binomial(3 * half, half)  # C(3j, j) at j = half - k, stepped down in j
+    c3 = triple_binomials_upto(half)
     for k in range(half + 1):
         j = half - k
         out.append(
@@ -312,12 +317,8 @@ def check_final_reflect(p: int) -> list[Report]:
                 params={"p": p, "k": k},
                 modulus=p,
                 lhs=binomial(2 * k, j) % p,
-                rhs=(-1) ** j * c3 % p,
+                rhs=(-1) ** j * c3[j] % p,
             )
-        )
-        c3 = exact_div(
-            c3 * 2 * j * (2 * j - 1), 3 * (3 * j - 1) * (3 * j - 2),
-            "C(3j,j) step", "p j", p, j - 1,
         )
     return out
 
@@ -329,23 +330,11 @@ def check_final_reflect(p: int) -> list[Report]:
 def final3_rhs_terms(p: int) -> list[int]:
     """Exact terms (-1)^k C(half,k) C(3k,k) C(3(half-k), half-k) of the
     reflected half-range sum equivalent (mod p) to the unweighted inverse
-    sum, for k = 0..half with half = (p-1)/2.  C(half,k) is stepped in k,
-    and the column C(3j,j), j = 0..half, read at j = k and at half - k."""
+    sum, for k = 0..half with half = (p-1)/2.  The column C(3j,j),
+    j = 0..half, is read at j = k and at half - k."""
     half = (p - 1) // 2
-    c3 = [1]  # C(3j, j)
-    for j in range(half):
-        c3.append(
-            exact_div(
-                c3[-1] * 3 * (3 * j + 1) * (3 * j + 2), 2 * (j + 1) * (2 * j + 1),
-                "C(3j,j) step", "p j", p, j + 1,
-            )
-        )
-    terms = []
-    row = 1  # (-1)^k C(half, k)
-    for k in range(half + 1):
-        terms.append(row * c3[k] * c3[half - k])
-        row = exact_div(-row * (half - k), k + 1, "C(half,k) step", "p k", p, k + 1)
-    return terms
+    c3 = triple_binomials_upto(half)
+    return [row * c3[k] * c3[half - k] for k, row in enumerate(alternating_row(half))]
 
 
 def check_reduction_chain(p: int) -> list[Report]:
@@ -415,10 +404,9 @@ def check_reduction_chain(p: int) -> list[Report]:
     )
 
     acc = 0
-    row = 1  # (-1)^k C(half, k)
+    row = alternating_row(half)  # (-1)^k C(half, k)
     for k in range(half):
-        acc = (acc + row * p * mod_inverse(2 * k + 1, m2)) % m2
-        row = exact_div(-row * (half - k), k + 1, "C(half,k) step", "p k", p, k + 1)
+        acc = (acc + row[k] * p * mod_inverse(2 * k + 1, m2)) % m2
     line3 = (neg4_half + inv4_pow * acc) % m2
     reports.append(
         Report(

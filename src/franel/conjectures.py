@@ -9,12 +9,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .combinatorics import (
-    binomial_generalized,
-    central_binomial,
-    exact_div,
-    franel_upto,
-)
+from .combinatorics import central_binomial, exact_div, franel_upto
 from .congruences import family_sum, inverse_weighted_sum_mod
 from .modular import is_prime, legendre_symbol, two_squares_decompose
 from .reports import Report, divisibility_report
@@ -150,7 +145,9 @@ def third_conjecture_grid(
 
     A tuple's sum is sum_k prefix(k) * w(k) * c_a(k) mod n^2, where prefix
     is the product column of the tuple without its last multiplier a and
-    c_a is a's factor column.  The 2 * len(a_values) residues
+    c_a is a's factor column.  A prefix is extended by the signed column
+    (-1)^k c_a(k), so a prefix of odd length carries the (-1)^k that a
+    tuple of even length needs.  The 2 * len(a_values) residues
     w(k) * c_a(k) mod n^2 of each k are packed into one int as base-2^width
     digits, so one dot product of a prefix column with the packed rows
     gives the sums of every one-multiplier extension of that prefix.
@@ -161,12 +158,12 @@ def third_conjecture_grid(
     m2 = n * n
     f = franel_upto(n - 1)
     cols1 = {a: product_factor_columns(a, n, m2) for a in a_values}
-    # weight-and-franel columns; the _alt variants carry the (-1)^k that
-    # appears for even tuple length
+    signed = {
+        a: [c if k % 2 == 0 else -c % m2 for k, c in enumerate(col)]
+        for a, col in cols1.items()
+    }
     w_lin = [(3 * k + 2) * f[k] % m2 for k in range(n)]
     w_quad = [(9 * k * k + 5 * k) * f[k] % m2 for k in range(n)]
-    w_lin_alt = [w if k % 2 == 0 else -w % m2 for k, w in enumerate(w_lin)]
-    w_quad_alt = [w if k % 2 == 0 else -w % m2 for k, w in enumerate(w_quad)]
 
     # Digit bound: a digit of a dot product is a sum of n products of two
     # residues in [0, n^2 - 1], so it is at most n * (n^2 - 1)^2 < 2^width
@@ -174,23 +171,17 @@ def third_conjecture_grid(
     width = max(1, (n * (n * n - 1) ** 2).bit_length())
     mask = (1 << width) - 1
 
-    def packed_rows(wl: list[int], wq: list[int]) -> list[int]:
-        """Per k, the residues wl(k) c_a(k) and wq(k) c_a(k) for each a in
-        turn, as base-2^width digits from the lowest up."""
-        rows = [0] * n
-        shift = 0
-        for a in a_values:
-            for w in (wl, wq):
-                rows = [r | (x * c % m2) << shift for r, x, c in zip(rows, w, cols1[a])]
-                shift += width
-        return rows
-
-    rows_odd = packed_rows(w_lin, w_quad)
-    rows_even = packed_rows(w_lin_alt, w_quad_alt)
+    # per k, the residues w_lin(k) c_a(k) and w_quad(k) c_a(k) for each a in
+    # turn, as base-2^width digits from the lowest up
+    rows = [0] * n
+    shift = 0
+    for a in a_values:
+        for w in (w_lin, w_quad):
+            rows = [r | (x * c % m2) << shift for r, x, c in zip(rows, w, cols1[a])]
+            shift += width
 
     prefixes: list[tuple[tuple[int, ...], list[int]]] = [((), [1] * n)]
     for m in range(1, m_max + 1):
-        rows = rows_odd if m % 2 == 1 else rows_even
         longer = []
         for tup, col in prefixes:
             t = sum(map(operator.mul, col, rows))
@@ -201,30 +192,28 @@ def third_conjecture_grid(
                 out.append(_grid_report("quadratic", m, ext, n, (t & mask) % m2, m2))
                 t >>= width
                 if m < m_max:
-                    longer.append((ext, [x * y % m2 for x, y in zip(col, cols1[a])]))
+                    longer.append((ext, [x * y % m2 for x, y in zip(col, signed[a])]))
         prefixes = longer
     return out
 
 
-def check_product_note(p: int, a: int, k: int) -> Report:
-    """C(a*p-1, k) * C(a*p+k, k) = (-1)^k mod p^2 for 0 <= k <= p-1."""
+def check_product_note(p: int) -> list[Report]:
+    """C(a*p-1, k) * C(a*p+k, k) = (-1)^k mod p^2 for a = 1..5 and
+    0 <= k <= p-1, each lhs read from a's factor column at n = p."""
     if not is_prime(p) or p == 2:
         raise ValueError(f"need an odd prime, got {p}")
-    if not 0 <= k <= p - 1:
-        raise ValueError(f"need 0 <= k <= p-1, got k={k}")
     m = p * p
-    lhs = (
-        binomial_generalized(a * p - 1, k)
-        * binomial_generalized(a * p + k, k)
-        % m
-    )
-    return Report(
-        statement="product_note",
-        params={"p": p, "a": a, "k": k},
-        modulus=m,
-        lhs=lhs,
-        rhs=(-1) ** k % m,
-    )
+    return [
+        Report(
+            statement="product_note",
+            params={"p": p, "a": a, "k": k},
+            modulus=m,
+            lhs=lhs,
+            rhs=(-1) ** k % m,
+        )
+        for a in range(1, 6)
+        for k, lhs in enumerate(product_factor_columns(a, p, m))
+    ]
 
 
 _ZW_WEIGHTS = {

@@ -20,6 +20,7 @@ from .combinatorics import (
     partial_fraction_sides,
     pulled_out_sum,
     recurrence_rhs,
+    triple_binomials_upto,
 )
 from .reports import Report
 
@@ -128,11 +129,12 @@ def check_integrality(n: int) -> Report:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     cb = central_binomials_upto(n - 1)
-    # C(3k,k) and C(3k,k-1), each stepped in k by its own ratio, so that (a)
-    # compares two independent columns; C(3k,k-1) is 0 at k = 0, and its
-    # steps start from C(3,0) = 1 at k = 1
-    c3k, c3k_1 = 1, 0
-    for k in range(n):
+    # C(3k,k) from its column and C(3k,k-1) stepped here by its own ratio,
+    # so that (a) compares two independent columns; C(3k,k-1) is 0 at k = 0,
+    # and its steps start from C(3,0) = 1 at k = 1
+    c3 = triple_binomials_upto(n - 1)
+    c3k_1 = 0
+    for k, c3k in enumerate(c3):
         q, r = divmod(c3k, 2 * k + 1)
         alt = c3k - 2 * c3k_1
         if r != 0 or q != alt:
@@ -146,10 +148,6 @@ def check_integrality(n: int) -> Report:
                 statement="integrality", params={"n": n, "k": k, "part": "b"},
                 lhs=num % 8, rhs=0,
             )
-        c3k = exact_div(
-            c3k * 3 * (3 * k + 1) * (3 * k + 2), 2 * (k + 1) * (2 * k + 1),
-            "C(3k,k) step", "k", k + 1,
-        )
         if k:
             c3k_1 = exact_div(
                 c3k_1 * 3 * (3 * k + 1) * (3 * k + 2), 2 * k * (2 * k + 3),

@@ -62,14 +62,6 @@ def _run_family(triples) -> Callable[[int], list[Report]]:
     return lambda n: [conjectures.check_family(t, n) for t in triples]
 
 
-def _run_product_note(p: int) -> list[Report]:
-    return [
-        conjectures.check_product_note(p, a, k)
-        for a in range(1, 6)
-        for k in range(p)
-    ]
-
-
 STATEMENTS: dict[str, Statement] = {
     s.id: s
     for s in [
@@ -122,7 +114,7 @@ STATEMENTS: dict[str, Statement] = {
         Statement("third_conjecture", "n", (1, 120),
                   conjectures.third_conjecture_grid,
                   _need(1, "third conjecture")),
-        Statement("product_note", "p", (3, 47), _run_product_note,
+        Statement("product_note", "p", (3, 47), conjectures.check_product_note,
                   _skip_if(lambda p: p == 2, "p must be odd")),
         Statement("zw_guo", "n", (1, 500),
                   _single(lambda n: conjectures.check_zw_sun(n, "guo")),

@@ -154,6 +154,24 @@ def product_factor_columns_comb(a: int, n: int, modulus: int) -> list[int]:
     ]
 
 
+def product_note_comb(p: int, a: int, k: int) -> Report:
+    """One record of conjectures.check_product_note(p), its product taken
+    from two generalized binomials rather than from a's factor column."""
+    m = p * p
+    lhs = (
+        binomial_generalized(a * p - 1, k)
+        * binomial_generalized(a * p + k, k)
+        % m
+    )
+    return Report(
+        statement="product_note",
+        params={"p": p, "a": a, "k": k},
+        modulus=m,
+        lhs=lhs,
+        rhs=(-1) ** k % m,
+    )
+
+
 def multinomial_lhs_comb(p: int) -> list[int]:
     """The lhs column of congruences.check_multinomial(p), in record order."""
     m = p * p

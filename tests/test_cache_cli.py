@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from franel import congruences, harness, registry
+from franel import cli, congruences, harness, registry
 from franel.cache import CacheError, load_table, store_table
 from franel.cli import main
 from franel.combinatorics import build_franel_table, franel
@@ -125,6 +125,21 @@ class TestComputeCommand:
              "--route", "direct,strehl,recurrence,sun-expansion", "--cross-check"]
         )
         assert rc == 0
+
+    def test_builds_only_the_tables_it_prints(self, monkeypatch, capsys):
+        built = []
+
+        def build(n_max, route):
+            built.append(route)
+            return build_franel_table(n_max, route)
+
+        monkeypatch.setattr(cli, "build_franel_table", build)
+        routes = ["compute", "--n-range", "0..3", "--route", "strehl,direct"]
+        assert main(routes) == 0
+        assert capsys.readouterr().out.splitlines() == ["0 1", "1 2", "2 10", "3 56"]
+        assert built == ["strehl"]
+        assert main(routes + ["--cross-check"]) == 0
+        assert built == ["strehl", "strehl", "direct"]
 
     def test_cache_write(self, tmp_path, capsys):
         path = str(tmp_path / "cache.txt")

@@ -341,6 +341,25 @@ def test_inverse_walk_matches_residue_route(order, residue_pairs, monkeypatch):
         assert inverse_weighted_sum_mod(p) == residue_pairs[p], p
 
 
+def test_inverse_sums_share_one_walk(monkeypatch):
+    # 89 is below the cursor at 97, so both sums of the pair come from one
+    # walk of 25 steps from the checkpoint at 64
+    monkeypatch.setattr(congruences, "_FAMILY_CACHE", {})
+    inverse_weighted_sum_mod.cache_clear()
+    inverse_weighted_sum_mod(97)
+    steps = []
+    exact_div = congruences.exact_div
+
+    def counting(num, den, what, *rest):
+        if what == "C(2k,k) f_k recurrence":
+            steps.append(rest)
+        return exact_div(num, den, what, *rest)
+
+    monkeypatch.setattr(congruences, "exact_div", counting)
+    inverse_weighted_sum_mod(89)
+    assert len(steps) == 89 - 64
+
+
 def test_inverse_walk_steps_central_binomial_times_franel(monkeypatch):
     # at c = 0 only the k = n-1 term is left, with weight b = 1
     monkeypatch.setattr(congruences, "_FAMILY_CACHE", {})

@@ -208,14 +208,15 @@ class TestThirdConjectureKernel:
 
     @pytest.mark.parametrize("n", [3, 9, 27, 81])
     def test_digits_at_their_bound(self, n, monkeypatch):
-        # Worst-case residues: every factor column is -1 and the Franel
-        # column makes each even-length linear weight (-1)^k (3k+2) f_k equal
-        # 1 mod n^2 (3k+2 is a unit there when n is a power of 3), so every
-        # length-2 linear sum is n * (n^2 - 1)^2, the digit bound itself.
+        # Worst-case residues: every factor column is (-1)^(k+1), so its
+        # signed column (-1)^k c_a(k) is -1, and the Franel column makes each
+        # linear weight (3k+2) f_k equal (-1)^k mod n^2 (3k+2 is a unit there
+        # when n is a power of 3), so each packed linear digit is -1 too and
+        # every length-2 linear sum is n * (n^2 - 1)^2, the digit bound itself.
         m2 = n * n
 
         def columns(a, size, modulus):
-            return [modulus - 1] * size
+            return [(-1) ** (k + 1) % modulus for k in range(size)]
 
         def franel(top):
             return [(-1) ** k * pow(3 * k + 2, -1, m2) for k in range(top + 1)]
@@ -241,24 +242,28 @@ class TestThirdConjectureKernel:
 
 
 class TestProductNote:
+    @staticmethod
+    def _by_a_k(p):
+        return {(r.params["a"], r.params["k"]): r for r in check_product_note(p)}
+
     def test_examples(self):
-        r = check_product_note(3, 1, 1)
+        r = self._by_a_k(3)[1, 1]
         assert r.passed and r.lhs == 8 % 9 and r.rhs == -1 % 9
         for p, a in [(3, 1), (5, 2), (7, 5)]:
-            assert check_product_note(p, a, 0).lhs == 1
-        assert check_product_note(5, 2, 3).passed
+            assert self._by_a_k(p)[a, 0].lhs == 1
+        assert self._by_a_k(5)[2, 3].passed
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
-            check_product_note(5, 1, 5)
-        with pytest.raises(ValueError):
-            check_product_note(4, 1, 0)
+            check_product_note(4)
 
     def test_sweep(self):
         for p in primes_in_range(3, 50):
-            for a in range(1, 6):
-                for k in range(p):
-                    assert check_product_note(p, a, k).passed, (p, a, k)
+            reports = check_product_note(p)
+            assert [(r.params["a"], r.params["k"]) for r in reports] == [
+                (a, k) for a in range(1, 6) for k in range(p)
+            ], p
+            assert all(r.passed for r in reports), p
 
     def test_cross_check_product_free_form_at_prime_n(self):
         # at prime n the product factors reduce to (-1)^k mod n^2, so the

@@ -11,10 +11,13 @@ import oracles
 from franel import combinatorics, congruences, conjectures, identities
 from franel.combinatorics import (
     InconsistencyError,
+    alternating_row,
+    binomial,
     franel_strehl,
     franel_sun_expansion,
     macmahon_sides,
     pulled_out_sum,
+    triple_binomials_upto,
 )
 from franel.congruences import (
     check_central_pmod,
@@ -23,10 +26,11 @@ from franel.congruences import (
     check_reduction_chain,
     final3_rhs_terms,
 )
-from franel.conjectures import product_factor_columns
+from franel.conjectures import check_product_note, product_factor_columns
 from franel.identities import check_summation_lemma, induction_lhs
 from franel.modular import primes_in_range
 from franel.registry import MACMAHON_POINTS
+from franel.reports import to_json_line
 
 ODD_PRIMES = primes_in_range(3, 499)
 
@@ -47,15 +51,34 @@ def test_macmahon_sides():
             assert macmahon_sides(n, x) == oracles.macmahon_sides_comb(n, x), (n, x)
 
 
+def test_shared_columns():
+    # (half, k) <= 249 covers the primes up to 499 that the sweep runs
+    assert triple_binomials_upto(249) == [binomial(3 * k, k) for k in range(250)]
+    for h in range(250):
+        assert alternating_row(h) == [
+            (-1) ** k * binomial(h, k) for k in range(h + 1)
+        ], h
+
+
 def test_factor_columns():
     # a modulus far above |C(an-1,k) C(an+k,k)| compares the exact products;
-    # n^2 is the modulus the third-conjecture grid uses
-    for a in range(-3, 4):
-        for n in range(1, 121):
-            for modulus in (n * n, 1 << 2048):
-                assert product_factor_columns(a, n, modulus) == (
-                    oracles.product_factor_columns_comb(a, n, modulus)
-                ), (a, n, modulus)
+    # n^2 is the modulus the third-conjecture grid and the product note use
+    cases = [(a, n) for a in range(-3, 4) for n in range(1, 121)]
+    cases += [(a, p) for a in (4, 5) for p in primes_in_range(3, 47)]
+    for a, n in cases:
+        for modulus in (n * n, 1 << 2048):
+            assert product_factor_columns(a, n, modulus) == (
+                oracles.product_factor_columns_comb(a, n, modulus)
+            ), (a, n, modulus)
+
+
+def test_product_note():
+    for p in primes_in_range(3, 47):
+        assert list(map(to_json_line, check_product_note(p))) == [
+            to_json_line(oracles.product_note_comb(p, a, k))
+            for a in range(1, 6)
+            for k in range(p)
+        ], p
 
 
 def test_prime_rows():
@@ -99,7 +122,12 @@ def _with_ratio(fn, old: str, new: str):
      (1, 2, 4), "factor column step"),
     (congruences.check_multinomial, "(2 * k - 1) * 2 * k * k,",
      "(2 * k - 1) * 2 * k * k * 1009,", (7,), "multinomial step"),
-], ids=["sun", "strehl", "integrality", "factor-column", "multinomial"])
+    (combinatorics.triple_binomials_upto, "2 * (k + 1) * (2 * k + 1),",
+     "2 * (k + 1) * (2 * k + 1) + 1,", (3,), "C(3k,k) step"),
+    (combinatorics.alternating_row, "(h - k), k + 1,", "(h - k), k + 2,",
+     (3,), "C(h,k) step"),
+], ids=["sun", "strehl", "integrality", "factor-column", "multinomial",
+        "triple-binomial", "alternating-row"])
 def test_inexact_step_raises(fn, old, new, args, what):
     with pytest.raises(InconsistencyError, match=re.escape(what)):
         _with_ratio(fn, old, new)(*args)
