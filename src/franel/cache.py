@@ -2,8 +2,9 @@
 
 Format: ASCII text, a header line ``franel-cache v1 N=<max-index>``
 followed by one ``<n>\\t<decimal f_n>`` record per line, indices contiguous
-from 0, LF line endings.  N and both fields of a record are plain decimals:
-digits only, with no sign, space or ``_``.  Every value is re-validated against the
+from 0, every line (the last one too) ended by LF, and no other line break
+taken.  N and both fields of a record are plain decimals: digits only, with
+no sign, space or ``_``.  Every value is re-validated against the
 recurrence on load, so a corrupt entry is caught, and its line named,
 before it poisons every congruence above it.
 """
@@ -45,12 +46,15 @@ def store_table(path: str, values: tuple[int, ...]) -> None:
 
 def load_table(path: str) -> tuple[int, ...]:
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
+        # newline="" keeps CR bytes, so only LF separates lines
+        with open(path, "r", encoding="ascii", newline="") as fh:
+            lines = fh.read().split("\n")
     except UnicodeDecodeError:
         raise CacheError("non-ASCII bytes") from None
-    if not lines or not lines[0].startswith(HEADER_PREFIX):
+    if not lines[0].startswith(HEADER_PREFIX):
         raise CacheError("missing header")
+    if lines.pop():
+        raise CacheError("no LF at the end of the last line")
     n_field = lines[0][len(HEADER_PREFIX):]
     if not _DECIMAL.fullmatch(n_field):
         raise CacheError("malformed header")

@@ -166,7 +166,8 @@ def check_babbage(p: int) -> list[Report]:
             statement="babbage",
             params={"p": p},
             modulus=m,
-            lhs=binomial(2 * p - 1, p - 1) % m,
+            # C(2p-1, p-1) = C(2p, p)/2
+            lhs=exact_div(central_binomial(p), 2, "C(2p,p)/2", "p", p) % m,
             rhs=1,
         )
     ]
@@ -182,7 +183,7 @@ def check_morley(p: int) -> list[Report]:
             statement="morley",
             params={"p": p},
             modulus=m,
-            lhs=binomial(p - 1, (p - 1) // 2) % m,
+            lhs=central_binomial((p - 1) // 2) % m,
             rhs=(-1) ** ((p - 1) // 2) * pow(4, p - 1, m) % m,
         )
     ]
@@ -243,14 +244,11 @@ def check_half_binom(p: int) -> list[Report]:
     _require_odd_prime(p)
     m = p * p
     k = (p - 1) // 2
-    num = (
-        binomial(p + 2 * k, 3 * k)
-        * binomial(3 * k, k)
-        * binomial(2 * k, k)
-        * (k - p)
-    )
+    cb = central_binomial(k)  # C(2k, k) = C(p-1, k)
+    num = binomial(p + 2 * k, 3 * k) * binomial(3 * k, k) * cb * (k - p)
     term = exact_div(num, 2 * k + 1, "the k=(p-1)/2 term", "p", p)
-    closed = -binomial(2 * p - 1, p - 1) * binomial(p - 1, k) ** 2
+    # C(2p-1, p-1) = C(2p, p)/2
+    closed = -exact_div(central_binomial(p), 2, "C(2p,p)/2", "p", p) * cb**2
     return [
         Report(
             statement="half_binom",
@@ -374,48 +372,28 @@ def check_reduction_chain(p: int) -> list[Report]:
     inv4_pow = pow(inv4, p - 1, m2)  # 4^(1-p)
     neg4_half = pow(-4 % m2, half, m2)
 
-    # line 1 sums over 1 <= k <= (p-3)/2, line 2 over 0 <= k <= (p-3)/2;
-    # both weigh C(2k,k) by 1/((2k+1) 4^k)
-    acc1 = acc2 = 0
-    for k in range(half):
-        term = cb[k] % m2 * mod_inverse((2 * k + 1) * pow(4, k, m2), m2)
-        if k:
-            acc1 = (acc1 + term * (p - p * p * mod_inverse(k, m2))) % m2
-        acc2 = (acc2 + term * p) % m2
-    line1 = (p * inv4_pow + neg4_half + inv4_pow * acc1) % m2
-    line2 = (neg4_half + inv4_pow * acc2) % m2
-    reports.append(
-        Report(
-            statement="chain_newsum2_line1",
-            params={"p": p},
-            modulus=m2,
-            lhs=big_l,
-            rhs=line1,
-        )
-    )
-    reports.append(
-        Report(
-            statement="chain_newsum2_line2",
-            params={"p": p},
-            modulus=m2,
-            lhs=big_l,
-            rhs=line2,
-        )
-    )
-
-    acc = 0
+    # one pass over 0 <= k < half: lines 1 and 2 weigh C(2k,k) by
+    # 1/((2k+1) 4^k), line 1 over k >= 1 with its displayed p^2/k term, and
+    # line 3 weighs (-1)^k C(half, k) by 1/(2k+1)
+    acc1 = acc2 = acc3 = 0
+    inv4_k = 1  # 4^(-k)
     row = alternating_row(half)  # (-1)^k C(half, k)
     for k in range(half):
-        acc = (acc + row[k] * p * mod_inverse(2 * k + 1, m2)) % m2
-    line3 = (neg4_half + inv4_pow * acc) % m2
-    reports.append(
-        Report(
-            statement="chain_newsum3",
-            params={"p": p},
-            modulus=m2,
-            lhs=big_l,
-            rhs=line3,
-        )
+        inv_odd = mod_inverse(2 * k + 1, m2)
+        term = cb[k] % m2 * inv4_k * inv_odd % m2
+        if k:
+            acc1 += term * (p - p * p * mod_inverse(k, m2))
+        acc2 += term * p
+        acc3 += row[k] % m2 * p * inv_odd
+        inv4_k = inv4_k * inv4 % m2
+    lines = {
+        "chain_newsum2_line1": p * inv4_pow + neg4_half + inv4_pow * acc1,
+        "chain_newsum2_line2": neg4_half + inv4_pow * acc2,
+        "chain_newsum3": neg4_half + inv4_pow * acc3,
+    }
+    reports.extend(
+        Report(statement=sid, params={"p": p}, modulus=m2, lhs=big_l, rhs=rhs % m2)
+        for sid, rhs in lines.items()
     )
 
     # unweighted inverse sum against the reflected half-range form, mod p

@@ -10,6 +10,7 @@ import math
 from .combinatorics import (
     ROUTES,
     binomial,
+    central_binomial,
     central_binomials_upto,
     exact_div,
     franel,
@@ -85,13 +86,7 @@ def check_induction_identity(n: int, k: int) -> Report:
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     lhs = 8 * (2 * k + 1) * induction_lhs(n, k)
-    rhs = (
-        binomial(2 * n, n)
-        * binomial(n + 2 * k, 3 * k)
-        * n
-        * (k - n)
-        * (-4) ** (n - k)
-    )
+    rhs = central_binomial(n) * binomial(n + 2 * k, 3 * k) * n * (k - n) * (-4) ** (n - k)
     return Report(
         statement="induction", params={"n": n, "k": k}, lhs=lhs, rhs=rhs
     )

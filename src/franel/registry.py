@@ -154,7 +154,7 @@ def cells_for(stmt: Statement, lo: int | None = None, hi: int | None = None) -> 
     lo = d_lo if lo is None else lo
     hi = d_hi if hi is None else hi
     if stmt.kind == "p":
-        return primes_in_range(max(lo, 2), hi) if hi >= 2 else []
+        return primes_in_range(max(lo, 2), hi) if max(lo, 2) <= hi else []
     return list(range(lo, hi + 1))
 
 

@@ -189,6 +189,25 @@ def central_pmod_rhs_comb(p: int) -> list[int]:
     return [(-1) ** k * binomial(half, k) % p for k in range(p)]
 
 
+def chain_newsum2_rhs_comb(p: int) -> tuple[int, int]:
+    """The rhs of the chain_newsum2_line1 and chain_newsum2_line2 records of
+    congruences.check_reduction_chain, from math.comb and a fresh inverse
+    of (2k+1) 4^k mod p^2 per k, in two separate sums."""
+    m2 = p * p
+    half = (p - 1) // 2
+    inv4_pow = pow(mod_inverse(4, m2), p - 1, m2)
+    neg4_half = pow(-4 % m2, half, m2)
+
+    def weight(k: int) -> int:  # C(2k,k) / ((2k+1) 4^k) mod p^2
+        return binomial(2 * k, k) * mod_inverse((2 * k + 1) * 4**k, m2)
+
+    acc1 = sum(weight(k) * (p - p * p * mod_inverse(k, m2)) for k in range(1, half))
+    acc2 = sum(weight(k) * p for k in range(half))
+    line1 = (p * inv4_pow + neg4_half + inv4_pow * acc1) % m2
+    line2 = (neg4_half + inv4_pow * acc2) % m2
+    return line1, line2
+
+
 def chain_newsum3_rhs_comb(p: int) -> int:
     """The rhs of the chain_newsum3 record of congruences.check_reduction_chain."""
     m2 = p * p

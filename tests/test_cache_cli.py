@@ -307,6 +307,7 @@ class TestSweepCommand:
         (["babbage"], {"p_range": (0, 1)}, "'babbage' has no cell in p-range 0..1"),
         (["theorem3"], {"p_range": (24, 28)}, "'theorem3' has no cell in p-range 24..28"),
         (["theorem1", "theorem3"], {"p_range": (24, 28)}, "'theorem3' has no cell"),
+        (["theorem2"], {"p_range": (10, 5)}, "'theorem2' has no cell in p-range 10..5"),
         (None, {"p_range": (0, 1)}, "'babbage' has no cell in p-range 0..1"),
         (["strehl"], {"workers": 0}, "workers must be positive"),
         (["strehl"], {"fmt": "xml"}, "unknown format 'xml'"),
@@ -317,7 +318,7 @@ class TestSweepCommand:
         ("theorem1", {"n_range": (5, 6)},
          "statement_ids must be a list of ids, not the string 'theorem1'"),
     ], ids=["empty", "unknown", "n-unused", "p-unused", "n-unused-pair",
-            "p-unused-quiet", "no-prime", "no-prime-gap", "subset", "grid",
+            "p-unused-quiet", "no-prime", "no-prime-gap", "subset", "reversed-p", "grid",
             "workers", "format", "repeated", "negative-n-pass", "negative-n-raise",
             "bare-string"])
     def test_library_usage_error_before_output(self, ids, kwargs, message, inline_pool):
@@ -619,6 +620,25 @@ class TestCacheCommand:
         # each file holds f_0..f_2 = 1, 2, 10 as int() reads them
         path = tmp_path / "cache.txt"
         path.write_text("\n".join([f"franel-cache v1 {header}", *records]) + "\n")
+        with pytest.raises(CacheError, match=error):
+            load_table(str(path))
+        assert main(["cache", "--cache", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: corrupt cache: ")
+
+    @pytest.mark.parametrize("text, error", [
+        ("franel-cache v1 N=2\r\n0\t1\r\n1\t2\r\n2\t10\r\n", "malformed header"),
+        ("franel-cache v1 N=2\r0\t1\r1\t2\r2\t10\r", "no LF at the end"),
+        ("franel-cache v1 N=2\n0\t1\x0b1\t2\n2\t10\n", "expected 3 records, found 2"),
+        ("franel-cache v1 N=2\n0\t1\n1\t2\x1c2\t10\n", "expected 3 records, found 2"),
+        ("franel-cache v1 N=2\n0\t1\n1\t2\n2\t10", "no LF at the end"),
+    ], ids=["crlf", "cr", "vertical-tab", "file-separator", "no-final-lf"])
+    def test_line_break_other_than_lf_exits_1(self, text, error, tmp_path, capsys):
+        # each file holds f_0..f_2 = 1, 2, 10 if any line break were taken
+        path = tmp_path / "cache.txt"
+        path.write_bytes(text.encode("ascii"))
         with pytest.raises(CacheError, match=error):
             load_table(str(path))
         assert main(["cache", "--cache", str(path)]) == 1

@@ -88,8 +88,10 @@ def test_prime_rows():
         assert [r.rhs for r in check_central_pmod(p)] == oracles.central_pmod_rhs_comb(p)
         assert [r.rhs for r in check_final_reflect(p)] == oracles.final_reflect_rhs_comb(p)
         assert final3_rhs_terms(p) == oracles.final3_rhs_terms_comb(p), p
-        (newsum3,) = (r for r in check_reduction_chain(p) if r.statement == "chain_newsum3")
-        assert newsum3.rhs == oracles.chain_newsum3_rhs_comb(p), p
+        chain = {r.statement: r.rhs for r in check_reduction_chain(p)}
+        assert (chain["chain_newsum2_line1"], chain["chain_newsum2_line2"]) == (
+            oracles.chain_newsum2_rhs_comb(p)), p
+        assert chain["chain_newsum3"] == oracles.chain_newsum3_rhs_comb(p), p
 
 
 def test_induction_and_summation_lemma():
