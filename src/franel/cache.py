@@ -15,6 +15,7 @@ import re
 import tempfile
 
 from .combinatorics import recurrence_rhs
+from .reports import long_decimals
 
 HEADER_PREFIX = "franel-cache v1 N="
 # checked before int(), which also takes whitespace, a sign and "_"
@@ -33,7 +34,7 @@ def store_table(path: str, values: tuple[int, ...]) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=".franel-cache-", dir=directory)
     try:
-        with os.fdopen(fd, "w", encoding="ascii", newline="\n") as fh:
+        with os.fdopen(fd, "w", encoding="ascii", newline="\n") as fh, long_decimals():
             fh.write(f"{HEADER_PREFIX}{len(values) - 1}\n")
             for n, value in enumerate(values):
                 fh.write(f"{n}\t{value}\n")
@@ -66,16 +67,17 @@ def load_table(path: str) -> tuple[int, ...]:
             f"expected {n_max + 1} records, found {len(records)}"
         )
     values: list[int] = []
-    for i, line in enumerate(records):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise CacheError(f"malformed record (line {i + 2})")
-        if not all(_DECIMAL.fullmatch(part) for part in parts):
-            raise CacheError(f"non-decimal record (line {i + 2})")
-        idx, value = int(parts[0]), int(parts[1])
-        if idx != i:
-            raise CacheError(f"non-contiguous index {idx} (line {i + 2})")
-        values.append(value)
+    with long_decimals():
+        for i, line in enumerate(records):
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise CacheError(f"malformed record (line {i + 2})")
+            if not all(_DECIMAL.fullmatch(part) for part in parts):
+                raise CacheError(f"non-decimal record (line {i + 2})")
+            idx, value = int(parts[0]), int(parts[1])
+            if idx != i:
+                raise CacheError(f"non-contiguous index {idx} (line {i + 2})")
+            values.append(value)
 
     # seed values, then every recurrence step; line n + 2 holds f_n
     if values[0] != 1:

@@ -7,21 +7,22 @@ it works out each requested statement's cells once, and raises UsageError
 The grid is cut into jobs (one per cell serially, otherwise about four
 per worker and statement).  Each job counts its records by verdict and
 serializes them in the process that computed them, so a pool sends back
-text and counts, never report objects.  The parent only adds up counts
-and writes each job's text with one call as soon as the job finishes, and
-keeps no finished job's result, so a serial sweep holds one cell's
-records at a time.
+text and counts, never report objects.  The parent takes the jobs' results
+in the order it made the jobs, at any worker count: it adds up counts and
+writes each job's text with one call.  A serial sweep holds one cell's
+records at a time; a pool's parent holds a finished job's text only until
+every job before it is written.
 
 Workers share nothing mutable; each process rebuilds the (cheap) Franel and
-central-binomial caches on first use.  Summaries are count aggregates and
-therefore identical for any worker count; so is the sorted multiset of
-record lines, though their order differs under workers > 1.
+central-binomial caches on first use.  The record stream, the summary and
+the first failing line are therefore identical for any worker count.
 
 The process pool (concurrent.futures and multiprocessing) is imported only
 when a pool starts, so a serial sweep never loads it.
 """
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, TextIO
 
 from . import registry
@@ -34,9 +35,9 @@ def _empty_counts() -> dict:
 
 def _run_job(
     statement_id: str, cells: list[int], fmt: str, stream: bool
-) -> tuple[dict, str, str | None]:
-    """Run one job: (counts by verdict, its record lines as one string,
-    empty unless stream, and its first failing line or None)."""
+) -> tuple[str, dict, str, str | None]:
+    """Run one job: (statement id, counts by verdict, its record lines as
+    one string, empty unless stream, and its first failing line or None)."""
     reports = registry.run_cells(statement_id, cells)
     counts = _empty_counts()
     first_failure = None
@@ -55,7 +56,7 @@ def _run_job(
             lines.append(serialize(reports.pop(), fmt))
         lines.append("")  # a newline after the last line too
         text = "\n".join(lines)
-    return counts, text, first_failure
+    return statement_id, counts, text, first_failure
 
 
 class UsageError(ValueError):
@@ -83,9 +84,9 @@ def run_sweep(
 
     Returns {"statements": {id: {pass, fail, skipped}}, "total": {...},
     "first_failure": line or None}, where first_failure is the first
-    failing record of the first job that has one, serialized in fmt.
-    When out is given, every record is written to it as a line in fmt
-    (order unspecified under workers > 1).
+    failing record of the stream, serialized in fmt.  When out is given,
+    every record is written to it as a line in fmt; the stream is the same,
+    byte for byte, at any worker count.
     """
     if workers < 1:
         raise UsageError("workers must be positive")
@@ -134,36 +135,33 @@ def run_sweep(
                 yield sid, cells[i : i + size]
 
     counts: dict[str, dict] = {sid: _empty_counts() for sid, _ in statement_cells}
-    failures: dict[int, str] = {}
     stream = out is not None
 
-    def absorb(index: int, sid: str, result: tuple[dict, str, str | None]) -> None:
-        job_counts, text, first_failure = result
-        for key, value in job_counts.items():
-            counts[sid][key] += value
-        if text:
-            out.write(text)
-        if first_failure is not None:
-            failures[index] = first_failure
+    def absorb(results: Iterable[tuple[str, dict, str, str | None]]) -> str | None:
+        # the one result loop, over the jobs in the order jobs() made them
+        first_failure = None
+        for sid, job_counts, text, failure in results:
+            for key, value in job_counts.items():
+                counts[sid][key] += value
+            if text:
+                out.write(text)
+            if first_failure is None:
+                first_failure = failure
+        return first_failure
 
     if workers == 1:
-        for index, (sid, chunk) in enumerate(jobs()):
-            absorb(index, sid, _run_job(sid, chunk, fmt, stream))
+        first_failure = absorb(_run_job(sid, chunk, fmt, stream) for sid, chunk in jobs())
     else:
         # imported only here, so that a serial sweep never loads the pool
         # stack (multiprocessing, socket, selectors, pickle, logging)
-        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures import ProcessPoolExecutor
 
-        pool_jobs = list(jobs())
+        sids, chunks = zip(*jobs())
         # the fork start method forks every worker at the first submit
-        with ProcessPoolExecutor(max_workers=min(workers, len(pool_jobs))) as pool:
-            futures = {
-                pool.submit(_run_job, sid, chunk, fmt, stream): (index, sid)
-                for index, (sid, chunk) in enumerate(pool_jobs)
-            }
-            for fut in as_completed(futures):
-                # pop, so that no finished job's text stays referenced
-                absorb(*futures.pop(fut), fut.result())
+        with ProcessPoolExecutor(max_workers=min(workers, len(sids))) as pool:
+            first_failure = absorb(
+                pool.map(_run_job, sids, chunks, repeat(fmt), repeat(stream))
+            )
 
     total = _empty_counts()
     for c in counts.values():
@@ -172,5 +170,5 @@ def run_sweep(
     return {
         "statements": {sid: counts[sid] for sid in sorted(counts)},
         "total": total,
-        "first_failure": failures[min(failures)] if failures else None,
+        "first_failure": first_failure,
     }

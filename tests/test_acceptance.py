@@ -185,10 +185,12 @@ def test_criterion_harness_determinism_and_cache(tmp_path):
     assert s1 == s8
     assert s1["total"]["fail"] == 0
 
-    # the serial stream, byte for byte and in order
-    assert hashlib.sha256(streams[1].getvalue().encode()).hexdigest() == (
-        "a63854d0ee24de150e5074320a3c275f50c9bd24ed0043675ffe0568d3760fb5"
-    )
+    # the serial stream, byte for byte and in order, and the 8-worker one
+    # is the same stream
+    for stream in streams.values():
+        assert hashlib.sha256(stream.getvalue().encode()).hexdigest() == (
+            "a63854d0ee24de150e5074320a3c275f50c9bd24ed0043675ffe0568d3760fb5"
+        )
 
     # the record lines too, as perfbench digests them: sha256 of the sorted
     # lines, each followed by a newline
