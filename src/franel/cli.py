@@ -2,12 +2,14 @@
 and manage the on-disk Franel cache.
 
 Exit codes: 0 all pass, 1 mathematical failure (or corrupt cache),
-2 usage/configuration error.  Reports stream to stdout, one record per
+2 usage/configuration error, 141 stdout closed by its reader (as in
+`franel sweep | head -1`).  Reports stream to stdout, one record per
 line; diagnostics go to stderr.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .cache import CacheError, load_table, store_table
@@ -18,6 +20,7 @@ from .reports import VERDICTS, long_decimals
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_PIPE = 141  # the status a shell reports for a process stopped by SIGPIPE
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -197,13 +200,24 @@ def _cmd_cache(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # compute and cache print and parse f_n past 4300 digits
-    with long_decimals():
-        if args.command == "compute":
-            return _cmd_compute(args)
-        if args.command in ("verify", "sweep"):
-            return _cmd_sweep(args)
-        return _cmd_cache(args)
+    try:
+        # compute and cache print and parse f_n past 4300 digits
+        with long_decimals():
+            if args.command == "compute":
+                code = _cmd_compute(args)
+            elif args.command in ("verify", "sweep"):
+                code = _cmd_sweep(args)
+            else:
+                code = _cmd_cache(args)
+        sys.stdout.flush()  # here, not at exit, so that a closed stdout is caught
+    except BrokenPipeError:
+        # the reader stopped early, which is not a failure; what is still
+        # buffered for stdout goes to devnull, so the flush at exit is silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
+    return code
 
 
 def entry() -> None:

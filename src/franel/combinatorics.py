@@ -101,24 +101,25 @@ def recurrence_rhs(n: int, f_prev: int, f_n: int) -> int:
     return (7 * n * n + 7 * n + 2) * f_n + 8 * n * n * f_prev
 
 
-def _recurrence_extend(values: list[int], n_max: int) -> None:
-    """Extend a Franel list in place up to index n_max via the recurrence."""
+# shared grow-only table for the recurrence route (cheapest route; used as
+# the workhorse by all sweeps)
+_RECURRENCE_CACHE: list[int] = [1, 2]
+
+
+def _recurrence_extend(n_max: int) -> None:
+    """Extend the shared Franel table up to index n_max via the recurrence."""
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    values = _RECURRENCE_CACHE
     while len(values) <= n_max:
         n = len(values) - 1
         num = recurrence_rhs(n, values[n - 1], values[n])
         values.append(exact_div(num, (n + 1) * (n + 1), "franel recurrence", "n", n + 1))
 
 
-# shared grow-only table for the recurrence route (cheapest route; used as
-# the workhorse by all sweeps)
-_RECURRENCE_CACHE: list[int] = [1, 2]
-
-
 def franel_upto(n_max: int) -> list[int]:
     """f_0..f_n_max by the recurrence route, from a shared cache."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    _recurrence_extend(_RECURRENCE_CACHE, n_max)
+    _recurrence_extend(n_max)
     return _RECURRENCE_CACHE[: n_max + 1]
 
 
@@ -188,7 +189,8 @@ def pulled_out_sum(n: int) -> int:
 
 
 def franel_recurrence(n: int) -> int:
-    return franel_upto(n)[n]
+    _recurrence_extend(n)
+    return _RECURRENCE_CACHE[n]
 
 
 _ROUTE_FN = {
@@ -215,8 +217,6 @@ def build_franel_table(n_max: int, route: str = "recurrence") -> tuple[int, ...]
     """(f_0, ..., f_n_max) by the selected route."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    if route == "recurrence":
-        return tuple(franel_upto(n_max))
     return tuple(franel(n, route) for n in range(n_max + 1))
 
 

@@ -25,19 +25,10 @@ from .combinatorics import (
     pulled_out_sum,
     triple_binomials_upto,
 )
-from .modular import NotCoprimeError, is_prime, mod_inverse
+from .modular import (
+    NotCoprimeError, is_prime, mod_inverse, require_odd_prime, require_prime
+)
 from .reports import Report, divisibility_report
-
-
-def _require_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-
-
-def _require_odd_prime(p: int) -> None:
-    _require_prime(p)
-    if p == 2:
-        raise ValueError("p must be odd")
 
 
 # K: family_sum keeps the walk's state at every K-th step as a checkpoint
@@ -134,7 +125,7 @@ def check_theorem2(p: int) -> Report:
     """(3k+1)-weighted inverse sum against p*(-1)^((p-1)/2), mod p^3."""
     # p = 2 is deliberately not rejected here: -16 has no inverse mod 8, so
     # the sum raises NotCoprimeError, which is the contractual failure mode.
-    _require_prime(p)
+    require_prime(p)
     m = p**3
     lhs = inverse_weighted_sum_mod(p)[0]
     rhs = p * (-1) ** ((p - 1) // 2) % m
@@ -145,7 +136,7 @@ def check_theorem2(p: int) -> Report:
 
 def check_theorem3(p: int) -> Report:
     """Unweighted inverse sum vanishing mod p for p = 3 (mod 4)."""
-    _require_prime(p)
+    require_prime(p)
     if p % 4 != 3:
         raise ValueError(f"need p = 3 (mod 4), got p={p}")
     lhs = inverse_weighted_sum_mod(p)[1] % p
@@ -159,7 +150,7 @@ def check_theorem3(p: int) -> Report:
 
 
 def check_babbage(p: int) -> list[Report]:
-    _require_odd_prime(p)
+    require_odd_prime(p)
     m = p * p
     return [
         Report(
@@ -174,7 +165,7 @@ def check_babbage(p: int) -> list[Report]:
 
 
 def check_morley(p: int) -> list[Report]:
-    _require_odd_prime(p)
+    require_odd_prime(p)
     if p <= 3:
         raise ValueError("morley requires p > 3")
     m = p**3
@@ -190,7 +181,7 @@ def check_morley(p: int) -> list[Report]:
 
 
 def check_jarvis_verrill(p: int) -> list[Report]:
-    _require_odd_prime(p)
+    require_odd_prime(p)
     f = franel_upto(p - 1)
     out = []
     for n in range(p):
@@ -209,7 +200,7 @@ def check_jarvis_verrill(p: int) -> list[Report]:
 def check_multinomial(p: int) -> list[Report]:
     """Two-branch reduction of (p+2k)!/((2k)! k! (p-k)!) mod p^2 for
     1 <= k < p, k != (p-1)/2."""
-    _require_odd_prime(p)
+    require_odd_prime(p)
     if p <= 3:
         raise ValueError("multinomial requires p > 3")
     m = p * p
@@ -241,7 +232,7 @@ def check_multinomial(p: int) -> list[Report]:
 
 def check_half_binom(p: int) -> list[Report]:
     """The k=(p-1)/2 term: exact product shape, then its value mod p^2."""
-    _require_odd_prime(p)
+    require_odd_prime(p)
     m = p * p
     k = (p - 1) // 2
     cb = central_binomial(k)  # C(2k, k) = C(p-1, k)
@@ -268,7 +259,7 @@ def check_half_binom(p: int) -> list[Report]:
 
 
 def check_central_pmod(p: int) -> list[Report]:
-    _require_odd_prime(p)
+    require_odd_prime(p)
     half = (p - 1) // 2
     inv4 = mod_inverse(4, p)
     out = []
@@ -290,11 +281,9 @@ def check_central_pmod(p: int) -> list[Report]:
 
 
 def check_fermat_square(p: int) -> list[Report]:
-    _require_odd_prime(p)
+    require_odd_prime(p)
     m = p * p
-    inv8 = mod_inverse(8, m)
-    inv4 = mod_inverse(4, m)
-    lhs = (pow(2, p - 1, m) + pow(inv8, p - 1, m) - pow(inv4, p - 1, m)) % m
+    lhs = (pow(2, p - 1, m) + pow(8, 1 - p, m) - pow(4, 1 - p, m)) % m
     return [
         Report(
             statement="fermat_square", params={"p": p}, modulus=m, lhs=lhs, rhs=1
@@ -303,7 +292,7 @@ def check_fermat_square(p: int) -> list[Report]:
 
 
 def check_final_reflect(p: int) -> list[Report]:
-    _require_odd_prime(p)
+    require_odd_prime(p)
     half = (p - 1) // 2
     out = []
     c3 = triple_binomials_upto(half)
@@ -338,7 +327,7 @@ def final3_rhs_terms(p: int) -> list[int]:
 def check_reduction_chain(p: int) -> list[Report]:
     """Every displayed intermediate congruence of the two proofs, verified
     numerically and independently (no elided steps reconstructed)."""
-    _require_odd_prime(p)
+    require_odd_prime(p)
     m2 = p * p
     half = (p - 1) // 2
     reports: list[Report] = []
@@ -369,7 +358,7 @@ def check_reduction_chain(p: int) -> list[Report]:
     big_l = r3 // p % m2
 
     inv4 = mod_inverse(4, m2)
-    inv4_pow = pow(inv4, p - 1, m2)  # 4^(1-p)
+    inv4_pow = pow(4, 1 - p, m2)
     neg4_half = pow(-4 % m2, half, m2)
 
     # one pass over 0 <= k < half: lines 1 and 2 weigh C(2k,k) by

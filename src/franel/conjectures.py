@@ -11,7 +11,9 @@ from dataclasses import dataclass
 
 from .combinatorics import central_binomial, exact_div, franel_upto
 from .congruences import family_sum, inverse_weighted_sum_mod
-from .modular import is_prime, legendre_symbol, two_squares_decompose
+from .modular import (
+    legendre_symbol, require_odd_prime, require_prime, two_squares_decompose
+)
 from .reports import Report, divisibility_report
 
 
@@ -45,8 +47,9 @@ NEW2_TRIPLES = (
 
 def check_conjecture1(p: int) -> Report:
     """(3k+1)-weighted inverse sum against p*(-1)^((p-1)/2), mod p^2."""
-    if not is_prime(p) or p <= 3:
-        raise ValueError(f"need a prime p > 3, got {p}")
+    require_prime(p)
+    if p <= 3:
+        raise ValueError(f"need p > 3, got {p}")
     m = p * p
     lhs = inverse_weighted_sum_mod(p)[0] % m
     rhs = p * (-1) ** ((p - 1) // 2) % m
@@ -81,8 +84,7 @@ def conjecture2_target(p: int) -> tuple[int, str]:
 
 
 def check_conjecture2(p: int) -> Report:
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"need an odd prime, got {p}")
+    require_odd_prime(p)
     m = p * p
     lhs = inverse_weighted_sum_mod(p)[1] % m
     target, case = conjecture2_target(p)
@@ -200,8 +202,7 @@ def third_conjecture_grid(
 def check_product_note(p: int) -> list[Report]:
     """C(a*p-1, k) * C(a*p+k, k) = (-1)^k mod p^2 for a = 1..5 and
     0 <= k <= p-1, each lhs read from a's factor column at n = p."""
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"need an odd prime, got {p}")
+    require_odd_prime(p)
     m = p * p
     return [
         Report(

@@ -6,12 +6,14 @@ it works out each requested statement's cells once, and raises UsageError
 
 The grid is cut into jobs (one per cell serially, otherwise about four
 per worker and statement).  Each job counts its records by verdict and
-serializes them in the process that computed them, so a pool sends back
-text and counts, never report objects.  The parent takes the jobs' results
-in the order it made the jobs, at any worker count: it adds up counts and
-writes each job's text with one call.  A serial sweep holds one cell's
-records at a time; a pool's parent holds a finished job's text only until
-every job before it is written.
+serializes them in the process that computed them, as one string joined
+from its lines, so a pool sends back text and counts, never report
+objects.  The parent takes the jobs' results in the order it made the
+jobs, at any worker count: it adds up counts and writes each job's text
+with one call.  A serial sweep holds one cell's records at a time; a
+pool's parent holds a finished job's text only until every job before it
+is written.  If writing fails (a reader that closed stdout, say), the
+pool's jobs not yet started are cancelled, not run.
 
 Workers share nothing mutable; each process rebuilds the (cheap) Franel and
 central-binomial caches on first use.  The record stream, the summary and
@@ -39,24 +41,19 @@ def _run_job(
     """Run one job: (statement id, counts by verdict, its record lines as
     one string, empty unless stream, and its first failing line or None)."""
     reports = registry.run_cells(statement_id, cells)
+    reports.reverse()  # popped one by one: a job never holds all reports and lines
     counts = _empty_counts()
     first_failure = None
-    for r in reports:
+    lines = []
+    while reports:
+        r = reports.pop()
         verdict = r.verdict
         counts[verdict] += 1
         if verdict == "fail" and first_failure is None:
             first_failure = serialize(r, fmt)
-    text = ""
-    if stream and reports:
-        # pop each report as it is serialized, so that a big job does not
-        # hold all its reports and all its lines at once
-        reports.reverse()
-        lines = []
-        while reports:
-            lines.append(serialize(reports.pop(), fmt))
-        lines.append("")  # a newline after the last line too
-        text = "\n".join(lines)
-    return statement_id, counts, text, first_failure
+        if stream:
+            lines.append(serialize(r, fmt) + "\n")
+    return statement_id, counts, "".join(lines), first_failure
 
 
 class UsageError(ValueError):
@@ -158,10 +155,15 @@ def run_sweep(
 
         sids, chunks = zip(*jobs())
         # the fork start method forks every worker at the first submit
-        with ProcessPoolExecutor(max_workers=min(workers, len(sids))) as pool:
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(sids)))
+        try:
             first_failure = absorb(
                 pool.map(_run_job, sids, chunks, repeat(fmt), repeat(stream))
             )
+        finally:
+            # if absorb raised (say, on a closed stdout), drop the jobs not
+            # yet started instead of running the rest of the grid
+            pool.shutdown(cancel_futures=True)
 
     total = _empty_counts()
     for c in counts.values():

@@ -1,4 +1,4 @@
-"""Modular inverses, primes, Legendre symbols, two squares."""
+"""Modular inverses, primes and prime guards, Legendre symbols, two squares."""
 from __future__ import annotations
 
 import math
@@ -46,11 +46,23 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     return [n for n in range(lo, hi + 1) if is_prime(n)]
 
 
+def require_prime(p: int) -> None:
+    """ValueError unless p is prime: the guard of every check on a prime."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+
+
+def require_odd_prime(p: int) -> None:
+    """ValueError unless p is an odd prime."""
+    require_prime(p)
+    if p == 2:
+        raise ValueError("p must be odd")
+
+
 def legendre_symbol(a: int, p: int) -> int:
     """Euler's criterion: 1 for a nonzero square mod p, -1 for a nonsquare,
     0 when p divides a.  p must be an odd prime."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    require_odd_prime(p)
     e = pow(a % p, (p - 1) // 2, p)
     return -1 if e == p - 1 else e
 
@@ -75,8 +87,7 @@ class TwoSquares:
 def two_squares_decompose(p: int) -> TwoSquares:
     """The unique normalized two-square decomposition of a prime p = 1 mod 4,
     by exhaustive search over odd x <= sqrt(p)."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    require_prime(p)
     if p % 4 != 1:
         raise ValueError(f"{p} != 1 (mod 4): no two-square decomposition")
     for x in range(1, math.isqrt(p) + 1, 2):

@@ -147,12 +147,9 @@ def statement_ids() -> list[str]:
     return sorted(STATEMENTS)
 
 
-def cells_for(stmt: Statement, lo: int | None = None, hi: int | None = None) -> list[int]:
-    """The parameter cells of a statement over an (optionally overridden)
-    inclusive range; for "p" statements these are the primes in range."""
-    d_lo, d_hi = stmt.default_range
-    lo = d_lo if lo is None else lo
-    hi = d_hi if hi is None else hi
+def cells_for(stmt: Statement, lo: int, hi: int) -> list[int]:
+    """The parameter cells of a statement over the inclusive range lo..hi;
+    for "p" statements these are the primes in range."""
     if stmt.kind == "p":
         return primes_in_range(max(lo, 2), hi) if max(lo, 2) <= hi else []
     return list(range(lo, hi + 1))

@@ -209,9 +209,9 @@ def test_criterion_harness_determinism_and_cache(tmp_path):
     store_table(path, table)
     assert load_table(path) == table
 
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     lines[3] = lines[3].split("\t")[0] + "\t" + str(int(lines[3].split("\t")[1]) + 1)
-    open(path, "w").write("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n")
     with pytest.raises(CacheError):
         load_table(path)
     _announce("full-sweep summary and record lines identical for 1 and 8 "

@@ -4,14 +4,18 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
 import weakref
 from concurrent.futures import Future
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from franel import cli, congruences, harness, registry
 from franel.cache import CacheError, load_table, store_table
@@ -48,6 +52,11 @@ def inline_pool(monkeypatch):
     return log
 
 
+# digits, the separators and line breaks of the format, and bytes that
+# int() or str.splitlines() read differently from the format
+_EDIT_BYTES = [*(bytes([c]) for c in b"0123456789\t\n\r +-_\x00\x0b\x1c"), "é".encode()]
+
+
 class TestCache:
     def test_roundtrip(self, tmp_path):
         path = str(tmp_path / "cache.txt")
@@ -68,9 +77,9 @@ class TestCache:
     def test_tampered_value_detected(self, tmp_path):
         path = str(tmp_path / "cache.txt")
         store_table(path, build_franel_table(3))
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         lines[3] = "2\t11"
-        open(path, "w").write("\n".join(lines) + "\n")
+        Path(path).write_text("\n".join(lines) + "\n")
         with pytest.raises(CacheError, match="line 4"):
             load_table(path)
 
@@ -107,6 +116,48 @@ class TestCache:
         with pytest.raises(OSError):
             store_table(str(target), build_franel_table(3))
         assert not target.exists()
+
+    @settings(max_examples=200, deadline=None)
+    # a CR in place of, or just before, the header's LF (byte 20), which a
+    # reader with universal newlines would take for a line break
+    @example(edits=[("replace", 20, b"\r")])
+    @example(edits=[("insert", 20, b"\r")])
+    @given(st.lists(st.tuples(
+        st.sampled_from(["replace", "insert", "delete"]),
+        st.integers(0, 400),
+        st.sampled_from(_EDIT_BYTES),
+    ), min_size=1, max_size=3))
+    def test_byte_edits_rejected_or_harmless(self, tmp_path_factory, edits):
+        # a cache loads only from a well-formed file with the original values
+        # (after an added leading zero, say); anything else is a CacheError,
+        # which the cache command reports with exit 1
+        table = build_franel_table(12)
+        path = str(tmp_path_factory.mktemp("edits") / "cache.txt")
+        store_table(path, table)
+        data = bytearray(Path(path).read_bytes())
+        for op, at, byte in edits:
+            if op != "insert" and data:
+                del data[at % len(data)]
+            if op != "delete":
+                at %= len(data) + 1
+                data[at:at] = byte
+        Path(path).write_bytes(data)
+        try:
+            loaded = load_table(path)
+        except CacheError:
+            loaded = None
+        lines = data.decode("latin-1").split("\n")
+        header, records, end = lines[0], lines[1:-1], lines[-1]
+        well_formed = (
+            data.isascii() and end == ""
+            and re.fullmatch("franel-cache v1 N=[0-9]+", header) is not None
+            and int(header.split("=")[1]) == len(table) - 1
+            and all(re.fullmatch("[0-9]+\t[0-9]+", line) for line in records)
+            and [tuple(map(int, line.split("\t"))) for line in records]
+            == list(enumerate(table))
+        )
+        assert loaded == (table if well_formed else None)
+        assert main(["cache", "--cache", path]) == (0 if well_formed else 1)
 
 
 class TestComputeCommand:
@@ -210,6 +261,19 @@ class TestVerifyCommand:
         assert by_verdict["skipped"] == ["5", "13", "17"]
         assert "fail" not in by_verdict
 
+    @pytest.mark.parametrize("sid", registry.statement_ids())
+    def test_skip_rule_matches_check_guard(self, sid):
+        # the registry's skip rule and the check's own guard state one
+        # hypothesis twice; a parameter is skipped exactly where the check
+        # raises ValueError (NotCoprimeError, theorem2's at p = 2, is one)
+        stmt = registry.STATEMENTS[sid]
+        for v in range(6) if stmt.kind == "n" else (2, 3, 5, 7, 11, 13):
+            try:
+                runs = all(isinstance(r, Report) for r in stmt.run(v))
+            except ValueError:
+                runs = False
+            assert (stmt.admissible(v) is None) == runs, (sid, v)
+
     @pytest.mark.parametrize("argv", [
         ["verify", "--statements", ","],
         ["sweep", "--statements", ","],
@@ -242,6 +306,55 @@ class TestVerifyCommand:
         out = capsys.readouterr().out.splitlines()
         assert out[0].split("\t")[:2] == ["strehl", "n=0"]
         assert out[-1].startswith("summary\tTOTAL\t")
+
+
+class TestClosedStdout:
+    @pytest.fixture(params=["", "1"], ids=["buffered", "unbuffered"])
+    def cli(self, request):
+        """The CLI's command line and environment, with stdout block-buffered
+        (the default) or unbuffered (PYTHONUNBUFFERED)."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+        env = dict(os.environ, PYTHONUNBUFFERED=request.param,
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        return [sys.executable, "-m", "franel.cli"], env
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--workers", "1"],
+        ["sweep", "--workers", "2"],
+        ["compute", "--n-range", "0..3000"],
+    ], ids=["sweep-serial", "sweep-pool", "compute"])
+    def test_reader_gone_exits_141_quietly(self, cli, argv):
+        # as `franel sweep | head -1`: the reader takes one line and closes
+        # the pipe, which is not a failure (exit 1) and prints no traceback
+        command, env = cli
+        with subprocess.Popen([*command, *argv], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, env=env) as proc:
+            try:
+                assert proc.stdout.readline()
+                proc.stdout.close()
+                _, err = proc.communicate(timeout=120)
+            finally:
+                proc.kill()
+        assert proc.returncode == 141
+        assert b"Traceback" not in err and b"Exception ignored" not in err
+
+    def test_reader_gone_before_a_short_output(self, cli):
+        # a pipe whose read end is closed before the CLI starts: the few
+        # lines of output reach it only when stdout is flushed
+        command, env = cli
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [*command, "verify", "--statements", "theorem1", "--n-range", "2..3"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 141
+        assert b"Traceback" not in done.stderr
+        assert b"Exception ignored" not in done.stderr
 
 
 class TestSweepCommand:
@@ -513,7 +626,8 @@ class TestSweepCommand:
         congruences.inverse_weighted_sum_mod.cache_clear()
         descending = []
         for sid in ids:
-            primes = registry.cells_for(registry.STATEMENTS[sid])[::-1]
+            stmt = registry.STATEMENTS[sid]
+            primes = registry.cells_for(stmt, *stmt.default_range)[::-1]
             descending += map(to_json_line, registry.run_cells(sid, primes))
         assert len(lines[1]) == 14762
         assert lines[1] == lines[2] == sorted(descending)
@@ -587,11 +701,11 @@ class TestCacheCommand:
         # every recurrence step is checked, not a sample of them
         path = str(tmp_path / "cache.txt")
         store_table(path, build_franel_table(999))
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         idx, value = lines[501].split("\t")
         assert idx == "500"
         lines[501] = f"{idx}\t{int(value) + 1}"
-        open(path, "w").write("\n".join(lines) + "\n")
+        Path(path).write_text("\n".join(lines) + "\n")
         with pytest.raises(CacheError, match=r"\(line 502\)"):
             load_table(path)
         assert main(["cache", "--cache", path]) == 1
