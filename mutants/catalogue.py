@@ -1,0 +1,139 @@
+"""The mutation catalogue: source edits that a named test must catch.
+
+Each entry is an exact substitution in one file, old text for new, and
+the pytest target (a file or a node id) that must fail once it is
+applied.  The old text must occur exactly once in its file, so an entry
+goes stale loudly when the code it names changes.  run.py applies the
+entries one at a time to a copy of the tree.
+
+Left out on purpose: the reduction chain's ``pow(4, 1 - p, m2)`` ->
+``pow(4, p - 1, m2)``.  It is an equivalent mutant mod p^2: ``inv4_pow``
+multiplies only p and multiples of p, and 4^(1-p) = 4^(p-1) = 1 (mod p).
+"""
+from __future__ import annotations
+
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    test: str
+
+
+CATALOGUE = (
+    # the one place a hypothesis turns into a skipped record
+    Mutant(
+        "run-cell-catches-any-value-error",
+        "src/franel/registry.py",
+        "    except OutsideHypothesis as exc:",
+        "    except ValueError as exc:",
+        "tests/test_cache_cli.py::TestVerifyCommand",
+    ),
+    # the hypotheses, each stated once, in its check
+    Mutant(
+        "morley-admits-p-3",
+        "src/franel/congruences.py",
+        '    if p <= 3:\n        raise OutsideHypothesis("morley requires p > 3")',
+        '    if p < 3:\n        raise OutsideHypothesis("morley requires p > 3")',
+        "tests/test_congruences.py::TestAuxiliary",
+    ),
+    Mutant(
+        "theorem3-admits-p-2",
+        "src/franel/congruences.py",
+        "    if p % 4 != 3:",
+        "    if p % 4 == 1:",
+        "tests/test_cache_cli.py::TestVerifyCommand::test_skip_rule_matches_check_guard",
+    ),
+    Mutant(
+        "family-admits-n-1",
+        "src/franel/conjectures.py",
+        "    if n < 2:\n        raise OutsideHypothesis(\"outside published claim",
+        "    if n < 1:\n        raise OutsideHypothesis(\"outside published claim",
+        "tests/test_cache_cli.py::TestSweepCommand::test_edge_of_domain_records_pinned",
+    ),
+    Mutant(
+        "central-pmod-reason-reworded",
+        "src/franel/congruences.py",
+        '"central_pmod requires an odd prime"',
+        '"central_pmod requires odd primes"',
+        "tests/test_cache_cli.py::TestSweepCommand::test_edge_of_domain_records_pinned",
+    ),
+    Mutant(
+        "theorem2-at-2-not-coprime-error",
+        "src/franel/congruences.py",
+        "class _NoInverseAtTwo(OutsideHypothesis, NotCoprimeError):",
+        "class _NoInverseAtTwo(OutsideHypothesis):",
+        "tests/test_congruences.py::TestTheorem2",
+    ),
+    # the family walk
+    Mutant(
+        "family-checkpoint-off-by-one",
+        "src/franel/congruences.py",
+        "        if ahead and (k + 1) % _FAMILY_STRIDE == 0:",
+        "        if ahead and k % _FAMILY_STRIDE == 0:",
+        "tests/test_congruences.py",
+    ),
+    # the cache format
+    Mutant(
+        "cache-splits-any-line-break",
+        "src/franel/cache.py",
+        'fh.read().split("\\n")',
+        "fh.read().splitlines()",
+        "tests/test_cache_cli.py::TestCache",
+    ),
+    Mutant(
+        "cache-record-decimal-check-dropped",
+        "src/franel/cache.py",
+        "            if not all(_DECIMAL.fullmatch(part) for part in parts):",
+        "            if False:",
+        "tests/test_cache_cli.py::TestCacheCommand::test_non_decimal_cache_exits_1",
+    ),
+    # the serialized record
+    Mutant(
+        "json-reason-not-escaped",
+        "src/franel/reports.py",
+        """        line += f'"skipped_reason": {_quote(r.skipped_reason)}, '""",
+        """        line += f'"skipped_reason": "{r.skipped_reason}", '""",
+        "tests/test_reports.py",
+    ),
+    Mutant(
+        "json-params-unsorted",
+        "src/franel/reports.py",
+        "    for k in sorted(params):",
+        "    for k in params:",
+        "tests/test_reports.py",
+    ),
+    # request checks, each a contract bug mended once
+    Mutant(
+        "statement-with-no-cell-runs",
+        "src/franel/harness.py",
+        "        if not cells:\n            raise UsageError(",
+        "        if False:\n            raise UsageError(",
+        "tests/test_requests.py",
+    ),
+    Mutant(
+        "repeated-statement-id-runs",
+        "src/franel/harness.py",
+        "        if ids.count(sid) > 1:",
+        "        if False:",
+        "tests/test_requests.py",
+    ),
+    # --help into a closed pipe
+    Mutant(
+        "help-not-flushed-in-try",
+        "src/franel/cli.py",
+        "                sys.stdout.flush()\n        # compute and cache",
+        "                pass\n        # compute and cache",
+        "tests/test_cache_cli.py::TestClosedStdout::test_help_into_closed_pipe",
+    ),
+    Mutant(
+        "help-write-error-dropped",
+        "src/franel/cli.py",
+        "        if file is not None:\n            file.write(self.format_help())",
+        "        if file is not None:\n            super().print_help(file)",
+        "tests/test_cache_cli.py::TestClosedStdout::test_help_into_closed_pipe",
+    ),
+)

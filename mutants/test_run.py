@@ -1,0 +1,48 @@
+"""Checks of the mutation runner itself.
+
+    python3 -m pytest mutants
+
+A stale entry and a surviving mutant each fail the runner; every entry of
+the catalogue is current.
+"""
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+from catalogue import CATALOGUE, Mutant
+
+# loaded under its own name: perfbench/run.py is imported as "run"
+_spec = importlib.util.spec_from_file_location(
+    "mutants_run", Path(__file__).resolve().parent / "run.py")
+runner = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(runner)
+
+
+def test_catalogue_is_current():
+    assert runner.stale(CATALOGUE) == []
+    assert len({m.name for m in CATALOGUE}) == len(CATALOGUE)
+
+
+def test_stale_entry_fails_the_runner(capsys):
+    missing = Mutant("missing", "src/franel/registry.py", "no such text", "",
+                     "tests/test_reports.py")
+    twice = Mutant("twice", "src/franel/congruences.py", "    if p <= 3:", "    if p < 3:",
+                   "tests/test_congruences.py")
+    assert runner.run([missing, twice]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "stale    missing: old text occurs 0 times in src/franel/registry.py",
+        "stale    twice: old text occurs 2 times in src/franel/congruences.py",
+    ]
+
+
+def test_survivor_fails_the_runner(capsys):
+    # a docstring edit that no test can see
+    survivor = Mutant(
+        "docstring", "src/franel/reports.py",
+        '"""Verification report records and their serialization.',
+        '"""Verification records and their serialization.',
+        "tests/test_reports.py::test_serialized_form_is_pinned",
+    )
+    assert runner.run([survivor]) == 1
+    assert "SURVIVED docstring" in capsys.readouterr().out

@@ -19,12 +19,13 @@ from .modular import (
     primes_in_range,
     two_squares_decompose,
 )
-from .reports import Report
+from .reports import OutsideHypothesis, Report
 
 __all__ = [
     "ROUTES",
     "InconsistencyError",
     "NotCoprimeError",
+    "OutsideHypothesis",
     "Report",
     "TwoSquares",
     "binomial",

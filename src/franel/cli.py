@@ -65,8 +65,18 @@ def _parse_routes(text: str) -> list[str]:
     return routes
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse's own print_help drops an OSError, so an unbuffered
+        # stdout closed by its reader would exit 0, not 141; stdout is None
+        # when fd 1 was closed at startup, and the help then goes nowhere
+        file = file or sys.stdout
+        if file is not None:
+            file.write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="franel",
         description="Exact computation and verification of Franel-number "
         "identities, congruences, and conjectures.",
@@ -198,9 +208,13 @@ def _cmd_cache(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        finally:
+            # --help prints, then exits here: a closed stdout is caught below
+            if sys.stdout is not None:
+                sys.stdout.flush()
         # compute and cache print and parse f_n past 4300 digits
         with long_decimals():
             if args.command == "compute":

@@ -26,9 +26,9 @@ from .combinatorics import (
     triple_binomials_upto,
 )
 from .modular import (
-    NotCoprimeError, is_prime, mod_inverse, require_odd_prime, require_prime
+    NotCoprimeError, is_prime, mod_inverse, require_prime
 )
-from .reports import Report, divisibility_report
+from .reports import OutsideHypothesis, Report, divisibility_report
 
 
 # K: family_sum keeps the walk's state at every K-th step as a checkpoint
@@ -114,18 +114,22 @@ def inverse_weighted_sum_mod(p: int) -> tuple[int, int]:
 def check_theorem1(n: int) -> Report:
     """Divisibility of the (3k+1)-weighted sum by n*C(2n,n), with witness."""
     if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+        raise OutsideHypothesis("theorem1 requires parameter >= 2")
     return divisibility_report(
         "theorem1", {"n": n}, family_sum(3, 1, -16, n),
         n * central_binomial(n),
     )
 
 
+class _NoInverseAtTwo(OutsideHypothesis, NotCoprimeError):
+    """check_theorem2(2): outside the hypothesis, as -16 has no inverse mod 8."""
+
+
 def check_theorem2(p: int) -> Report:
     """(3k+1)-weighted inverse sum against p*(-1)^((p-1)/2), mod p^3."""
-    # p = 2 is deliberately not rejected here: -16 has no inverse mod 8, so
-    # the sum raises NotCoprimeError, which is the contractual failure mode.
     require_prime(p)
+    if p == 2:
+        raise _NoInverseAtTwo("p = 2: -16 not invertible")
     m = p**3
     lhs = inverse_weighted_sum_mod(p)[0]
     rhs = p * (-1) ** ((p - 1) // 2) % m
@@ -138,7 +142,7 @@ def check_theorem3(p: int) -> Report:
     """Unweighted inverse sum vanishing mod p for p = 3 (mod 4)."""
     require_prime(p)
     if p % 4 != 3:
-        raise ValueError(f"need p = 3 (mod 4), got p={p}")
+        raise OutsideHypothesis("hypothesis requires p = 3 (mod 4)")
     lhs = inverse_weighted_sum_mod(p)[1] % p
     return Report(
         statement="theorem3", params={"p": p}, modulus=p, lhs=lhs, rhs=0
@@ -150,7 +154,9 @@ def check_theorem3(p: int) -> Report:
 
 
 def check_babbage(p: int) -> list[Report]:
-    require_odd_prime(p)
+    require_prime(p)
+    if p == 2:
+        raise OutsideHypothesis("babbage requires an odd prime")
     m = p * p
     return [
         Report(
@@ -165,9 +171,9 @@ def check_babbage(p: int) -> list[Report]:
 
 
 def check_morley(p: int) -> list[Report]:
-    require_odd_prime(p)
+    require_prime(p)
     if p <= 3:
-        raise ValueError("morley requires p > 3")
+        raise OutsideHypothesis("morley requires p > 3")
     m = p**3
     return [
         Report(
@@ -181,7 +187,9 @@ def check_morley(p: int) -> list[Report]:
 
 
 def check_jarvis_verrill(p: int) -> list[Report]:
-    require_odd_prime(p)
+    require_prime(p)
+    if p == 2:
+        raise OutsideHypothesis("jarvis_verrill requires an odd prime")
     f = franel_upto(p - 1)
     out = []
     for n in range(p):
@@ -200,9 +208,9 @@ def check_jarvis_verrill(p: int) -> list[Report]:
 def check_multinomial(p: int) -> list[Report]:
     """Two-branch reduction of (p+2k)!/((2k)! k! (p-k)!) mod p^2 for
     1 <= k < p, k != (p-1)/2."""
-    require_odd_prime(p)
+    require_prime(p)
     if p <= 3:
-        raise ValueError("multinomial requires p > 3")
+        raise OutsideHypothesis("multinomial requires p > 3")
     m = p * p
     half = (p - 1) // 2
     out = []
@@ -232,7 +240,9 @@ def check_multinomial(p: int) -> list[Report]:
 
 def check_half_binom(p: int) -> list[Report]:
     """The k=(p-1)/2 term: exact product shape, then its value mod p^2."""
-    require_odd_prime(p)
+    require_prime(p)
+    if p == 2:
+        raise OutsideHypothesis("half_binom requires an odd prime")
     m = p * p
     k = (p - 1) // 2
     cb = central_binomial(k)  # C(2k, k) = C(p-1, k)
@@ -259,7 +269,9 @@ def check_half_binom(p: int) -> list[Report]:
 
 
 def check_central_pmod(p: int) -> list[Report]:
-    require_odd_prime(p)
+    require_prime(p)
+    if p == 2:
+        raise OutsideHypothesis("central_pmod requires an odd prime")
     half = (p - 1) // 2
     inv4 = mod_inverse(4, p)
     out = []
@@ -281,7 +293,9 @@ def check_central_pmod(p: int) -> list[Report]:
 
 
 def check_fermat_square(p: int) -> list[Report]:
-    require_odd_prime(p)
+    require_prime(p)
+    if p == 2:
+        raise OutsideHypothesis("fermat_square requires an odd prime")
     m = p * p
     lhs = (pow(2, p - 1, m) + pow(8, 1 - p, m) - pow(4, 1 - p, m)) % m
     return [
@@ -292,7 +306,9 @@ def check_fermat_square(p: int) -> list[Report]:
 
 
 def check_final_reflect(p: int) -> list[Report]:
-    require_odd_prime(p)
+    require_prime(p)
+    if p == 2:
+        raise OutsideHypothesis("final_reflect requires an odd prime")
     half = (p - 1) // 2
     out = []
     c3 = triple_binomials_upto(half)
@@ -327,7 +343,9 @@ def final3_rhs_terms(p: int) -> list[int]:
 def check_reduction_chain(p: int) -> list[Report]:
     """Every displayed intermediate congruence of the two proofs, verified
     numerically and independently (no elided steps reconstructed)."""
-    require_odd_prime(p)
+    require_prime(p)
+    if p == 2:
+        raise OutsideHypothesis("p must be odd")
     m2 = p * p
     half = (p - 1) // 2
     reports: list[Report] = []

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from .combinatorics import central_binomial, exact_div, franel_upto
 from .congruences import family_sum, inverse_weighted_sum_mod
 from .modular import (
-    legendre_symbol, require_odd_prime, require_prime, two_squares_decompose
+    legendre_symbol, require_prime, two_squares_decompose
 )
-from .reports import Report, divisibility_report
+from .reports import OutsideHypothesis, Report, divisibility_report
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ def check_conjecture1(p: int) -> Report:
     """(3k+1)-weighted inverse sum against p*(-1)^((p-1)/2), mod p^2."""
     require_prime(p)
     if p <= 3:
-        raise ValueError(f"need p > 3, got {p}")
+        raise OutsideHypothesis("hypothesis requires p > 3")
     m = p * p
     lhs = inverse_weighted_sum_mod(p)[0] % m
     rhs = p * (-1) ** ((p - 1) // 2) % m
@@ -84,7 +84,9 @@ def conjecture2_target(p: int) -> tuple[int, str]:
 
 
 def check_conjecture2(p: int) -> Report:
-    require_odd_prime(p)
+    require_prime(p)
+    if p == 2:
+        raise OutsideHypothesis("p must be odd")
     m = p * p
     lhs = inverse_weighted_sum_mod(p)[1] % m
     target, case = conjecture2_target(p)
@@ -100,7 +102,7 @@ def check_conjecture2(p: int) -> Report:
 def check_family(t: FamilyTriple, n: int) -> Report:
     """Divisibility of the (a*k+b, c)-weighted sum by n*C(2n,n)."""
     if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+        raise OutsideHypothesis("outside published claim (needs n > 1)")
     extra = t not in NEW1_TRIPLES and t not in NEW2_TRIPLES
     params = {"a": t.a, "b": t.b, "c": t.c, "n": n}
     if extra:
@@ -155,7 +157,7 @@ def third_conjecture_grid(
     gives the sums of every one-multiplier extension of that prefix.
     """
     if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+        raise OutsideHypothesis("third conjecture requires parameter >= 1")
     out: list[Report] = []
     m2 = n * n
     f = franel_upto(n - 1)
@@ -202,7 +204,9 @@ def third_conjecture_grid(
 def check_product_note(p: int) -> list[Report]:
     """C(a*p-1, k) * C(a*p+k, k) = (-1)^k mod p^2 for a = 1..5 and
     0 <= k <= p-1, each lhs read from a's factor column at n = p."""
-    require_odd_prime(p)
+    require_prime(p)
+    if p == 2:
+        raise OutsideHypothesis("p must be odd")
     m = p * p
     return [
         Report(
@@ -243,11 +247,11 @@ def check_zw_sun(n: int, variant: str = "guo") -> Report:
     (9k^2+5k) mod n^2(n-1)."""
     if variant == "guo":
         if n < 1:
-            raise ValueError(f"need n >= 1, got {n}")
+            raise OutsideHypothesis("zw_guo requires parameter >= 1")
         modulus = 2 * n * n
     elif variant == "strengthened":
         if n < 2:
-            raise ValueError(f"need n >= 2, got {n}")
+            raise OutsideHypothesis("zw_strengthened requires parameter >= 2")
         modulus = n * n * (n - 1)
     else:
         raise ValueError(f"unknown variant {variant!r}")

@@ -23,7 +23,7 @@ from .combinatorics import (
     recurrence_rhs,
     triple_binomials_upto,
 )
-from .reports import Report
+from .reports import OutsideHypothesis, Report
 
 
 def check_sun_expansion(n: int) -> Report:
@@ -122,7 +122,7 @@ def check_integrality(n: int) -> Report:
     On failure the report carries the first failing k in its params.
     """
     if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+        raise OutsideHypothesis("integrality requires parameter >= 2")
     cb = central_binomials_upto(n - 1)
     # C(3k,k) from its column and C(3k,k-1) stepped here by its own ratio,
     # so that (a) compares two independent columns; C(3k,k-1) is 0 at k = 0,
@@ -160,7 +160,7 @@ def check_integrality(n: int) -> Report:
 def check_recurrence_step(n: int) -> Report:
     """One step of the three-term recurrence, against direct-route values."""
     if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+        raise OutsideHypothesis("recurrence step requires parameter >= 1")
     return Report(
         statement="recurrence",
         params={"n": n},

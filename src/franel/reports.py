@@ -17,6 +17,11 @@ from typing import Callable
 VERDICTS = ("pass", "fail", "skipped")
 
 
+class OutsideHypothesis(ValueError):
+    """A check's parameter lies outside the statement's hypothesis; the
+    message is the reason that the skipped record carries."""
+
+
 @dataclass(slots=True)
 class Report:
     """One verification outcome.
@@ -146,7 +151,5 @@ FORMATTERS = {"json-lines": to_json_line, "tsv": to_tsv_line}
 
 
 def serialize(r: Report, fmt: str) -> str:
-    formatter = FORMATTERS.get(fmt)
-    if formatter is None:
-        raise ValueError(f"unknown format {fmt!r}")
-    return formatter(r)
+    """r as one line in fmt; run_sweep has already rejected an unknown fmt."""
+    return FORMATTERS[fmt](r)

@@ -112,12 +112,12 @@ def test_criterion_auxiliary_congruences():
             stmt = registry.STATEMENTS[aux_id]
             assert stmt.run is getattr(cg, f"check_{aux_id}")
             reports = registry.run_cell(aux_id, p)
-            if stmt.admissible(p) is not None:
+            if p == 2 or (p == 3 and aux_id in ("morley", "multinomial")):
                 assert [r.verdict for r in reports] == ["skipped"], (aux_id, p)
                 continue
             bad = [r.params for r in reports if not r.passed]
             assert reports and not bad, (aux_id, p, bad[:3])
-    _announce("auxiliary congruences, admissible p < 500, all inner params",
+    _announce("auxiliary congruences, p < 500 inside each hypothesis, all inner params",
               started)
 
 

@@ -17,12 +17,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from franel import cli, congruences, harness, registry
+from franel import (
+    InconsistencyError, NotCoprimeError, cli, congruences, harness, registry
+)
 from franel.cache import CacheError, load_table, store_table
 from franel.cli import main
 from franel.combinatorics import build_franel_table, franel
 from franel.harness import UsageError, run_sweep
-from franel.reports import Report, long_decimals, to_json_line
+from franel.reports import OutsideHypothesis, Report, long_decimals, to_json_line
 
 
 def _sorted_lines(statement_ids, workers, **kwargs):
@@ -263,16 +265,48 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("sid", registry.statement_ids())
     def test_skip_rule_matches_check_guard(self, sid):
-        # the registry's skip rule and the check's own guard state one
-        # hypothesis twice; a parameter is skipped exactly where the check
-        # raises ValueError (NotCoprimeError, theorem2's at p = 2, is one)
+        # the check's guard is the one statement of its hypothesis: run_cell
+        # returns the check's records, or, where the check raises
+        # OutsideHypothesis, one skipped record whose reason is its message
         stmt = registry.STATEMENTS[sid]
         for v in range(6) if stmt.kind == "n" else (2, 3, 5, 7, 11, 13):
             try:
-                runs = all(isinstance(r, Report) for r in stmt.run(v))
-            except ValueError:
-                runs = False
-            assert (stmt.admissible(v) is None) == runs, (sid, v)
+                reports = stmt.run(v)
+            except OutsideHypothesis as exc:
+                assert str(exc), (sid, v)
+                assert registry.run_cell(sid, v) == [
+                    Report(sid, {stmt.kind: v}, skipped_reason=str(exc))
+                ], (sid, v)
+                continue
+            assert reports and all(type(r) is Report for r in reports), (sid, v)
+            assert not any(r.skipped for r in reports), (sid, v)
+            assert registry.run_cell(sid, v) == reports, (sid, v)
+
+    @pytest.mark.parametrize("error", [
+        ValueError("a plain ValueError"),
+        NotCoprimeError("2 is not invertible mod 4 (gcd=2)"),
+        InconsistencyError("division by 3 inexact at k=3"),
+    ], ids=["value-error", "not-coprime", "inconsistency"])
+    def test_run_cell_skips_only_outside_hypothesis(self, error, monkeypatch):
+        # any other ValueError from a check is not a skip: it propagates
+        def run(n):
+            raise error
+
+        stmt = registry.STATEMENTS["strehl"]
+        monkeypatch.setitem(registry.STATEMENTS, "strehl", dataclasses.replace(stmt, run=run))
+        with pytest.raises(type(error)) as raised:
+            registry.run_cell("strehl", 3)
+        assert raised.value is error
+
+    @pytest.mark.parametrize("sid", [
+        sid for sid in registry.statement_ids() if registry.STATEMENTS[sid].kind == "p"
+    ])
+    def test_composite_p_raises_not_skips(self, sid):
+        # a composite p is a caller's error, not a parameter outside the
+        # hypothesis: a plain ValueError, which run_cell lets through
+        with pytest.raises(ValueError, match="not prime") as raised:
+            registry.run_cell(sid, 9)
+        assert not isinstance(raised.value, OutsideHypothesis)
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--statements", ","],
@@ -339,22 +373,42 @@ class TestClosedStdout:
         assert proc.returncode == 141
         assert b"Traceback" not in err and b"Exception ignored" not in err
 
-    def test_reader_gone_before_a_short_output(self, cli):
+    @staticmethod
+    def _into_closed_pipe(cli, argv):
         # a pipe whose read end is closed before the CLI starts: the few
         # lines of output reach it only when stdout is flushed
         command, env = cli
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            done = subprocess.run(
-                [*command, "verify", "--statements", "theorem1", "--n-range", "2..3"],
-                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
-            )
+            done = subprocess.run([*command, *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, timeout=120)
         finally:
             os.close(write_end)
         assert done.returncode == 141
         assert b"Traceback" not in done.stderr
         assert b"Exception ignored" not in done.stderr
+
+    def test_reader_gone_before_a_short_output(self, cli):
+        self._into_closed_pipe(
+            cli, ["verify", "--statements", "theorem1", "--n-range", "2..3"])
+
+    @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]],
+                             ids=["help", "sweep-help"])
+    def test_help_into_closed_pipe(self, cli, argv):
+        # argparse prints the help and exits inside parse_args
+        self._into_closed_pipe(cli, argv)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]],
+                             ids=["help", "sweep-help"])
+    def test_help_with_stdout_closed_at_start(self, cli, argv):
+        # fd 1 closed before the CLI starts: sys.stdout is None, and the
+        # help goes nowhere, as argparse's own print_help would send it
+        command, env = cli
+        done = subprocess.run(["sh", "-c", '"$@" >&-', "sh", *command, *argv],
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+        assert done.returncode == 0
+        assert done.stderr == b""
 
 
 class TestSweepCommand:

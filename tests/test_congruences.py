@@ -27,6 +27,7 @@ from franel.congruences import (
 )
 from franel.conjectures import NEW1_TRIPLES, NEW2_TRIPLES
 from franel.modular import NotCoprimeError, mod_inverse, primes_in_range
+from franel.reports import OutsideHypothesis
 from oracles import (
     chain_inner_sum,
     family_sum_noinc,
@@ -169,15 +170,16 @@ AUX_IDS = (
 
 
 def assert_aux_cell(aux_id, p):
-    """Every report passes at an admissible p; an inadmissible p is exactly
-    one skipped record."""
+    """A cell is exactly one skipped record at p = 2, and at p = 3 for
+    morley and multinomial (which need p > 3); elsewhere every report
+    passes."""
     stmt = registry.STATEMENTS[aux_id]
     assert stmt.run is getattr(congruences, f"check_{aux_id}")
     reports = registry.run_cell(aux_id, p)
-    if stmt.admissible(p) is None:
-        assert reports and all(r.passed for r in reports), (aux_id, p)
-    else:
+    if p == 2 or (p == 3 and aux_id in ("morley", "multinomial")):
         assert [r.verdict for r in reports] == ["skipped"], (aux_id, p)
+    else:
+        assert reports and all(r.passed for r in reports), (aux_id, p)
 
 
 class TestAuxiliary:
@@ -233,10 +235,11 @@ class TestAuxiliary:
     @pytest.mark.parametrize("aux_id", AUX_IDS)
     def test_requires_odd_prime(self, aux_id):
         check = getattr(congruences, f"check_{aux_id}")
-        with pytest.raises(ValueError, match="p must be odd"):
+        with pytest.raises(OutsideHypothesis, match=f"^{aux_id} requires "):
             check(2)
-        with pytest.raises(ValueError, match="not prime"):
+        with pytest.raises(ValueError, match="not prime") as raised:
             check(9)
+        assert not isinstance(raised.value, OutsideHypothesis)
 
     def test_all_ids_small_sweep(self):
         for p in primes_in_range(2, 60):
