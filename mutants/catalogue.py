@@ -76,6 +76,43 @@ CATALOGUE = (
         "        if ahead and k % _FAMILY_STRIDE == 0:",
         "tests/test_congruences.py",
     ),
+    Mutant(
+        "family-cursor-moved-back",
+        "src/franel/congruences.py",
+        "    if ahead:\n        checkpoints.extend(passed)",
+        "    if True:\n        checkpoints.extend(passed)",
+        "tests/test_congruences.py::test_family_sum_keeps_every_kth_prefix",
+    ),
+    # the inverse sums of the prime axis
+    Mutant(
+        "inverse-sum-weight-3k-plus-2",
+        "src/franel/congruences.py",
+        "    return (3 * u + v) * inv % m, v * inv % m",
+        "    return (3 * u + 2 * v) * inv % m, v * inv % m",
+        "tests/test_congruences.py::test_inverse_weighted_sum_matches_bigint",
+    ),
+    Mutant(
+        "inverse-sums-admit-composite-p",
+        "src/franel/congruences.py",
+        "    if p % 2 == 0 or not is_prime(p):",
+        "    if p % 2 == 0:",
+        "tests/test_congruences.py::test_inverse_weighted_sum_rejects_non_odd_prime",
+    ),
+    # the third conjecture's packed grid
+    Mutant(
+        "packed-grid-width-one-bit-short",
+        "src/franel/conjectures.py",
+        "    width = max(1, (n * (n * n - 1) ** 2).bit_length())",
+        "    width = max(1, (n * (n * n - 1) ** 2).bit_length() - 1)",
+        "tests/test_conjectures.py::TestThirdConjectureKernel::test_digits_at_their_bound",
+    ),
+    Mutant(
+        "prefix-extension-sign-dropped",
+        "src/franel/conjectures.py",
+        "[c if k % 2 == 0 else -c % m2 for k, c in enumerate(col)]",
+        "[c for k, c in enumerate(col)]",
+        "tests/test_conjectures.py::TestThirdConjecture::test_small_sweep",
+    ),
     # the cache format
     Mutant(
         "cache-splits-any-line-break",
@@ -100,6 +137,13 @@ CATALOGUE = (
         "tests/test_reports.py",
     ),
     Mutant(
+        "digit-limit-retry-dropped",
+        "src/franel/reports.py",
+        "        except ValueError:\n            with long_decimals():",
+        "        except TypeError:\n            with long_decimals():",
+        "tests/test_reports.py::test_serializes_past_int_str_limit",
+    ),
+    Mutant(
         "json-params-unsorted",
         "src/franel/reports.py",
         "    for k in sorted(params):",
@@ -121,13 +165,29 @@ CATALOGUE = (
         "        if False:",
         "tests/test_requests.py",
     ),
-    # --help into a closed pipe
+    # the compute command compares every route it is given
+    Mutant(
+        "compute-compares-first-route-only",
+        "src/franel/cli.py",
+        "    first, *others = args.route",
+        "    first, *others = args.route[:1]",
+        "tests/test_cache_cli.py::TestComputeCommand::test_route_disagreement_exits_1",
+    ),
+    # --help into a closed pipe, and a stdout closed at startup
     Mutant(
         "help-not-flushed-in-try",
         "src/franel/cli.py",
-        "                sys.stdout.flush()\n        # compute and cache",
-        "                pass\n        # compute and cache",
+        "                sys.stdout.flush()",
+        "                pass",
         "tests/test_cache_cli.py::TestClosedStdout::test_help_into_closed_pipe",
+    ),
+    Mutant(
+        "flush-of-closed-stdout",
+        "src/franel/cli.py",
+        "            if sys.stdout is not None:",
+        "            if True:",
+        "tests/test_cache_cli.py::TestClosedStdout::test_help_with_stdout_closed_at_start"
+        "[buffered-compute]",
     ),
     Mutant(
         "help-write-error-dropped",

@@ -1,6 +1,11 @@
 """Command-line harness: compute tables, verify statements, run sweeps,
 and manage the on-disk Franel cache.
 
+Each thing is done one way.  `compute` prints f_n and compares every
+route it is given with the first; `cache` alone writes a cache file, and
+validates one; `verify` and `sweep` parse only the syntax of a request
+and leave run_sweep to judge it.
+
 Exit codes: 0 all pass, 1 mathematical failure (or corrupt cache),
 2 usage/configuration error, 141 stdout closed by its reader (as in
 `franel sweep | head -1`).  Reports stream to stdout, one record per
@@ -43,16 +48,6 @@ def _parse_n_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def _parse_routes(text: str) -> list[str]:
     routes = [r.strip() for r in text.split(",") if r.strip()]
     if not routes:
@@ -85,12 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compute = sub.add_parser("compute", help="print (n, f_n) for a range")
     p_compute.add_argument("--n-range", type=_parse_n_range, required=True)
-    p_compute.add_argument("--route", type=_parse_routes, default=["recurrence"])
-    p_compute.add_argument("--cross-check", action="store_true",
-                           help="fail unless all requested routes agree")
-    p_compute.add_argument("--cache", metavar="PATH",
-                           help="also write f_0..f_HI to this cache file, "
-                           "atomically replacing it")
+    p_compute.add_argument("--route", type=_parse_routes, default=["recurrence"],
+                           help="comma-separated routes; several must all agree")
 
     p_verify = sub.add_parser("verify", help="run named checks over ranges")
     p_verify.add_argument("--statements", required=True,
@@ -101,11 +92,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--quiet", action="store_true",
                          help="emit only the summary, not per-cell records")
     for p_run in (p_verify, p_sweep):
-        p_run.add_argument("--n-range", type=_parse_n_range)
+        p_run.add_argument("--n-range", type=_parse_range)
         p_run.add_argument("--p-range", type=_parse_range)
         p_run.add_argument("--format", choices=("json-lines", "tsv"),
                            default="json-lines")
-        p_run.add_argument("--workers", type=_positive_int, default=1)
+        p_run.add_argument("--workers", type=int, default=1)
 
     p_cache = sub.add_parser("cache", help="build or validate a cache file")
     p_cache.add_argument("--cache", metavar="PATH", required=True)
@@ -115,37 +106,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_cache(path: str, table: tuple[int, ...]) -> int:
-    try:
-        store_table(path, table)
-    except OSError as exc:
-        print(f"error: cannot write cache {path!r}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def _cmd_compute(args) -> int:
+    lo, hi = args.n_range
+    first, *others = args.route
+    primary = build_franel_table(hi, first)
+    for route in others:
+        table = build_franel_table(hi, route)
+        for n in range(hi + 1):
+            if table[n] != primary[n]:
+                print(
+                    f"error: route disagreement at n={n}: "
+                    f"{first}={primary[n]} {route}={table[n]}",
+                    file=sys.stderr,
+                )
+                return EXIT_FAIL
+    for n in range(lo, hi + 1):
+        print(f"{n} {primary[n]}")
     return EXIT_OK
 
 
-def _cmd_compute(args) -> int:
-    lo, hi = args.n_range
-    routes = args.route if args.cross_check else args.route[:1]
-    tables = {route: build_franel_table(hi, route) for route in routes}
-    primary = tables[args.route[0]]
-    if args.cross_check:
-        for route, table in tables.items():
-            for n in range(hi + 1):
-                if table[n] != primary[n]:
-                    print(
-                        f"error: route disagreement at n={n}: "
-                        f"{args.route[0]}={primary[n]} {route}={table[n]}",
-                        file=sys.stderr,
-                    )
-                    return EXIT_FAIL
-    for n in range(lo, hi + 1):
-        print(f"{n} {primary[n]}")
-    return _write_cache(args.cache, primary) if args.cache else EXIT_OK
-
-
 def _cmd_sweep(args) -> int:
-    """verify and sweep: run_sweep decides whether the request is valid."""
+    """verify and sweep: run_sweep decides whether the request is valid,
+    and its UsageError is exit 2."""
     ids = None
     if args.statements is not None:
         ids = [s.strip() for s in args.statements.split(",") if s.strip()]
@@ -191,10 +173,13 @@ def _cmd_cache(args) -> int:
         if lo != 0:
             print("error: cache files start at index 0", file=sys.stderr)
             return EXIT_USAGE
-        rc = _write_cache(args.cache, build_franel_table(hi, "recurrence"))
-        if rc == EXIT_OK:
-            print(f"wrote franel-cache v1 N={hi}")
-        return rc
+        try:
+            store_table(args.cache, build_franel_table(hi, "recurrence"))
+        except OSError as exc:
+            print(f"error: cannot write cache {args.cache!r}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        print(f"wrote franel-cache v1 N={hi}")
+        return EXIT_OK
     try:
         table = load_table(args.cache)
     except CacheError as exc:
@@ -211,19 +196,20 @@ def main(argv: list[str] | None = None) -> int:
     try:
         try:
             args = build_parser().parse_args(argv)
+            # compute and cache print and parse f_n past 4300 digits
+            with long_decimals():
+                if args.command == "compute":
+                    code = _cmd_compute(args)
+                elif args.command in ("verify", "sweep"):
+                    code = _cmd_sweep(args)
+                else:
+                    code = _cmd_cache(args)
         finally:
-            # --help prints, then exits here: a closed stdout is caught below
+            # here, not at exit, so that a closed stdout is caught below, also
+            # after --help, which exits inside parse_args; stdout is None when
+            # fd 1 was closed at startup
             if sys.stdout is not None:
                 sys.stdout.flush()
-        # compute and cache print and parse f_n past 4300 digits
-        with long_decimals():
-            if args.command == "compute":
-                code = _cmd_compute(args)
-            elif args.command in ("verify", "sweep"):
-                code = _cmd_sweep(args)
-            else:
-                code = _cmd_cache(args)
-        sys.stdout.flush()  # here, not at exit, so that a closed stdout is caught
     except BrokenPipeError:
         # the reader stopped early, which is not a failure; what is still
         # buffered for stdout goes to devnull, so the flush at exit is silent

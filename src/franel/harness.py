@@ -1,8 +1,9 @@
 """Sweep engine: runs statement grids serially or across worker processes.
 
-run_sweep is the one place that decides whether a sweep request is valid:
-it works out each requested statement's cells once, and raises UsageError
-(the CLI's exit 2) before any output if the request cannot run.
+run_sweep is the one place that decides whether a sweep request is valid
+(the CLI parses only its syntax): it works out each requested statement's
+cells once, and raises UsageError (the CLI's exit 2) before any output if
+the request cannot run.
 
 The grid is cut into jobs (one per cell serially, otherwise about four
 per worker and statement).  Each job counts its records by verdict and

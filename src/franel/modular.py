@@ -52,17 +52,12 @@ def require_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
-def require_odd_prime(p: int) -> None:
-    """ValueError unless p is an odd prime."""
-    require_prime(p)
-    if p == 2:
-        raise ValueError("p must be odd")
-
-
 def legendre_symbol(a: int, p: int) -> int:
     """Euler's criterion: 1 for a nonzero square mod p, -1 for a nonsquare,
     0 when p divides a.  p must be an odd prime."""
-    require_odd_prime(p)
+    require_prime(p)
+    if p == 2:
+        raise ValueError("p must be odd")
     e = pow(a % p, (p - 1) // 2, p)
     return -1 if e == p - 1 else e
 

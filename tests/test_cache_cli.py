@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -172,7 +173,7 @@ class TestComputeCommand:
     def test_cross_check(self, capsys):
         rc = main(
             ["compute", "--n-range", "0..60",
-             "--route", "direct,strehl,recurrence,sun-expansion", "--cross-check"]
+             "--route", "direct,strehl,recurrence,sun-expansion"]
         )
         assert rc == 0
 
@@ -184,33 +185,26 @@ class TestComputeCommand:
             return build_franel_table(n_max, route)
 
         monkeypatch.setattr(cli, "build_franel_table", build)
-        routes = ["compute", "--n-range", "0..3", "--route", "strehl,direct"]
-        assert main(routes) == 0
+        compute = ["compute", "--n-range", "0..3", "--route"]
+        assert main([*compute, "strehl"]) == 0
         assert capsys.readouterr().out.splitlines() == ["0 1", "1 2", "2 10", "3 56"]
         assert built == ["strehl"]
-        assert main(routes + ["--cross-check"]) == 0
-        assert built == ["strehl", "strehl", "direct"]
+        built.clear()
+        assert main([*compute, "strehl,direct"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["0 1", "1 2", "2 10", "3 56"]
+        assert built == ["strehl", "direct"]
 
-    def test_cache_write(self, tmp_path, capsys):
-        path = str(tmp_path / "cache.txt")
-        assert main(["compute", "--n-range", "0..5", "--cache", path]) == 0
-        assert load_table(path) == tuple(franel(n) for n in range(6))
+    def test_route_disagreement_exits_1(self, monkeypatch, capsys):
+        # every named route is compared with the first, not only printed
+        def build(n_max, route):
+            table = build_franel_table(n_max, route)
+            return (*table[:2], table[2] + 1, *table[3:]) if route == "direct" else table
 
-    def test_unwritable_cache(self, tmp_path, capsys):
-        rc = main(
-            ["compute", "--n-range", "0..3",
-             "--cache", str(tmp_path / "missing" / "c.txt")]
-        )
-        assert rc == 2
-        assert "cannot write cache" in capsys.readouterr().err
-
-    def test_cache_is_replaced_not_extended(self, tmp_path, capsys):
-        path = str(tmp_path / "cache.txt")
-        assert main(["cache", "--cache", path, "--n-range", "0..50"]) == 0
-        assert main(["compute", "--n-range", "3..5", "--cache", path]) == 0
-        capsys.readouterr()
-        assert main(["cache", "--cache", path]) == 0
-        assert capsys.readouterr().out == "franel-cache v1 N=5 ok\n"
+        monkeypatch.setattr(cli, "build_franel_table", build)
+        assert main(["compute", "--n-range", "0..3", "--route", "strehl,direct"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: route disagreement at n=2: strehl=10 direct=11"]
 
     def test_bad_range(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -399,11 +393,15 @@ class TestClosedStdout:
         # argparse prints the help and exits inside parse_args
         self._into_closed_pipe(cli, argv)
 
-    @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]],
-                             ids=["help", "sweep-help"])
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        ["sweep", "--help"],
+        ["compute", "--n-range", "0..3"],
+        ["verify", "--statements", "theorem1", "--n-range", "2..3"],
+    ], ids=["help", "sweep-help", "compute", "verify"])
     def test_help_with_stdout_closed_at_start(self, cli, argv):
         # fd 1 closed before the CLI starts: sys.stdout is None, and the
-        # help goes nowhere, as argparse's own print_help would send it
+        # output goes nowhere, as argparse's own print_help would send it
         command, env = cli
         done = subprocess.run(["sh", "-c", '"$@" >&-', "sh", *command, *argv],
                               stderr=subprocess.PIPE, env=env, timeout=120)
@@ -427,7 +425,7 @@ class TestSweepCommand:
         }
 
     def test_edge_of_domain_records_pinned(self):
-        # n from 0 and p from 2 reach every skip rule of the registry:
+        # n from 0 and p from 2 reach every check's OutsideHypothesis guard:
         # 19 distinct skipped_reason strings, among them each auxiliary
         # congruence's "requires an odd prime" / "requires p > 3"
         out = io.StringIO()
@@ -591,21 +589,19 @@ class TestSweepCommand:
         ["sweep"], ["verify", "--statements", "babbage"],
     ])
     def test_zero_workers_is_usage_error(self, command, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main([*command, "--workers", "0"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "--workers" in err and "Traceback" not in err
+        assert main([*command, "--workers", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.splitlines() == ["error: workers must be positive"]
 
     @pytest.mark.parametrize("command", [
         ["sweep"], ["verify", "--statements", "route_agreement"],
     ])
     def test_negative_n_range_is_usage_error(self, command, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main([*command, "--n-range=-2..1"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "n-range must be nonnegative" in err and "Traceback" not in err
+        assert main([*command, "--n-range=-2..1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.splitlines() == ["error: n-range must be nonnegative, got -2..1"]
 
     def test_witness_past_int_str_limit(self, default_int_str_limit, capsys):
         rc = main(["verify", "--statements", "family_new1", "--n-range", "1500..1500"])
@@ -745,6 +741,20 @@ class TestCacheCommand:
         assert main(["cache", "--cache", path]) == 0
         assert "N=20 ok" in capsys.readouterr().out
 
+    def test_cache_write(self, tmp_path, capsys):
+        path = str(tmp_path / "cache.txt")
+        assert main(["cache", "--cache", path, "--n-range", "0..5"]) == 0
+        assert capsys.readouterr().out == "wrote franel-cache v1 N=5\n"
+        assert load_table(path) == tuple(franel(n) for n in range(6))
+
+    def test_cache_is_replaced_not_extended(self, tmp_path, capsys):
+        path = str(tmp_path / "cache.txt")
+        assert main(["cache", "--cache", path, "--n-range", "0..50"]) == 0
+        assert main(["cache", "--cache", path, "--n-range", "0..5"]) == 0
+        capsys.readouterr()
+        assert main(["cache", "--cache", path]) == 0
+        assert capsys.readouterr().out == "franel-cache v1 N=5 ok\n"
+
     def test_corrupt_cache_exits_1(self, tmp_path, capsys):
         path = tmp_path / "cache.txt"
         path.write_text("franel-cache v1 N=1\n0\t1\n1\t3\n")
@@ -838,3 +848,19 @@ class TestCacheCommand:
         assert out == ""
         (line,) = err.splitlines()
         assert line.startswith(f"error: cannot write cache {str(path)!r}")
+
+
+def test_readme_cli_examples_parse():
+    # every `franel ...` line of the README's CLI block names only options
+    # the parser takes; the commands are parsed, not run
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].strip() for line in block.splitlines()]
+    examples = [shlex.split(line) for line in lines if line.startswith("franel ")]
+    assert examples
+    parser = cli.build_parser()
+    for argv in examples:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {' '.join(argv)}")

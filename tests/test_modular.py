@@ -64,9 +64,9 @@ class TestLegendre:
         assert legendre_symbol(14, 7) == 0
 
     def test_bad_p(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="p must be odd"):
             legendre_symbol(3, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="15 is not prime"):
             legendre_symbol(3, 15)
 
     def test_matches_square_enumeration(self):
