@@ -68,20 +68,41 @@ CATALOGUE = (
         "class _NoInverseAtTwo(OutsideHypothesis):",
         "tests/test_congruences.py::TestTheorem2",
     ),
-    # the family walk
+    # the family walk: one state per base, and each line of its step
     Mutant(
-        "family-checkpoint-off-by-one",
+        "family-restart-dropped",
         "src/franel/congruences.py",
-        "        if ahead and (k + 1) % _FAMILY_STRIDE == 0:",
-        "        if ahead and k % _FAMILY_STRIDE == 0:",
-        "tests/test_congruences.py",
+        "    if n < j:\n        j, state = 0, _FAMILY_START",
+        "    if False:\n        j, state = 0, _FAMILY_START",
+        "tests/test_congruences.py::test_family_sum_keeps_one_state_per_base",
     ),
     Mutant(
-        "family-cursor-moved-back",
+        "family-state-committed-in-loop",
         "src/franel/congruences.py",
-        "    if ahead:\n        checkpoints.extend(passed)",
-        "    if True:\n        checkpoints.extend(passed)",
-        "tests/test_congruences.py::test_family_sum_keeps_every_kth_prefix",
+        "        p_prev, p_k = p_k, p_next\n",
+        "        p_prev, p_k = p_k, p_next\n        _FAMILY_CACHE[c] = (k + 1, (u, v, p_prev, p_k))\n",
+        "tests/test_congruences.py::test_failed_walk_leaves_the_state_as_it_was",
+    ),
+    Mutant(
+        "family-u-weight-k-plus-1",
+        "src/franel/congruences.py",
+        "        u = c * u + k * p_k",
+        "        u = c * u + (k + 1) * p_k",
+        "tests/test_congruences.py::test_family_sum_matches_reference",
+    ),
+    Mutant(
+        "family-v-weight-2",
+        "src/franel/congruences.py",
+        "        v = c * v + p_k",
+        "        v = c * v + 2 * p_k",
+        "tests/test_congruences.py::test_inverse_walk_steps_central_binomial_times_franel",
+    ),
+    Mutant(
+        "family-p-step-coefficient",
+        "src/franel/congruences.py",
+        "(7 * k * k + 7 * k + 2) * p_k",
+        "(7 * k * k + 7 * k + 1) * p_k",
+        "tests/test_congruences.py::test_inverse_walk_steps_central_binomial_times_franel",
     ),
     # the inverse sums of the prime axis
     Mutant(
@@ -159,13 +180,27 @@ CATALOGUE = (
         "tests/test_requests.py",
     ),
     Mutant(
+        "pool-not-capped-at-cpus",
+        "src/franel/harness.py",
+        "    procs = min(workers, cpus)",
+        "    procs = workers",
+        "tests/test_cache_cli.py::TestSweepCommand::test_pool_asks_for_no_more_workers_than_cpus",
+    ),
+    Mutant(
         "repeated-statement-id-runs",
         "src/franel/harness.py",
         "        if ids.count(sid) > 1:",
         "        if False:",
         "tests/test_requests.py",
     ),
-    # the compute command compares every route it is given
+    # the compute command compares every route it is given, once
+    Mutant(
+        "repeated-route-runs",
+        "src/franel/cli.py",
+        "        if routes.count(r) > 1:",
+        "        if False:",
+        "tests/test_cache_cli.py::TestComputeCommand::test_repeated_route_is_usage_error",
+    ),
     Mutant(
         "compute-compares-first-route-only",
         "src/franel/cli.py",

@@ -57,6 +57,8 @@ def _parse_routes(text: str) -> list[str]:
             raise argparse.ArgumentTypeError(
                 f"unknown route {r!r}; expected one of {ROUTES}"
             )
+        if routes.count(r) > 1:
+            raise argparse.ArgumentTypeError(f"route {r!r} given more than once")
     return routes
 
 

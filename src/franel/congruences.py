@@ -8,7 +8,8 @@ at each step is checked.  The modular statements on the prime axis
 (Theorems 2 and 3, Conjectures 1 and 2, the reduction chain) read one
 memoized pair per prime, the weighted and unweighted inverse sums mod p^3,
 which is the base -16 sum at n = p over the unit (-16)^(p-1).  So Theorem 1
-and the prime axis share one walk, and a sweep up to P walks to P once.
+and the prime axis share one walk.  A base keeps one state, where its last
+walk ended, so an ascending sweep up to P walks to P once.
 """
 from __future__ import annotations
 
@@ -31,12 +32,8 @@ from .modular import (
 from .reports import OutsideHypothesis, Report, divisibility_report
 
 
-# K: family_sum keeps the walk's state at every K-th step as a checkpoint
-_FAMILY_STRIDE = 32
-# per base c: the checkpoints [W_0, W_K, W_2K, ...] up to the cursor j, then
-# the cursor j and W_j, the furthest state reached so far, where
-# W_j = (U_j, V_j, P_{j-1}, P_j) as in family_sum
-_FAMILY_CACHE: dict[int, tuple[list[tuple[int, ...]], int, tuple[int, ...]]] = {}
+# per base c: (j, W_j), where its last walk ended, as in family_sum
+_FAMILY_CACHE: dict[int, tuple[int, tuple[int, ...]]] = {}
 _FAMILY_START = (0, 0, 0, 1)  # W_0; P_{-1} is multiplied by 0, P_0 = 1
 
 
@@ -49,10 +46,10 @@ def family_sum(a: int, b: int, c: int, n: int) -> int:
     P_k = C(2k,k) f_k, by
     (k+1)^3 P_{k+1} = 2(2k+1) [(7k^2+7k+2) P_k + 16k(2k-1) P_{k-1}];
     an inexact division raises InconsistencyError.  Every step multiplies
-    or divides a big int by a small one.  An n at or past the cursor walks
-    on from it, so an ascending sweep costs O(n) steps in total; a lower n
-    walks fewer than _FAMILY_STRIDE steps from the checkpoint at or below
-    it.  A base holds four big ints per checkpoint, about 4n/_FAMILY_STRIDE.
+    or divides a big int by a small one.  A base keeps one state, where its
+    last walk ended: j and W_j = (U_j, V_j, P_{j-1}, P_j).  An n >= j walks
+    on from it, so an ascending run of queries costs O(n) steps in total;
+    an n < j walks again from k = 0.
     """
     u, v = _family_walk(c, n)
     return a * u + b * v
@@ -62,13 +59,10 @@ def _family_walk(c: int, n: int) -> tuple[int, int]:
     """(U_n, V_n) of the base c walk that family_sum describes."""
     if n < 0:
         raise ValueError(f"family_sum: n must be nonnegative, got {n}")
-    checkpoints, j, state = _FAMILY_CACHE.get(c) or ([_FAMILY_START], 0, _FAMILY_START)
-    ahead = n >= j
-    if not ahead:
-        j = n - n % _FAMILY_STRIDE
-        state = checkpoints[j // _FAMILY_STRIDE]
+    j, state = _FAMILY_CACHE.get(c, (0, _FAMILY_START))
+    if n < j:
+        j, state = 0, _FAMILY_START
     u, v, p_prev, p_k = state
-    passed = []  # committed with the cursor, so a failed walk leaves no trace
     for k in range(j, n):
         u = c * u + k * p_k
         v = c * v + p_k
@@ -77,11 +71,8 @@ def _family_walk(c: int, n: int) -> tuple[int, int]:
         )
         p_next = exact_div(num, (k + 1) ** 3, "C(2k,k) f_k recurrence", "k", k + 1)
         p_prev, p_k = p_k, p_next
-        if ahead and (k + 1) % _FAMILY_STRIDE == 0:
-            passed.append((u, v, p_prev, p_k))
-    if ahead:
-        checkpoints.extend(passed)
-        _FAMILY_CACHE[c] = (checkpoints, n, (u, v, p_prev, p_k))
+    # stored only after the loop, so a failed walk leaves no trace
+    _FAMILY_CACHE[c] = (n, (u, v, p_prev, p_k))
     return u, v
 
 
@@ -93,11 +84,10 @@ def inverse_weighted_sum_mod(p: int) -> tuple[int, int]:
 
     both mod p^3.  Each sum is family_sum(a, b, -16, p) / (-16)^(p-1) for
     (a, b) = (3, 1) and (0, 1), and both come from one pass of the base -16
-    walk that Theorem 1 and the reduction chain share.  Primes up to P
-    cost one walk to P, plus a walk of fewer than _FAMILY_STRIDE steps from
-    a checkpoint for each prime asked for below the cursor; theorem2,
-    theorem3, conjecture1/2 and the reduction chain, which reduce the pair
-    to p^3, p^2 or p, then read it from this memo.
+    walk that Theorem 1 and the reduction chain share, so ascending primes
+    up to P cost one walk to P.  theorem2, theorem3, conjecture1/2 and the
+    reduction chain, which reduce the pair to p^3, p^2 or p, read it from
+    this memo.
 
     Raises NotCoprimeError unless p is an odd prime.  (-16)^(p-1) is
     invertible mod p^3 for every odd p, so this is an explicit guard: the

@@ -6,12 +6,14 @@ cells once, and raises UsageError (the CLI's exit 2) before any output if
 the request cannot run.
 
 The grid is cut into jobs (one per cell serially, otherwise about four
-per worker and statement).  Each job counts its records by verdict and
-serializes them in the process that computed them, as one string joined
-from its lines, so a pool sends back text and counts, never report
-objects.  The parent takes the jobs' results in the order it made the
-jobs, at any worker count: it adds up counts and writes each job's text
-with one call.  A serial sweep holds one cell's records at a time; a
+per pool process and statement).  A pool forks all its processes at its
+first submit, so it has no more of them than the CPUs this process may
+run on, however many workers are asked for.  Each job counts its records
+by verdict and serializes them in the process that computed them, as one
+string joined from its lines, so a pool sends back text and counts, never
+report objects.  The parent takes the jobs' results in the order it made
+the jobs, at any worker count: it adds up counts and writes each job's
+text with one call.  A serial sweep holds one cell's records at a time; a
 pool's parent holds a finished job's text only until every job before it
 is written.  If writing fails (a reader that closed stdout, say), the
 pool's jobs not yet started are cancelled, not run.
@@ -25,6 +27,7 @@ when a pool starts, so a serial sweep never loads it.
 """
 from __future__ import annotations
 
+import os
 from itertools import repeat
 from typing import Iterable, TextIO
 
@@ -125,10 +128,14 @@ def run_sweep(
             )
         statement_cells.append((stmt.id, cells))
 
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    procs = min(workers, cpus)
+
     def jobs() -> Iterable[tuple[str, list[int]]]:
         # made as they are run, so a serial sweep holds no list of jobs
         for sid, cells in statement_cells:
-            size = max(1, len(cells) // (workers * 4)) if workers > 1 else 1
+            size = max(1, len(cells) // (procs * 4)) if workers > 1 else 1
             for i in range(0, len(cells), size):
                 yield sid, cells[i : i + size]
 
@@ -156,7 +163,7 @@ def run_sweep(
 
         sids, chunks = zip(*jobs())
         # the fork start method forks every worker at the first submit
-        pool = ProcessPoolExecutor(max_workers=min(workers, len(sids)))
+        pool = ProcessPoolExecutor(max_workers=min(procs, len(sids)))
         try:
             first_failure = absorb(
                 pool.map(_run_job, sids, chunks, repeat(fmt), repeat(stream))

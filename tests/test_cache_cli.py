@@ -219,6 +219,18 @@ class TestComputeCommand:
         assert out == "" and "Traceback" not in err
         assert "no route given" in err.splitlines()[-1]
 
+    def test_repeated_route_is_usage_error(self, monkeypatch, capsys):
+        # as a repeated statement id is: no table is built twice, or at all
+        built = []
+        monkeypatch.setattr(cli, "build_franel_table", lambda n_max, route: built.append(route))
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--n-range", "0..3", "--route", "direct,strehl,direct"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.splitlines()[-1].endswith("route 'direct' given more than once")
+        assert built == []
+
     def test_value_past_int_str_limit(self, default_int_str_limit, capsys):
         assert main(["compute", "--n-range", "5000..5000"]) == 0
         n, value = capsys.readouterr().out.split()
@@ -458,6 +470,14 @@ class TestSweepCommand:
         with pytest.raises(UsageError):
             run_sweep(["theorem3"], p_range=(24, 28), workers=64)
         assert inline_pool.requested == [1]
+
+    def test_pool_asks_for_no_more_workers_than_cpus(self, inline_pool):
+        # a pool forks every process it is sized for at the first submit
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count())
+        summary = run_sweep(["babbage"], p_range=(3, 499), workers=500)
+        assert inline_pool.requested == [min(cpus, len(inline_pool.futures))]
+        assert summary["total"] == {"pass": 94, "fail": 0, "skipped": 0}
 
     @pytest.mark.parametrize("ids, kwargs, message", [
         ([], {}, "no statement id given"),

@@ -26,6 +26,7 @@ from franel.congruences import (
     inverse_weighted_sum_mod,
 )
 from franel.conjectures import NEW1_TRIPLES, NEW2_TRIPLES
+from franel.harness import run_sweep
 from franel.modular import NotCoprimeError, mod_inverse, primes_in_range
 from franel.reports import OutsideHypothesis
 from oracles import (
@@ -64,19 +65,41 @@ def test_family_sum_any_query_order(queries, monkeypatch):
         assert family_sum(a, b, c, n) == family_sum_noinc(a, b, c, n), (a, b, c, n)
 
 
-def test_family_sum_keeps_every_kth_prefix(monkeypatch):
+def _count_walk_steps(monkeypatch) -> list:
+    """From now on, record each step of the family walk as (k,), where P_k
+    is the term the step reaches."""
+    steps = []
+    exact_div = congruences.exact_div
+
+    def counting(num, den, what, *rest):
+        if what == "C(2k,k) f_k recurrence":
+            steps.append(rest[1:])
+        return exact_div(num, den, what, *rest)
+
+    monkeypatch.setattr(congruences, "exact_div", counting)
+    return steps
+
+
+def test_family_sum_keeps_one_state_per_base(monkeypatch):
     monkeypatch.setattr(congruences, "_FAMILY_CACHE", {})
     s = family_sum(102, 11, 10400, 3000)
-    checkpoints, j, state = congruences._FAMILY_CACHE[10400]
+    j, state = congruences._FAMILY_CACHE[10400]
     assert (j, 102 * state[0] + 11 * state[1]) == (3000, s)
-    # (U, V, P_{j-1}, P_j) at every K-th step and at the cursor
-    ints = sum(map(len, checkpoints)) + len(state)
-    assert ints <= 4 * (3000 / congruences._FAMILY_STRIDE + 2)
-    # a lower n walks from a checkpoint and leaves the cursor where it was
-    assert family_sum(102, 11, 10400, 2999) == family_sum_noinc(102, 11, 10400, 2999)
-    assert congruences._FAMILY_CACHE[10400] == (checkpoints, 3000, state)
+    # (U, V, P_{j-1}, P_j) where the walk ended, and nothing else
+    assert len(state) == 4
+    # a lower n walks again from k = 0 and leaves the state at n
+    steps = _count_walk_steps(monkeypatch)
+    u = family_sum_noinc(1, 0, 10400, 2999)
+    v = family_sum_noinc(0, 1, 10400, 2999)
+    assert family_sum(102, 11, 10400, 2999) == 102 * u + 11 * v
+    assert steps == [(k,) for k in range(1, 3000)]
+    cb, f = central_binomials_upto(2998), franel_upto(2998)
+    # P_2998, and P_2999 as the walk to 3000 left it
+    assert congruences._FAMILY_CACHE[10400] == (2999, (u, v, cb[2998] * f[2998], state[2]))
     # other weights on the same base read the same walk
-    assert family_sum(0, 1, 10400, 100) == family_sum_noinc(0, 1, 10400, 100)
+    steps.clear()
+    assert family_sum(0, 1, 10400, 3000) == state[1]
+    assert steps == [(3000,)]
     assert list(congruences._FAMILY_CACHE) == [10400]
 
 
@@ -345,22 +368,28 @@ def test_inverse_walk_matches_residue_route(order, residue_pairs, monkeypatch):
 
 
 def test_inverse_sums_share_one_walk(monkeypatch):
-    # 89 is below the cursor at 97, so both sums of the pair come from one
-    # walk of 25 steps from the checkpoint at 64
+    # 89 is below the state at 97, so both sums of the pair come from one
+    # walk of 89 steps from k = 0
     monkeypatch.setattr(congruences, "_FAMILY_CACHE", {})
     inverse_weighted_sum_mod.cache_clear()
     inverse_weighted_sum_mod(97)
-    steps = []
-    exact_div = congruences.exact_div
-
-    def counting(num, den, what, *rest):
-        if what == "C(2k,k) f_k recurrence":
-            steps.append(rest)
-        return exact_div(num, den, what, *rest)
-
-    monkeypatch.setattr(congruences, "exact_div", counting)
+    steps = _count_walk_steps(monkeypatch)
     inverse_weighted_sum_mod(89)
-    assert len(steps) == 89 - 64
+    assert steps == [(k,) for k in range(1, 90)]
+
+
+def test_base_minus_16_statements_walk_once_per_ascending_run(monkeypatch):
+    # in registry order: conjecture1 walks to 997, conjecture2 walks again
+    # to 3 (conjecture1 starts at 5), the reduction chain on to 499, and
+    # theorem1 again to 2, then on to 500; the rest read the pair's memo
+    monkeypatch.setattr(congruences, "_FAMILY_CACHE", {})
+    inverse_weighted_sum_mod.cache_clear()
+    steps = _count_walk_steps(monkeypatch)
+    ids = ["conjecture1", "conjecture2", "reduction_chain", "theorem1", "theorem2",
+           "theorem3"]
+    summary = run_sweep(ids)
+    assert summary["total"] == {"pass": 15181, "fail": 0, "skipped": 80}
+    assert len(steps) == 997 + 3 + 496 + 500 == 1996
 
 
 def test_inverse_walk_steps_central_binomial_times_franel(monkeypatch):
@@ -375,26 +404,26 @@ def test_inverse_walk_steps_central_binomial_times_franel(monkeypatch):
 def test_inverse_walk_inexact_step_raises(monkeypatch):
     monkeypatch.setattr(congruences, "_FAMILY_CACHE", {})
     family_sum(0, 1, -16, 1)
-    checkpoints, j, (u, v, p_prev, p_k) = congruences._FAMILY_CACHE[-16]
+    j, (u, v, p_prev, p_k) = congruences._FAMILY_CACHE[-16]
     assert (j, p_prev, p_k) == (1, 1, 4)
     # P_1 is 4; 5 leaves 27 P_3 = 36480, not a multiple of 27
-    congruences._FAMILY_CACHE[-16] = (checkpoints, j, (u, v, p_prev, 5))
+    congruences._FAMILY_CACHE[-16] = (j, (u, v, p_prev, 5))
     inverse_weighted_sum_mod.cache_clear()
     with pytest.raises(InconsistencyError, match="inexact at k=3"):
         inverse_weighted_sum_mod(5)
 
 
-def test_failed_walk_keeps_no_checkpoint(monkeypatch):
-    # a P_31 off by 2^13 keeps the k = 31 step exact, so the walk passes the
-    # checkpoint at 32 before the step to P_33 fails
+def test_failed_walk_leaves_the_state_as_it_was(monkeypatch):
+    # a P_31 off by 2^13 keeps the k = 31 step exact, so the walk takes two
+    # steps past the state before the step to P_33 fails
     monkeypatch.setattr(congruences, "_FAMILY_CACHE", {})
     family_sum(0, 1, -16, 31)
-    checkpoints, j, (u, v, p_prev, p_k) = congruences._FAMILY_CACHE[-16]
+    j, (u, v, p_prev, p_k) = congruences._FAMILY_CACHE[-16]
     bad = (u, v, p_prev, p_k + 2**13)
-    congruences._FAMILY_CACHE[-16] = (checkpoints, j, bad)
+    congruences._FAMILY_CACHE[-16] = (j, bad)
     with pytest.raises(InconsistencyError, match="inexact at k=33"):
         family_sum(0, 1, -16, 40)
-    assert congruences._FAMILY_CACHE[-16] == ([(0, 0, 0, 1)], 31, bad)
+    assert congruences._FAMILY_CACHE[-16] == (31, bad)
 
 
 def test_inverse_weighted_sum_rejects_non_odd_prime():
