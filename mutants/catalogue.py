@@ -171,6 +171,63 @@ CATALOGUE = (
         "    for k in params:",
         "tests/test_reports.py",
     ),
+    # statement arithmetic: a weight, a sign, a branch or a modulus
+    Mutant(
+        "zw-guo-weight",
+        "src/franel/conjectures.py",
+        '    "guo": lambda k: 3 * k + 2,',
+        '    "guo": lambda k: 3 * k + 1,',
+        "tests/test_conjectures.py::TestZwSun::test_examples",
+    ),
+    Mutant(
+        "zw-strengthened-weight",
+        "src/franel/conjectures.py",
+        '    "strengthened": lambda k: 9 * k * k + 5 * k,',
+        '    "strengthened": lambda k: 9 * k * k + 4 * k,',
+        "tests/test_conjectures.py::TestZwSun::test_examples",
+    ),
+    Mutant(
+        "product-note-sign",
+        "src/franel/conjectures.py",
+        "            rhs=(-1) ** k % m,",
+        "            rhs=1,",
+        "tests/test_conjectures.py::TestProductNote::test_examples",
+    ),
+    Mutant(
+        "conjecture2-1mod12-y-sign",
+        "src/franel/conjectures.py",
+        "(4 * x * x - 2 * p)",
+        "(4 * x * x + 2 * p)",
+        "tests/test_conjectures.py::TestConjecture2::test_case_1_mod_12",
+    ),
+    Mutant(
+        "multinomial-branch-swapped",
+        "src/franel/congruences.py",
+        "        scale = p if k < half else 2 * p",
+        "        scale = 2 * p if k < half else p",
+        "tests/test_congruences.py::TestAuxiliary::test_multinomial",
+    ),
+    Mutant(
+        "jarvis-verrill-sign",
+        "src/franel/congruences.py",
+        "pow(-8 % p, n, p)",
+        "pow(8 % p, n, p)",
+        "tests/test_congruences.py::TestAuxiliary::test_jarvis_verrill",
+    ),
+    Mutant(
+        "final-reflect-sign",
+        "src/franel/congruences.py",
+        "                rhs=(-1) ** j * c3[j] % p,",
+        "                rhs=c3[j] % p,",
+        "tests/test_congruences.py::TestAuxiliary::test_final_reflect",
+    ),
+    Mutant(
+        "babbage-modulus-p",
+        "src/franel/congruences.py",
+        '        raise OutsideHypothesis("babbage requires an odd prime")\n    m = p * p',
+        '        raise OutsideHypothesis("babbage requires an odd prime")\n    m = p',
+        "tests/test_congruences.py::TestAuxiliary::test_babbage_mod_p_squared",
+    ),
     # request checks, each a contract bug mended once
     Mutant(
         "statement-with-no-cell-runs",
@@ -207,6 +264,23 @@ CATALOGUE = (
         "    first, *others = args.route",
         "    first, *others = args.route[:1]",
         "tests/test_cache_cli.py::TestComputeCommand::test_route_disagreement_exits_1",
+    ),
+    # the pool's parent: it holds no result once written, and runs no job
+    # after a failed write
+    Mutant(
+        "pool-results-held-before-writing",
+        "src/franel/harness.py",
+        "                pool.map(_run_job, sids, chunks, repeat(fmt), repeat(stream))",
+        "                list(pool.map(_run_job, sids, chunks, repeat(fmt), repeat(stream)))",
+        "tests/test_cache_cli.py::TestSweepCommand::test_pool_keeps_no_absorbed_result",
+    ),
+    Mutant(
+        "pool-cancel-futures-dropped",
+        "src/franel/harness.py",
+        "            pool.shutdown(cancel_futures=True)",
+        "            pool.shutdown()",
+        "tests/test_cache_cli.py::TestSweepCommand::"
+        "test_failed_write_cancels_the_jobs_not_started",
     ),
     # --help into a closed pipe, and a stdout closed at startup
     Mutant(

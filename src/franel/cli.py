@@ -1,10 +1,10 @@
-"""Command-line harness: compute tables, verify statements, run sweeps,
-and manage the on-disk Franel cache.
+"""Command-line harness: compute tables, run statements over their
+ranges, and manage the on-disk Franel cache.
 
 Each thing is done one way.  `compute` prints f_n and compares every
 route it is given with the first; `cache` alone writes a cache file, and
-validates one; `verify` and `sweep` parse only the syntax of a request
-and leave run_sweep to judge it.
+validates one; `sweep` alone runs statements, and parses only the syntax
+of a request, leaving run_sweep to judge it.
 
 Exit codes: 0 all pass, 1 mathematical failure (or corrupt cache),
 2 usage/configuration error, 141 stdout closed by its reader (as in
@@ -20,7 +20,7 @@ import sys
 from .cache import CacheError, load_table, store_table
 from .combinatorics import ROUTES, build_franel_table
 from .harness import UsageError, run_sweep
-from .reports import VERDICTS, long_decimals
+from .reports import FORMATTERS, VERDICTS, long_decimals
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -85,20 +85,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--route", type=_parse_routes, default=["recurrence"],
                            help="comma-separated routes; several must all agree")
 
-    p_verify = sub.add_parser("verify", help="run named checks over ranges")
-    p_verify.add_argument("--statements", required=True,
-                          help="comma-separated statement ids")
-    p_sweep = sub.add_parser("sweep", help="run the full verification grid")
+    p_sweep = sub.add_parser("sweep", help="run statements over their ranges")
     p_sweep.add_argument("--statements",
-                         help="optional comma-separated subset of the grid")
+                         help="comma-separated statement ids (default: all)")
     p_sweep.add_argument("--quiet", action="store_true",
                          help="emit only the summary, not per-cell records")
-    for p_run in (p_verify, p_sweep):
-        p_run.add_argument("--n-range", type=_parse_range)
-        p_run.add_argument("--p-range", type=_parse_range)
-        p_run.add_argument("--format", choices=("json-lines", "tsv"),
-                           default="json-lines")
-        p_run.add_argument("--workers", type=int, default=1)
+    p_sweep.add_argument("--n-range", type=_parse_range)
+    p_sweep.add_argument("--p-range", type=_parse_range)
+    p_sweep.add_argument("--format", default="json-lines",
+                         help=f"one of: {', '.join(FORMATTERS)}")
+    p_sweep.add_argument("--workers", type=int, default=1)
 
     p_cache = sub.add_parser("cache", help="build or validate a cache file")
     p_cache.add_argument("--cache", metavar="PATH", required=True)
@@ -128,8 +124,8 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    """verify and sweep: run_sweep decides whether the request is valid,
-    and its UsageError is exit 2."""
+    """run_sweep decides whether the request is valid, and its UsageError
+    is exit 2."""
     ids = None
     if args.statements is not None:
         ids = [s.strip() for s in args.statements.split(",") if s.strip()]
@@ -140,7 +136,7 @@ def _cmd_sweep(args) -> int:
             p_range=args.p_range,
             workers=args.workers,
             fmt=args.format,
-            out=None if getattr(args, "quiet", False) else sys.stdout,
+            out=None if args.quiet else sys.stdout,
         )
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -202,7 +198,7 @@ def main(argv: list[str] | None = None) -> int:
             with long_decimals():
                 if args.command == "compute":
                     code = _cmd_compute(args)
-                elif args.command in ("verify", "sweep"):
+                elif args.command == "sweep":
                     code = _cmd_sweep(args)
                 else:
                     code = _cmd_cache(args)

@@ -92,7 +92,9 @@ def run_sweep(
     if workers < 1:
         raise UsageError("workers must be positive")
     if fmt not in FORMATTERS:
-        raise UsageError(f"unknown format {fmt!r}")
+        raise UsageError(
+            f"unknown format {fmt!r}; known formats: {', '.join(FORMATTERS)}"
+        )
     if isinstance(statement_ids, str):
         raise UsageError(
             f"statement_ids must be a list of ids, not the string {statement_ids!r}"

@@ -1,5 +1,5 @@
 """Catalog of verifiable statements: id, parameter axis, default range
-and runner.  This is what the CLI's verify and sweep commands dispatch on.
+and runner.  This is what the CLI's sweep command dispatches on.
 
 Each statement is swept over a single integer parameter (an index n or a
 prime p); a runner may emit several reports per parameter (inner k loops,

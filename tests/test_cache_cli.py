@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 import weakref
 from concurrent.futures import Future
@@ -240,8 +241,14 @@ class TestComputeCommand:
 
 
 class TestVerifyCommand:
+    """Named statements, as `franel sweep --statements` runs them, and the
+    registry's cells.  `sweep` is the one command that runs statements: this
+    class, and the `verify` ids of parametrized cases in this file, keep the
+    name of the removed `franel verify`, which took the same flags, so that
+    the suite's test names stay the same."""
+
     def test_single_pass_record(self, capsys):
-        assert main(["verify", "--statements", "theorem1", "--n-range", "2..2"]) == 0
+        assert main(["sweep", "--statements", "theorem1", "--n-range", "2..2"]) == 0
         out = capsys.readouterr().out.splitlines()
         record = json.loads(out[0])
         assert record["verdict"] == "pass" and record["witness"] == "0"
@@ -252,14 +259,14 @@ class TestVerifyCommand:
         }
 
     def test_theorem2_prime_sweep(self, capsys):
-        assert main(["verify", "--statements", "theorem2", "--p-range", "3..100"]) == 0
+        assert main(["sweep", "--statements", "theorem2", "--p-range", "3..100"]) == 0
         out = capsys.readouterr().out.splitlines()
         records = [json.loads(line) for line in out[:-1]]
         assert len(records) == 24  # odd primes in [3, 100]
         assert all(r["verdict"] == "pass" for r in records)
 
     def test_out_of_hypothesis_skipped_not_failed(self, capsys):
-        assert main(["verify", "--statements", "theorem3", "--p-range", "3..20"]) == 0
+        assert main(["sweep", "--statements", "theorem3", "--p-range", "3..20"]) == 0
         out = capsys.readouterr().out.splitlines()
         records = [json.loads(line) for line in out[:-1]]
         by_verdict = {}
@@ -315,10 +322,9 @@ class TestVerifyCommand:
         assert not isinstance(raised.value, OutsideHypothesis)
 
     @pytest.mark.parametrize("argv", [
-        ["verify", "--statements", ","],
         ["sweep", "--statements", ","],
         ["sweep", "--statements", ""],
-    ], ids=["verify-comma", "sweep-comma", "sweep-empty"])
+    ], ids=["sweep-comma", "sweep-empty"])
     def test_empty_statement_list_is_usage_error(self, argv, capsys):
         assert main(argv) == 2
         out, err = capsys.readouterr()
@@ -327,12 +333,20 @@ class TestVerifyCommand:
         assert line.startswith("error: no statement id given")
 
     def test_unknown_statement_exits_2(self, capsys):
-        assert main(["verify", "--statements", "bogus-id"]) == 2
+        assert main(["sweep", "--statements", "bogus-id"]) == 2
         assert "unknown statement id" in capsys.readouterr().err
+
+    def test_verify_command_is_gone(self, capsys):
+        # sweep --statements runs named statements; verify was its second name
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--statements", "theorem2"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "invalid choice: 'verify'" in err
 
     @pytest.mark.parametrize("statements", ["theorem1,theorem1", "strehl,theorem1,strehl"])
     def test_repeated_statement_exits_2(self, statements, capsys):
-        assert main(["verify", "--statements", statements, "--n-range", "5..6"]) == 2
+        assert main(["sweep", "--statements", statements, "--n-range", "5..6"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         (line,) = err.splitlines()
@@ -340,12 +354,22 @@ class TestVerifyCommand:
 
     def test_tsv_format(self, capsys):
         assert main(
-            ["verify", "--statements", "strehl", "--n-range", "0..2",
+            ["sweep", "--statements", "strehl", "--n-range", "0..2",
              "--format", "tsv"]
         ) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0].split("\t")[:2] == ["strehl", "n=0"]
         assert out[-1].startswith("summary\tTOTAL\t")
+
+    @pytest.mark.parametrize("fmt", ["xml", "TSV", ""])
+    def test_unknown_format_is_usage_error(self, fmt, capsys):
+        # run_sweep judges the format, as it does the statement ids
+        assert main(["sweep", "--statements", "strehl", "--format", fmt]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: unknown format {fmt!r}; known formats: json-lines, tsv"
+        ]
 
 
 class TestClosedStdout:
@@ -397,7 +421,7 @@ class TestClosedStdout:
 
     def test_reader_gone_before_a_short_output(self, cli):
         self._into_closed_pipe(
-            cli, ["verify", "--statements", "theorem1", "--n-range", "2..3"])
+            cli, ["sweep", "--statements", "theorem1", "--n-range", "2..3"])
 
     @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]],
                              ids=["help", "sweep-help"])
@@ -409,7 +433,7 @@ class TestClosedStdout:
         ["--help"],
         ["sweep", "--help"],
         ["compute", "--n-range", "0..3"],
-        ["verify", "--statements", "theorem1", "--n-range", "2..3"],
+        ["sweep", "--statements", "theorem1", "--n-range", "2..3"],
     ], ids=["help", "sweep-help", "compute", "verify"])
     def test_help_with_stdout_closed_at_start(self, cli, argv):
         # fd 1 closed before the CLI starts: sys.stdout is None, and the
@@ -531,6 +555,31 @@ class TestSweepCommand:
         assert summary["total"] == {"pass": 16, "fail": 0, "skipped": 0}
         assert len(out.getvalue().splitlines()) == 16
 
+    def test_failed_write_cancels_the_jobs_not_started(self, monkeypatch, tmp_path):
+        # as a reader that closed stdout: the first write raises, and the
+        # pool's jobs not yet started are cancelled, not run; three statements
+        # of 94 primes each give a 2-process pool 27 jobs of 11 cells
+        sids = ["babbage", "morley", "multinomial"]
+        for sid in sids:
+            def run(p, sid=sid):
+                (tmp_path / f"{sid}-{p}").touch()
+                time.sleep(0.02)
+                return [Report(sid, {"p": p})]
+
+            # setitem, not a module attribute: forked pool workers inherit it
+            stmt = dataclasses.replace(registry.STATEMENTS[sid], run=run)
+            monkeypatch.setitem(registry.STATEMENTS, sid, stmt)
+
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        with pytest.raises(BrokenPipeError):
+            run_sweep(sids, p_range=(3, 499), workers=2, out=Closed())
+        # at most 77 cells ran in 20 runs on 2 CPUs; all 282 run when the
+        # pending jobs are not cancelled
+        assert len(list(tmp_path.iterdir())) < 3 * 94 // 2
+
     def test_stream_does_not_depend_on_completion_order(self, inline_pool, monkeypatch):
         # jobs that complete last-submitted-first are still written in job order
         monkeypatch.setattr(concurrent.futures, "as_completed",
@@ -606,7 +655,7 @@ class TestSweepCommand:
         assert five < 2 * one
 
     @pytest.mark.parametrize("command", [
-        ["sweep"], ["verify", "--statements", "babbage"],
+        ["sweep"], ["sweep", "--statements", "babbage"],
     ])
     def test_zero_workers_is_usage_error(self, command, capsys):
         assert main([*command, "--workers", "0"]) == 2
@@ -615,7 +664,7 @@ class TestSweepCommand:
         assert err.splitlines() == ["error: workers must be positive"]
 
     @pytest.mark.parametrize("command", [
-        ["sweep"], ["verify", "--statements", "route_agreement"],
+        ["sweep"], ["sweep", "--statements", "route_agreement"],
     ])
     def test_negative_n_range_is_usage_error(self, command, capsys):
         assert main([*command, "--n-range=-2..1"]) == 2
@@ -624,7 +673,7 @@ class TestSweepCommand:
         assert err.splitlines() == ["error: n-range must be nonnegative, got -2..1"]
 
     def test_witness_past_int_str_limit(self, default_int_str_limit, capsys):
-        rc = main(["verify", "--statements", "family_new1", "--n-range", "1500..1500"])
+        rc = main(["sweep", "--statements", "family_new1", "--n-range", "1500..1500"])
         assert rc == 0
         records = [json.loads(line) for line in capsys.readouterr().out.splitlines()[:-1]]
         assert len(records) == 7
@@ -640,7 +689,7 @@ class TestSweepCommand:
         assert max(len(r["witness"]) for r in library) > 4300
         assert sys.get_int_max_str_digits() == 4300
 
-        rc = main(["verify", "--statements", "family_new1", "--n-range", "1500..1500",
+        rc = main(["sweep", "--statements", "family_new1", "--n-range", "1500..1500",
                    "--workers", "2"])
         assert rc == 0
         cli = [json.loads(line) for line in capsys.readouterr().out.splitlines()[:-1]]
@@ -655,7 +704,7 @@ class TestSweepCommand:
     ], ids=["json", "tsv"])
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("command", [
-        ["verify", "--statements", "strehl"],
+        ["sweep", "--statements", "strehl"],
         ["sweep", "--statements", "strehl", "--quiet"],
     ], ids=["verify", "sweep-quiet"])
     def test_failing_record_exits_1_and_names_it(self, command, workers, fmt, line,
@@ -676,7 +725,7 @@ class TestSweepCommand:
         out, err = capsys.readouterr()
         assert err == f"FAILED: 2 failing record(s); first: {line}\n"
         records = out.splitlines()[:-1] if fmt == "json-lines" else out.splitlines()[:-2]
-        if command[0] == "verify":
+        if "--quiet" not in command:
             later = line.replace('"3"', '"17"').replace("n=3", "n=17")
             assert len(records) == 21
             assert records.index(line) < records.index(later)
@@ -713,8 +762,8 @@ class TestSweepCommand:
         assert lines[1] == lines[2]
 
     @pytest.mark.parametrize("argv", [
-        ["verify", "--statements", "theorem2", "--n-range", "3..10"],
-        ["verify", "--statements", "strehl,macmahon", "--p-range", "3..10"],
+        ["sweep", "--statements", "theorem2", "--n-range", "3..10"],
+        ["sweep", "--statements", "strehl,macmahon", "--p-range", "3..10"],
         ["sweep", "--statements", "theorem2,babbage", "--n-range", "3..10"],
         ["sweep", "--statements", "zw_guo", "--p-range", "3..10", "--quiet"],
     ], ids=["verify-n", "verify-p", "sweep-n", "sweep-p"])
@@ -726,9 +775,9 @@ class TestSweepCommand:
         assert "range is not used by any requested statement" in line
 
     @pytest.mark.parametrize("argv, sid, rng", [
-        (["verify", "--statements", "babbage", "--p-range", "0..1"],
+        (["sweep", "--statements", "babbage", "--p-range", "0..1"],
          "babbage", "p-range 0..1"),
-        (["verify", "--statements", "theorem3", "--p-range", "24..28"],
+        (["sweep", "--statements", "theorem3", "--p-range", "24..28"],
          "theorem3", "p-range 24..28"),
         (["sweep", "--statements", "theorem1,theorem3", "--p-range", "24..28"],
          "theorem3", "p-range 24..28"),

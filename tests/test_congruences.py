@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from franel import congruences, registry
@@ -209,6 +211,14 @@ class TestAuxiliary:
     def test_babbage(self):
         (r,) = check_babbage(5)
         assert r.passed and binomial(9, 4) == 126 and r.lhs == 126 % 25 == 1
+
+    def test_babbage_mod_p_squared(self):
+        # C(2p-1, p-1) = 1 holds mod p^2, more than the mod p that Lucas's
+        # theorem gives, so the record's modulus is p^2
+        for p in primes_in_range(3, 60):
+            (r,) = check_babbage(p)
+            assert r.passed and r.modulus == p * p
+            assert r.lhs == math.comb(2 * p - 1, p - 1) % (p * p) == 1
 
     def test_morley(self):
         (r,) = check_morley(5)

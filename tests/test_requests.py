@@ -1,12 +1,13 @@
-"""A request model of `franel verify` and `franel sweep` (property test).
+"""A request model of `franel sweep` (property test).
 
 Requests come from a small grammar: statement lists with repeats, unknown
 ids, blanks and whitespace; an n-range and a p-range for every axis that a
 requested statement uses (so no default range is run), which may be
 negative, reversed, give no cell or one cell; sometimes a range for an
-axis that no requested statement uses; either format, and --quiet.  The
-exit code is compared with an oracle written from the README's rules, and
-the records with the summary that ends the output.  Every sweep is serial,
+axis that no requested statement uses; either format, sometimes an
+unknown one, and --quiet.  The exit code is compared with an oracle
+written from the README's rules, and the records with the summary that
+ends the output.  Every sweep is serial,
 so no pool starts.
 """
 import contextlib
@@ -22,6 +23,7 @@ from franel.cli import main
 from franel.reports import VERDICTS
 
 IDS = registry.statement_ids()
+FORMATS = ["json-lines", "tsv"]
 KIND = {sid: registry.STATEMENTS[sid].kind for sid in IDS}
 
 
@@ -42,11 +44,14 @@ def requested_ids(statements: str | None) -> list[str]:
     return [s.strip() for s in statements.split(",") if s.strip()]
 
 
-def expected_exit(statements: str | None, ranges: dict) -> int:
-    """2 for a usage error: no id, an unknown or repeated id, a reversed
-    range, a negative n-range, a range that no requested statement takes,
-    or one that leaves a requested statement with no cell.  Otherwise 0,
-    as every statement holds and an out-of-hypothesis cell is skipped."""
+def expected_exit(statements: str | None, ranges: dict, fmt: str) -> int:
+    """2 for a usage error: an unknown format, no id, an unknown or
+    repeated id, a reversed range, a negative n-range, a range that no
+    requested statement takes, or one that leaves a requested statement
+    with no cell.  Otherwise 0, as every statement holds and an
+    out-of-hypothesis cell is skipped."""
+    if fmt not in FORMATS:
+        return 2
     ids = requested_ids(statements)
     if not ids or any(s not in KIND for s in ids) or len(set(ids)) < len(ids):
         return 2
@@ -67,10 +72,9 @@ def one_in(k: int):
 
 @st.composite
 def requests(draw):
-    command = draw(st.sampled_from(["verify", "sweep"]))
-    argv = [command]
+    argv = ["sweep"]
     statements = None
-    if command == "verify" or draw(st.booleans()):
+    if draw(st.booleans()):
         tokens = draw(st.lists(st.sampled_from(IDS), max_size=4, unique=True))
         if tokens and draw(one_in(3)):
             tokens.append(draw(st.sampled_from(tokens)))  # a repeat
@@ -94,9 +98,11 @@ def requests(draw):
             hi = draw(st.integers(lo, top))
         ranges[kind] = (lo, hi)
         argv.append(f"--{kind}-range={lo}..{hi}")
-    fmt = draw(st.sampled_from(["json-lines", "tsv"]))
+    fmt = draw(st.sampled_from(FORMATS))
+    if draw(one_in(10)):
+        fmt = draw(st.sampled_from(["xml", "TSV", "json", ""]))
     argv += ["--format", fmt, "--workers", "1"]
-    quiet = command == "sweep" and draw(st.booleans())
+    quiet = draw(st.booleans())
     if quiet:
         argv.append("--quiet")
     return argv, statements, ranges, fmt, quiet
@@ -150,7 +156,7 @@ def parse_tsv(lines: list[str], n_statements: int):
 def test_request_exit_code_and_records(request):
     argv, statements, ranges, fmt, quiet = request
     code, out, err = run(argv)
-    assert code == expected_exit(statements, ranges), (argv, err)
+    assert code == expected_exit(statements, ranges, fmt), (argv, err)
     if code:
         # a usage error is reported before any output
         assert out == "" and err, argv
