@@ -222,19 +222,71 @@ CATALOGUE = (
         "tests/test_congruences.py::TestAuxiliary::test_final_reflect",
     ),
     Mutant(
+        "theorem1-weight-3k-plus-2",
+        "src/franel/congruences.py",
+        "family_sum(3, 1, -16, n)",
+        "family_sum(3, 2, -16, n)",
+        "tests/test_congruences.py::TestTheorem1::test_examples",
+    ),
+    Mutant(
+        "theorem2-sign",
+        "src/franel/congruences.py",
+        "    rhs = p * (-1) ** ((p - 1) // 2) % m",
+        "    rhs = p * (-1) ** ((p + 1) // 2) % m",
+        "tests/test_congruences.py::TestTheorem2::test_p5",
+    ),
+    Mutant(
+        "theorem3-not-reduced-mod-p",
+        "src/franel/congruences.py",
+        "    lhs = inverse_weighted_sum_mod(p)[1] % p",
+        "    lhs = inverse_weighted_sum_mod(p)[1]",
+        "tests/test_congruences.py::TestTheorem3::test_examples",
+    ),
+    Mutant(
+        "family-modulus-without-n",
+        "src/franel/conjectures.py",
+        "    modulus = n * central_binomial(n)",
+        "    modulus = central_binomial(n)",
+        "tests/test_conjectures.py::TestFamilies::test_examples",
+    ),
+    # the inner loops of a cell: every point, every k
+    Mutant(
+        "macmahon-point-dropped",
+        "src/franel/identities.py",
+        "MACMAHON_POINTS = (-3, -2, -1, 0, 1, 2, 3)",
+        "MACMAHON_POINTS = (-3, -2, -1, 0, 1, 2)",
+        "tests/test_identities.py::test_macmahon_and_partial_fraction_wrappers",
+    ),
+    Mutant(
+        "induction-last-k-dropped",
+        "src/franel/identities.py",
+        "    for k in range(n + 1):\n        lhs = 8 * (2 * k + 1)",
+        "    for k in range(n):\n        lhs = 8 * (2 * k + 1)",
+        "tests/test_identities.py::TestInduction::test_one_record_per_k",
+    ),
+    Mutant(
+        "summation-lemma-last-k-dropped",
+        "src/franel/identities.py",
+        "    for k in range(n + 1):\n        # t_m",
+        "    for k in range(n):\n        # t_m",
+        "tests/test_identities.py::TestSummationLemma::test_one_record_per_k",
+    ),
+    Mutant(
         "babbage-modulus-p",
         "src/franel/congruences.py",
         '        raise OutsideHypothesis("babbage requires an odd prime")\n    m = p * p',
         '        raise OutsideHypothesis("babbage requires an odd prime")\n    m = p',
         "tests/test_congruences.py::TestAuxiliary::test_babbage_mod_p_squared",
     ),
-    # request checks, each a contract bug mended once
+    # request checks, each a contract bug mended once, each caught by a
+    # fixed request, since the random requests of tests/test_requests.py
+    # do not draw every kind of bad request in every run
     Mutant(
         "statement-with-no-cell-runs",
         "src/franel/harness.py",
         "        if not cells:\n            raise UsageError(",
         "        if False:\n            raise UsageError(",
-        "tests/test_requests.py",
+        "tests/test_cache_cli.py::TestSweepCommand::test_range_with_no_cell_is_usage_error",
     ),
     Mutant(
         "pool-not-capped-at-cpus",
@@ -248,7 +300,7 @@ CATALOGUE = (
         "src/franel/harness.py",
         "        if ids.count(sid) > 1:",
         "        if False:",
-        "tests/test_requests.py",
+        "tests/test_cache_cli.py::TestVerifyCommand::test_repeated_statement_exits_2",
     ),
     # the compute command compares every route it is given, once
     Mutant(

@@ -54,7 +54,11 @@ def copy_tree(dest: Path) -> None:
 
 
 def pytest_fails(tree: Path, test: str) -> bool:
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(tree / "src"))
+    # the copy's src goes in front of the caller's PYTHONPATH, which may be
+    # where pytest itself is found
+    inherited = os.environ.get("PYTHONPATH")
+    path = f"{tree / 'src'}{os.pathsep}{inherited}" if inherited else str(tree / "src")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=path)
     argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", test]
     try:
         done = subprocess.run(argv, cwd=tree, env=env, stdout=subprocess.DEVNULL,

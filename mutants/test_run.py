@@ -3,11 +3,14 @@
     python3 -m pytest mutants
 
 A stale entry and a surviving mutant each fail the runner; every entry of
-the catalogue is current.
+the catalogue is current; and the copy's tests import the copy's package
+while the caller's PYTHONPATH stays on the path after it.
 """
 from __future__ import annotations
 
 import importlib.util
+import os
+import subprocess
 from pathlib import Path
 
 from catalogue import CATALOGUE, Mutant
@@ -46,3 +49,23 @@ def test_survivor_fails_the_runner(capsys):
     )
     assert runner.run([survivor]) == 1
     assert "SURVIVED docstring" in capsys.readouterr().out
+
+
+def test_copy_src_goes_in_front_of_inherited_pythonpath(tmp_path, monkeypatch):
+    inherited = os.pathsep.join([str(tmp_path / "site-a"), str(tmp_path / "site-b")])
+    monkeypatch.setenv("PYTHONPATH", inherited)
+    seen = {}
+
+    def run(argv, **kwargs):
+        seen.update(kwargs["env"])
+        return subprocess.CompletedProcess(argv, 0)
+
+    monkeypatch.setattr(runner.subprocess, "run", run)
+    assert not runner.pytest_fails(tmp_path, "tests/test_reports.py")
+    assert seen["PYTHONPATH"].split(os.pathsep) == [
+        str(tmp_path / "src"), str(tmp_path / "site-a"), str(tmp_path / "site-b")]
+    assert seen["PYTHONDONTWRITEBYTECODE"] == "1"
+
+    monkeypatch.delenv("PYTHONPATH")
+    runner.pytest_fails(tmp_path, "tests/test_reports.py")
+    assert seen["PYTHONPATH"] == str(tmp_path / "src")

@@ -20,7 +20,7 @@ import sys
 from .cache import CacheError, load_table, store_table
 from .combinatorics import ROUTES, build_franel_table
 from .harness import UsageError, run_sweep
-from .reports import FORMATTERS, VERDICTS, long_decimals
+from .reports import FORMATTERS, long_decimals
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -141,7 +141,7 @@ def _cmd_sweep(args) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _print_summary(summary, args.format)
+    print(FORMATTERS[args.format].summary(summary))
     if summary["total"]["fail"]:
         print(
             f"FAILED: {summary['total']['fail']} failing record(s); first: "
@@ -150,19 +150,6 @@ def _cmd_sweep(args) -> int:
         )
         return EXIT_FAIL
     return EXIT_OK
-
-
-def _print_summary(summary: dict, fmt: str) -> None:
-    if fmt == "json-lines":
-        import json
-
-        record = {"record_type": "summary", "statements": summary["statements"],
-                  "total": summary["total"]}
-        print(json.dumps(record, sort_keys=True))
-    else:
-        rows = [*summary["statements"].items(), ("TOTAL", summary["total"])]
-        for sid, c in rows:
-            print("\t".join(["summary", sid, *(str(c[v]) for v in VERDICTS)]))
 
 
 def _cmd_cache(args) -> int:

@@ -101,21 +101,21 @@ def inverse_weighted_sum_mod(p: int) -> tuple[int, int]:
     return (3 * u + v) * inv % m, v * inv % m
 
 
-def check_theorem1(n: int) -> Report:
+def check_theorem1(n: int) -> list[Report]:
     """Divisibility of the (3k+1)-weighted sum by n*C(2n,n), with witness."""
     if n < 2:
         raise OutsideHypothesis("theorem1 requires parameter >= 2")
-    return divisibility_report(
+    return [divisibility_report(
         "theorem1", {"n": n}, family_sum(3, 1, -16, n),
         n * central_binomial(n),
-    )
+    )]
 
 
 class _NoInverseAtTwo(OutsideHypothesis, NotCoprimeError):
     """check_theorem2(2): outside the hypothesis, as -16 has no inverse mod 8."""
 
 
-def check_theorem2(p: int) -> Report:
+def check_theorem2(p: int) -> list[Report]:
     """(3k+1)-weighted inverse sum against p*(-1)^((p-1)/2), mod p^3."""
     require_prime(p)
     if p == 2:
@@ -123,20 +123,20 @@ def check_theorem2(p: int) -> Report:
     m = p**3
     lhs = inverse_weighted_sum_mod(p)[0]
     rhs = p * (-1) ** ((p - 1) // 2) % m
-    return Report(
+    return [Report(
         statement="theorem2", params={"p": p}, modulus=m, lhs=lhs, rhs=rhs
-    )
+    )]
 
 
-def check_theorem3(p: int) -> Report:
+def check_theorem3(p: int) -> list[Report]:
     """Unweighted inverse sum vanishing mod p for p = 3 (mod 4)."""
     require_prime(p)
     if p % 4 != 3:
         raise OutsideHypothesis("hypothesis requires p = 3 (mod 4)")
     lhs = inverse_weighted_sum_mod(p)[1] % p
-    return Report(
+    return [Report(
         statement="theorem3", params={"p": p}, modulus=p, lhs=lhs, rhs=0
-    )
+    )]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Everything here is checked, never proved: divisibility families with their
 quotient witnesses, the two-square case split mod p^2, the multi-index
-product congruences mod n^2, and the strengthened alternating forms.
+product congruences mod n^2, and the strengthened alternating forms.  Each
+check_* takes one parameter (n or p; check_families also takes its list of
+triples) and returns that cell's records.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ class FamilyTriple:
     c: int
 
 
-# the two published lists of triples; anything else is "extra-paper"
+# the two published lists of triples
 NEW1_TRIPLES = (
     FamilyTriple(9, 4, 5),
     FamilyTriple(5, 2, 16),
@@ -45,7 +47,7 @@ NEW2_TRIPLES = (
 )
 
 
-def check_conjecture1(p: int) -> Report:
+def check_conjecture1(p: int) -> list[Report]:
     """(3k+1)-weighted inverse sum against p*(-1)^((p-1)/2), mod p^2."""
     require_prime(p)
     if p <= 3:
@@ -53,9 +55,9 @@ def check_conjecture1(p: int) -> Report:
     m = p * p
     lhs = inverse_weighted_sum_mod(p)[0] % m
     rhs = p * (-1) ** ((p - 1) // 2) % m
-    return Report(
+    return [Report(
         statement="conjecture1", params={"p": p}, modulus=m, lhs=lhs, rhs=rhs
-    )
+    )]
 
 
 def conjecture2_target(p: int) -> tuple[int, str]:
@@ -83,34 +85,34 @@ def conjecture2_target(p: int) -> tuple[int, str]:
     return 4 * legendre_symbol(x * y, 3) * x * y % m, "5mod12"
 
 
-def check_conjecture2(p: int) -> Report:
+def check_conjecture2(p: int) -> list[Report]:
     require_prime(p)
     if p == 2:
         raise OutsideHypothesis("p must be odd")
     m = p * p
     lhs = inverse_weighted_sum_mod(p)[1] % m
     target, case = conjecture2_target(p)
-    return Report(
+    return [Report(
         statement="conjecture2",
         params={"p": p, "case": case},
         modulus=m,
         lhs=lhs,
         rhs=target,
-    )
+    )]
 
 
-def check_family(t: FamilyTriple, n: int) -> Report:
-    """Divisibility of the (a*k+b, c)-weighted sum by n*C(2n,n)."""
+def check_families(triples: tuple[FamilyTriple, ...], n: int) -> list[Report]:
+    """Divisibility of each triple's (a*k+b, c)-weighted sum by n*C(2n,n)."""
     if n < 2:
         raise OutsideHypothesis("outside published claim (needs n > 1)")
-    extra = t not in NEW1_TRIPLES and t not in NEW2_TRIPLES
-    params = {"a": t.a, "b": t.b, "c": t.c, "n": n}
-    if extra:
-        params["origin"] = "extra-paper"
-    return divisibility_report(
-        "family", params, family_sum(t.a, t.b, t.c, n),
-        n * central_binomial(n),
-    )
+    modulus = n * central_binomial(n)
+    return [
+        divisibility_report(
+            "family", {"a": t.a, "b": t.b, "c": t.c, "n": n},
+            family_sum(t.a, t.b, t.c, n), modulus,
+        )
+        for t in triples
+    ]
 
 
 def product_factor_columns(a: int, n: int, modulus: int) -> list[int]:
@@ -242,19 +244,17 @@ def _zw_prefix(variant: str, n: int) -> int:
     return table[n]
 
 
-def check_zw_sun(n: int, variant: str = "guo") -> Report:
-    """Alternating Franel sums: guo is (3k+2) mod 2n^2; strengthened is
-    (9k^2+5k) mod n^2(n-1)."""
-    if variant == "guo":
-        if n < 1:
-            raise OutsideHypothesis("zw_guo requires parameter >= 1")
-        modulus = 2 * n * n
-    elif variant == "strengthened":
-        if n < 2:
-            raise OutsideHypothesis("zw_strengthened requires parameter >= 2")
-        modulus = n * n * (n - 1)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return divisibility_report(
-        f"zw_{variant}", {"n": n}, _zw_prefix(variant, n), modulus
-    )
+def check_zw_guo(n: int) -> list[Report]:
+    """The (3k+2)-weighted alternating Franel sum mod 2n^2."""
+    if n < 1:
+        raise OutsideHypothesis("zw_guo requires parameter >= 1")
+    return [divisibility_report("zw_guo", {"n": n}, _zw_prefix("guo", n), 2 * n * n)]
+
+
+def check_zw_strengthened(n: int) -> list[Report]:
+    """The (9k^2+5k)-weighted alternating Franel sum mod n^2(n-1)."""
+    if n < 2:
+        raise OutsideHypothesis("zw_strengthened requires parameter >= 2")
+    return [divisibility_report(
+        "zw_strengthened", {"n": n}, _zw_prefix("strengthened", n), n * n * (n - 1)
+    )]

@@ -26,43 +26,50 @@ from .combinatorics import (
 from .reports import OutsideHypothesis, Report
 
 
-def check_sun_expansion(n: int) -> Report:
+MACMAHON_POINTS = (-3, -2, -1, 0, 1, 2, 3)
+
+
+def check_sun_expansion(n: int) -> list[Report]:
     """f_n against the alternating central-binomial expansion."""
-    return Report(
+    return [Report(
         statement="sun_expansion",
         params={"n": n},
         lhs=franel_sun_expansion(n),
         rhs=franel_direct(n),
-    )
+    )]
 
 
-def check_strehl(n: int) -> Report:
-    return Report(
+def check_strehl(n: int) -> list[Report]:
+    return [Report(
         statement="strehl",
         params={"n": n},
         lhs=franel_strehl(n),
         rhs=franel_direct(n),
-    )
+    )]
 
 
-def check_macmahon(n: int, x: int) -> Report:
-    lhs, rhs = macmahon_sides(n, x)
-    return Report(
-        statement="macmahon", params={"n": n, "x": x}, lhs=lhs, rhs=rhs
-    )
+def check_macmahon(n: int) -> list[Report]:
+    """MacMahon's identity at index n, one record per point x."""
+    out = []
+    for x in MACMAHON_POINTS:
+        lhs, rhs = macmahon_sides(n, x)
+        out.append(Report(
+            statement="macmahon", params={"n": n, "x": x}, lhs=lhs, rhs=rhs
+        ))
+    return out
 
 
-def check_partial_fraction(n: int) -> Report:
+def check_partial_fraction(n: int) -> list[Report]:
     """Both sides are exact rationals; compare numerators over the common
     denominator so the report stays integer-valued."""
     (lhs_num, lhs_den), (rhs_num, rhs_den) = partial_fraction_sides(n)
     den = math.lcm(lhs_den, rhs_den)
-    return Report(
+    return [Report(
         statement="partial_fraction",
         params={"n": n},
         lhs=lhs_num * (den // lhs_den),
         rhs=rhs_num * (den // rhs_den),
-    )
+    )]
 
 
 def induction_lhs(n: int, k: int) -> int:
@@ -80,38 +87,41 @@ def induction_lhs(n: int, k: int) -> int:
     return total
 
 
-def check_induction_identity(n: int, k: int) -> Report:
-    """Weighted partial-sum identity, compared after cross-multiplying
-    by 8(2k+1) so both sides are integers."""
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    lhs = 8 * (2 * k + 1) * induction_lhs(n, k)
-    rhs = central_binomial(n) * binomial(n + 2 * k, 3 * k) * n * (k - n) * (-4) ** (n - k)
-    return Report(
-        statement="induction", params={"n": n, "k": k}, lhs=lhs, rhs=rhs
-    )
+def check_induction_identity(n: int) -> list[Report]:
+    """Weighted partial-sum identity for each 0 <= k <= n, compared after
+    cross-multiplying by 8(2k+1) so both sides are integers."""
+    out = []
+    for k in range(n + 1):
+        lhs = 8 * (2 * k + 1) * induction_lhs(n, k)
+        rhs = central_binomial(n) * binomial(n + 2 * k, 3 * k) * n * (k - n) * (-4) ** (n - k)
+        out.append(Report(
+            statement="induction", params={"n": n, "k": k}, lhs=lhs, rhs=rhs
+        ))
+    return out
 
 
-def check_summation_lemma(n: int, k: int) -> Report:
-    """Alternating sum telescoping to a single (possibly zero) binomial."""
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    # t_m = C(n,m) C(m+2k,3k) (-1)^(m-k), stepped in m from t_k = C(n,k)
-    lhs = 0
-    term = binomial(n, k)
-    for m in range(k, n + 1):
-        lhs += term
-        term = exact_div(
-            -term * (n - m) * (m + 2 * k + 1), (m + 1) * (m + 1 - k),
-            "summation lemma term", "n k m", n, k, m + 1,
-        )
-    rhs = binomial(2 * k, n - k) * (-1) ** (n - k)
-    return Report(
-        statement="summation_lemma", params={"n": n, "k": k}, lhs=lhs, rhs=rhs
-    )
+def check_summation_lemma(n: int) -> list[Report]:
+    """Alternating sum telescoping to a single (possibly zero) binomial,
+    for each 0 <= k <= n."""
+    out = []
+    for k in range(n + 1):
+        # t_m = C(n,m) C(m+2k,3k) (-1)^(m-k), stepped in m from t_k = C(n,k)
+        lhs = 0
+        term = binomial(n, k)
+        for m in range(k, n + 1):
+            lhs += term
+            term = exact_div(
+                -term * (n - m) * (m + 2 * k + 1), (m + 1) * (m + 1 - k),
+                "summation lemma term", "n k m", n, k, m + 1,
+            )
+        rhs = binomial(2 * k, n - k) * (-1) ** (n - k)
+        out.append(Report(
+            statement="summation_lemma", params={"n": n, "k": k}, lhs=lhs, rhs=rhs
+        ))
+    return out
 
 
-def check_integrality(n: int) -> Report:
+def check_integrality(n: int) -> list[Report]:
     """Integrality facts used to pull the n*C(2n,n) factor out of the main
     divisibility sum.  For each 0 <= k < n:
 
@@ -133,16 +143,16 @@ def check_integrality(n: int) -> Report:
         q, r = divmod(c3k, 2 * k + 1)
         alt = c3k - 2 * c3k_1
         if r != 0 or q != alt:
-            return Report(
+            return [Report(
                 statement="integrality", params={"n": n, "k": k, "part": "a"},
                 lhs=q if r == 0 else c3k, rhs=alt if r == 0 else q * (2 * k + 1),
-            )
+            )]
         num = cb[k] * (-4) ** (n - k)
         if num % 8:
-            return Report(
+            return [Report(
                 statement="integrality", params={"n": n, "k": k, "part": "b"},
                 lhs=num % 8, rhs=0,
-            )
+            )]
         if k:
             c3k_1 = exact_div(
                 c3k_1 * 3 * (3 * k + 1) * (3 * k + 2), 2 * k * (2 * k + 3),
@@ -151,22 +161,22 @@ def check_integrality(n: int) -> Report:
         else:
             c3k_1 = 1
     # (c): the pulled-out sum divides exactly by 8
-    return Report(
+    return [Report(
         statement="integrality", params={"n": n, "part": "c"},
         lhs=pulled_out_sum(n) % 8, rhs=0,
-    )
+    )]
 
 
-def check_recurrence_step(n: int) -> Report:
+def check_recurrence_step(n: int) -> list[Report]:
     """One step of the three-term recurrence, against direct-route values."""
     if n < 1:
         raise OutsideHypothesis("recurrence step requires parameter >= 1")
-    return Report(
+    return [Report(
         statement="recurrence",
         params={"n": n},
         lhs=(n + 1) * (n + 1) * franel_direct(n + 1),
         rhs=recurrence_rhs(n, franel_direct(n - 1), franel_direct(n)),
-    )
+    )]
 
 
 def check_route_agreement(n: int) -> list[Report]:

@@ -1,22 +1,22 @@
 """Catalog of verifiable statements: id, parameter axis, default range
-and runner.  This is what the CLI's sweep command dispatches on.
+and check.  This is what the CLI's sweep command dispatches on.
 
 Each statement is swept over a single integer parameter (an index n or a
-prime p); a runner may emit several reports per parameter (inner k loops,
-the triple lists, the multi-index grid).  A statement's hypothesis is its
-check's own guard: outside it the check raises OutsideHypothesis, and
-run_cell makes that one skipped record, never a failure.
+prime p), and its check maps one parameter to that cell's records: one
+record, or several (inner k loops, the MacMahon points, the triple lists,
+the multi-index grid).  A statement's hypothesis is its check's own guard:
+outside it the check raises OutsideHypothesis, and run_cell makes that one
+skipped record, never a failure.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from . import congruences, conjectures, identities
 from .modular import primes_in_range
 from .reports import OutsideHypothesis, Report
-
-MACMAHON_POINTS = (-3, -2, -1, 0, 1, 2, 3)
 
 
 @dataclass(frozen=True)
@@ -27,65 +27,37 @@ class Statement:
     run: Callable[[int], list[Report]]
 
 
-def _single(fn: Callable[[int], Report]) -> Callable[[int], list[Report]]:
-    return lambda v: [fn(v)]
-
-
-def _run_macmahon(n: int) -> list[Report]:
-    return [identities.check_macmahon(n, x) for x in MACMAHON_POINTS]
-
-
-def _run_induction(n: int) -> list[Report]:
-    return [identities.check_induction_identity(n, k) for k in range(n + 1)]
-
-
-def _run_summation(n: int) -> list[Report]:
-    return [identities.check_summation_lemma(n, k) for k in range(n + 1)]
-
-
-def _run_family(triples) -> Callable[[int], list[Report]]:
-    return lambda n: [conjectures.check_family(t, n) for t in triples]
-
-
 STATEMENTS: dict[str, Statement] = {
     s.id: s
     for s in [
         # identity suite (exact, parameter n)
         Statement("route_agreement", "n", (0, 300), identities.check_route_agreement),
-        Statement("macmahon", "n", (0, 100), _run_macmahon),
-        Statement("strehl", "n", (0, 100), _single(identities.check_strehl)),
-        Statement("sun_expansion", "n", (0, 100),
-                  _single(identities.check_sun_expansion)),
-        Statement("induction", "n", (0, 80), _run_induction),
-        Statement("summation_lemma", "n", (0, 80), _run_summation),
-        Statement("recurrence", "n", (1, 299),
-                  _single(identities.check_recurrence_step)),
-        Statement("integrality", "n", (2, 200),
-                  _single(identities.check_integrality)),
-        Statement("partial_fraction", "n", (0, 200),
-                  _single(identities.check_partial_fraction)),
+        Statement("macmahon", "n", (0, 100), identities.check_macmahon),
+        Statement("strehl", "n", (0, 100), identities.check_strehl),
+        Statement("sun_expansion", "n", (0, 100), identities.check_sun_expansion),
+        Statement("induction", "n", (0, 80), identities.check_induction_identity),
+        Statement("summation_lemma", "n", (0, 80), identities.check_summation_lemma),
+        Statement("recurrence", "n", (1, 299), identities.check_recurrence_step),
+        Statement("integrality", "n", (2, 200), identities.check_integrality),
+        Statement("partial_fraction", "n", (0, 200), identities.check_partial_fraction),
         # theorems and proof chain (congruences)
-        Statement("theorem1", "n", (2, 500), _single(congruences.check_theorem1)),
-        Statement("theorem2", "p", (3, 997), _single(congruences.check_theorem2)),
-        Statement("theorem3", "p", (3, 997), _single(congruences.check_theorem3)),
+        Statement("theorem1", "n", (2, 500), congruences.check_theorem1),
+        Statement("theorem2", "p", (3, 997), congruences.check_theorem2),
+        Statement("theorem3", "p", (3, 997), congruences.check_theorem3),
         Statement("reduction_chain", "p", (3, 499),
                   congruences.check_reduction_chain),
         # conjectures
-        Statement("conjecture1", "p", (5, 997),
-                  _single(conjectures.check_conjecture1)),
-        Statement("conjecture2", "p", (3, 997),
-                  _single(conjectures.check_conjecture2)),
+        Statement("conjecture1", "p", (5, 997), conjectures.check_conjecture1),
+        Statement("conjecture2", "p", (3, 997), conjectures.check_conjecture2),
         Statement("family_new1", "n", (1, 500),
-                  _run_family(conjectures.NEW1_TRIPLES)),
+                  partial(conjectures.check_families, conjectures.NEW1_TRIPLES)),
         Statement("family_new2", "n", (1, 500),
-                  _run_family(conjectures.NEW2_TRIPLES)),
+                  partial(conjectures.check_families, conjectures.NEW2_TRIPLES)),
         Statement("third_conjecture", "n", (1, 120),
                   conjectures.third_conjecture_grid),
         Statement("product_note", "p", (3, 47), conjectures.check_product_note),
-        Statement("zw_guo", "n", (1, 500),
-                  _single(lambda n: conjectures.check_zw_sun(n, "guo"))),
-        Statement("zw_strengthened", "n", (2, 500),
-                  _single(lambda n: conjectures.check_zw_sun(n, "strengthened"))),
+        Statement("zw_guo", "n", (1, 500), conjectures.check_zw_guo),
+        Statement("zw_strengthened", "n", (2, 500), conjectures.check_zw_strengthened),
         # auxiliary congruences the proofs route through
         Statement("babbage", "p", (3, 499), congruences.check_babbage),
         Statement("morley", "p", (3, 499), congruences.check_morley),

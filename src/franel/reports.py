@@ -7,10 +7,11 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import json
 import sys
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable
+from typing import Callable, NamedTuple
 
 
 # every verdict a record can have, in the order summaries list them
@@ -147,9 +148,32 @@ def to_tsv_line(r: Report) -> str:
     )
 
 
-FORMATTERS = {"json-lines": to_json_line, "tsv": to_tsv_line}
+def json_summary(summary: dict) -> str:
+    """The summary record: counts by verdict per statement and in total."""
+    return json.dumps({"record_type": "summary", "statements": summary["statements"],
+                       "total": summary["total"]}, sort_keys=True)
+
+
+def tsv_summary(summary: dict) -> str:
+    """One summary row per statement, then the TOTAL row."""
+    rows = [*summary["statements"].items(), ("TOTAL", summary["total"])]
+    return "\n".join("\t".join(["summary", sid, *(str(c[v]) for v in VERDICTS)])
+                     for sid, c in rows)
+
+
+class Format(NamedTuple):
+    """An output format: a record's line, and the lines of run_sweep's summary."""
+
+    line: Callable[[Report], str]
+    summary: Callable[[dict], str]
+
+
+FORMATTERS = {
+    "json-lines": Format(to_json_line, json_summary),
+    "tsv": Format(to_tsv_line, tsv_summary),
+}
 
 
 def serialize(r: Report, fmt: str) -> str:
     """r as one line in fmt; run_sweep has already rejected an unknown fmt."""
-    return FORMATTERS[fmt](r)
+    return FORMATTERS[fmt].line(r)

@@ -46,25 +46,34 @@ def test_criterion_identity_suite():
     def run(label, reports):
         failures.extend((label, r.params) for r in reports if not r.passed)
 
+    def one(reports):
+        [r] = reports
+        return r
+
+    def over(key, values, reports):
+        # one record per point, in order
+        assert [r.params[key] for r in reports] == list(values)
+        return reports
+
     # both polynomial sides checked at 7 integer points per n (the stated
     # acceptance grid; each side has degree <= n in x, so this certifies
     # the instances swept, not the polynomial identity for n >= 7)
     run("macmahon", [
-        ids.check_macmahon(n, x) for n in range(101) for x in range(-3, 4)
+        r for n in range(101) for r in over("x", range(-3, 4), ids.check_macmahon(n))
     ])
-    run("strehl", [ids.check_strehl(n) for n in range(101)])
-    run("sun_expansion", [ids.check_sun_expansion(n) for n in range(101)])
+    run("strehl", [one(ids.check_strehl(n)) for n in range(101)])
+    run("sun_expansion", [one(ids.check_sun_expansion(n)) for n in range(101)])
     run("induction", [
-        ids.check_induction_identity(n, k)
-        for n in range(81) for k in range(n + 1)
+        r for n in range(81)
+        for r in over("k", range(n + 1), ids.check_induction_identity(n))
     ])
     run("summation_lemma", [
-        ids.check_summation_lemma(n, k)
-        for n in range(81) for k in range(n + 1)
+        r for n in range(81)
+        for r in over("k", range(n + 1), ids.check_summation_lemma(n))
     ])
-    run("recurrence", [ids.check_recurrence_step(n) for n in range(1, 300)])
-    run("integrality", [ids.check_integrality(n) for n in range(2, 201)])
-    run("partial_fraction", [ids.check_partial_fraction(n) for n in range(201)])
+    run("recurrence", [one(ids.check_recurrence_step(n)) for n in range(1, 300)])
+    run("integrality", [one(ids.check_integrality(n)) for n in range(2, 201)])
+    run("partial_fraction", [one(ids.check_partial_fraction(n)) for n in range(201)])
     assert not failures, failures[:5]
     elapsed = time.monotonic() - started
     assert elapsed < 60, f"identity suite took {elapsed:.1f}s (budget 60s)"
@@ -74,7 +83,7 @@ def test_criterion_identity_suite():
 def test_criterion_theorem1_divisibility():
     started = time.monotonic()
     for n in range(2, 501):
-        r = cg.check_theorem1(n)
+        [r] = cg.check_theorem1(n)
         assert r.passed and r.witness is not None, n
     elapsed = time.monotonic() - started
     assert elapsed < 120, f"theorem1 sweep took {elapsed:.1f}s (budget 120s)"
@@ -83,10 +92,11 @@ def test_criterion_theorem1_divisibility():
 
 def test_criterion_theorem2_mod_p_cubed():
     started = time.monotonic()
-    r3 = cg.check_theorem2(3)
+    [r3] = cg.check_theorem2(3)
     assert r3.lhs == r3.rhs == 24 and r3.modulus == 27
     for p in primes_in_range(3, 997):
-        assert cg.check_theorem2(p).passed, p
+        [r] = cg.check_theorem2(p)
+        assert r.passed, p
     elapsed = time.monotonic() - started
     assert elapsed < 300, f"theorem2 sweep took {elapsed:.1f}s (budget 300s)"
     _announce("theorem 2 mod p^3, odd p < 1000", started)
@@ -97,7 +107,8 @@ def test_criterion_theorem3_mod_p():
     checked = 0
     for p in primes_in_range(3, 997):
         if p % 4 == 3:
-            assert cg.check_theorem3(p).passed, p
+            [r] = cg.check_theorem3(p)
+            assert r.passed, p
             checked += 1
     assert checked == 87
     _announce("theorem 3 mod p, p = 3 (mod 4), p < 1000", started)
@@ -124,8 +135,8 @@ def test_criterion_auxiliary_congruences():
 def test_criterion_conjecture1_and_theorem2_agreement():
     started = time.monotonic()
     for p in primes_in_range(5, 997):
-        c1 = cj.check_conjecture1(p)
-        t2 = cg.check_theorem2(p)
+        [c1] = cj.check_conjecture1(p)
+        [t2] = cg.check_theorem2(p)
         assert c1.passed, p
         assert c1.lhs == t2.lhs % (p * p) and c1.rhs == t2.rhs % (p * p), p
     _announce("conjecture 1 mod p^2 and p^3-check agreement, 3 < p < 1000",
@@ -135,7 +146,8 @@ def test_criterion_conjecture1_and_theorem2_agreement():
 def test_criterion_conjecture2_all_cases():
     started = time.monotonic()
     for p in primes_in_range(3, 997):
-        assert cj.check_conjecture2(p).passed, p
+        [r] = cj.check_conjecture2(p)
+        assert r.passed, p
         if p % 12 == 1:
             ts = two_squares_decompose(p)
             assert (ts.y % 6 == 0) != ((ts.x - 3) % 6 == 0), p
@@ -144,10 +156,12 @@ def test_criterion_conjecture2_all_cases():
 
 def test_criterion_divisibility_families():
     started = time.monotonic()
-    for t in cj.NEW1_TRIPLES + cj.NEW2_TRIPLES:
+    for triples in (cj.NEW1_TRIPLES, cj.NEW2_TRIPLES):
         for n in range(2, 501):
-            r = cj.check_family(t, n)
-            assert r.passed and r.witness is not None, (t, n)
+            reports = cj.check_families(triples, n)
+            assert len(reports) == len(triples), n
+            for t, r in zip(triples, reports):
+                assert r.passed and r.witness is not None, (t, n)
     elapsed = time.monotonic() - started
     assert elapsed < 900, f"family sweep took {elapsed:.1f}s (budget 900s)"
     _announce("12 divisibility families, 2 <= n <= 500", started)
@@ -170,9 +184,11 @@ def test_criterion_third_conjecture_and_product_note():
 def test_criterion_zw_sun_forms():
     started = time.monotonic()
     for n in range(1, 501):
-        assert cj.check_zw_sun(n, "guo").passed, n
+        [r] = cj.check_zw_guo(n)
+        assert r.passed, n
         if n >= 2:
-            assert cj.check_zw_sun(n, "strengthened").passed, n
+            [r] = cj.check_zw_strengthened(n)
+            assert r.passed, n
     _announce("alternating forms mod 2n^2 (n <= 500) and mod n^2(n-1)",
               started)
 

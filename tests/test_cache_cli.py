@@ -20,13 +20,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from franel import (
-    InconsistencyError, NotCoprimeError, cli, congruences, harness, registry
+    InconsistencyError, NotCoprimeError, cli, congruences, harness, registry, reports
 )
 from franel.cache import CacheError, load_table, store_table
 from franel.cli import main
 from franel.combinatorics import build_franel_table, franel
 from franel.harness import UsageError, run_sweep
-from franel.reports import OutsideHypothesis, Report, long_decimals, to_json_line
+from franel.reports import Format, OutsideHypothesis, Report, long_decimals, to_json_line
 
 
 def _sorted_lines(statement_ids, workers, **kwargs):
@@ -360,6 +360,22 @@ class TestVerifyCommand:
         out = capsys.readouterr().out.splitlines()
         assert out[0].split("\t")[:2] == ["strehl", "n=0"]
         assert out[-1].startswith("summary\tTOTAL\t")
+
+    def test_added_format_streams_records_and_summary(self, monkeypatch, capsys):
+        # a format is one entry of FORMATTERS: its record line and its summary
+        def line(r):
+            return f"{r.statement};{r.params['n']};{r.verdict}"
+
+        def summary(s):
+            return "\n".join(f"total;{v};{c}" for v, c in s["total"].items())
+
+        monkeypatch.setitem(reports.FORMATTERS, "semicolons", Format(line, summary))
+        assert main(["sweep", "--statements", "theorem1", "--n-range", "1..3",
+                     "--format", "semicolons"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "theorem1;1;skipped", "theorem1;2;pass", "theorem1;3;pass",
+            "total;pass;2", "total;fail;0", "total;skipped;1",
+        ]
 
     @pytest.mark.parametrize("fmt", ["xml", "TSV", ""])
     def test_unknown_format_is_usage_error(self, fmt, capsys):

@@ -112,13 +112,14 @@ def test_family_sum_rejects_negative_n():
 
 class TestTheorem1:
     def test_examples(self):
-        r = check_theorem1(2)
+        [r] = check_theorem1(2)
         assert r.passed and r.witness == 0
         assert family_sum(3, 1, -16, 2) == -16 + 16 == 0
-        r = check_theorem1(3)
+        [r] = check_theorem1(3)
         assert r.passed and r.witness == 7
         assert family_sum(3, 1, -16, 3) == 256 - 256 + 420 == 420
-        assert check_theorem1(50).passed
+        [r] = check_theorem1(50)
+        assert r.passed
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -126,7 +127,7 @@ class TestTheorem1:
 
     def test_sweep(self):
         for n in range(2, 120):
-            r = check_theorem1(n)
+            [r] = check_theorem1(n)
             assert r.passed
             assert r.witness * n * binomial(2 * n, n) == family_sum(3, 1, -16, n)
 
@@ -134,17 +135,18 @@ class TestTheorem1:
 class TestTheorem2:
     def test_p3_hand_checked(self):
         # lhs = 1 + 16*inv(11) + 420*inv(13) = 1 + 26 + 24 = 24 (mod 27)
-        r = check_theorem2(3)
+        [r] = check_theorem2(3)
         assert r.passed and r.lhs == r.rhs == 24 and r.modulus == 27
         assert 16 * mod_inverse(-16, 27) % 27 == 26
         assert 420 * mod_inverse(256, 27) % 27 == 24
 
     def test_p5(self):
-        r = check_theorem2(5)
+        [r] = check_theorem2(5)
         assert r.passed and r.lhs == r.rhs == 5 and r.modulus == 125
 
     def test_large(self):
-        assert check_theorem2(997).passed
+        [r] = check_theorem2(997)
+        assert r.passed
 
     def test_oracle_modular_sum(self):
         # rebuild the sum with one modular division per term
@@ -155,7 +157,8 @@ class TestTheorem2:
             for k in range(p):
                 num = (3 * k + 1) * binomial(2 * k, k) * f[k]
                 total += num * mod_inverse((-16) ** k, m) % m
-            assert total % m == check_theorem2(p).lhs
+            [r] = check_theorem2(p)
+            assert total % m == r.lhs
 
     def test_p2_not_coprime(self):
         with pytest.raises(NotCoprimeError):
@@ -169,7 +172,8 @@ class TestTheorem2:
 class TestTheorem3:
     def test_examples(self):
         for p in (3, 7, 19):
-            assert check_theorem3(p).passed
+            [r] = check_theorem3(p)
+            assert r.passed
 
     def test_rejects_1_mod_4(self):
         with pytest.raises(ValueError):
@@ -178,7 +182,8 @@ class TestTheorem3:
     def test_sweep(self):
         for p in primes_in_range(3, 200):
             if p % 4 == 3:
-                assert check_theorem3(p).passed
+                [r] = check_theorem3(p)
+                assert r.passed
 
 
 # the auxiliary congruences, each registered with its congruences.check_<id>
@@ -346,7 +351,8 @@ def test_inverse_weighted_sum_matches_theorem_reports():
         m = p * p
         oracle = inverse_weighted_sum_bigint(p, m, [3 * k + 1 for k in range(p)])
         assert inverse_weighted_sum_mod(p)[0] % m == oracle
-        assert check_theorem2(p).lhs % m == oracle
+        [r] = check_theorem2(p)
+        assert r.lhs % m == oracle
 
 
 def test_inverse_weighted_sum_matches_bigint():

@@ -11,9 +11,10 @@ from franel.conjectures import (
     FamilyTriple,
     check_conjecture1,
     check_conjecture2,
-    check_family,
+    check_families,
     check_product_note,
-    check_zw_sun,
+    check_zw_guo,
+    check_zw_strengthened,
     conjecture2_target,
     third_conjecture_grid,
 )
@@ -30,11 +31,12 @@ from oracles import (
 
 class TestConjecture1:
     def test_examples(self):
-        r = check_conjecture1(5)
+        [r] = check_conjecture1(5)
         assert r.passed and r.lhs == 5 and r.modulus == 25
-        r = check_conjecture1(7)
+        [r] = check_conjecture1(7)
         assert r.passed and r.lhs == -7 % 49 == 42
-        assert check_conjecture1(499).passed
+        [r] = check_conjecture1(499)
+        assert r.passed
 
     def test_hypothesis_bound(self):
         with pytest.raises(ValueError):
@@ -43,8 +45,8 @@ class TestConjecture1:
     def test_implied_by_theorem2(self):
         # agreement between the p^2 and p^3 checks
         for p in primes_in_range(5, 100):
-            c1 = check_conjecture1(p)
-            t2 = check_theorem2(p)
+            [c1] = check_conjecture1(p)
+            [t2] = check_theorem2(p)
             assert c1.lhs == t2.lhs % (p * p)
             assert c1.rhs == t2.rhs % (p * p)
             assert c1.passed and t2.passed
@@ -52,24 +54,25 @@ class TestConjecture1:
 
 class TestConjecture2:
     def test_case_3_mod_4(self):
-        r = check_conjecture2(7)
+        [r] = check_conjecture2(7)
         assert r.passed and r.rhs == 0 and r.params["case"] == "3mod4"
 
     def test_case_1_mod_12(self):
-        r = check_conjecture2(13)
+        [r] = check_conjecture2(13)
         # x=3 (so 6 | x-3): target 2p - 4x^2 = -10 = 159 (mod 169)
         assert r.passed and r.rhs == 159 and r.params["case"] == "1mod12_x"
         target, case = conjecture2_target(61)  # 61 = 5^2 + 6^2, 6 | y
         assert case == "1mod12_y" and target == (4 * 25 - 2 * 61) % (61 * 61)
 
     def test_case_5_mod_12(self):
-        r = check_conjecture2(5)
+        [r] = check_conjecture2(5)
         # x=1, y=2, legendre(2,3) = -1: target -8 = 17 (mod 25)
         assert r.passed and r.rhs == 17 and r.params["case"] == "5mod12"
 
     def test_sweep(self):
         for p in primes_in_range(3, 300):
-            assert check_conjecture2(p).passed, p
+            [r] = check_conjecture2(p)
+            assert r.passed, p
 
     def test_rejects_2_and_composites(self):
         with pytest.raises(ValueError):
@@ -96,32 +99,30 @@ class TestConjecture2:
 
 class TestFamilies:
     def test_examples(self):
-        r = check_family(FamilyTriple(3, 1, -16), 3)
+        [r] = check_families((FamilyTriple(3, 1, -16),), 3)
         assert r.passed and r.witness == 7
-        r = check_family(FamilyTriple(9, 4, 5), 2)
+        [r] = check_families((FamilyTriple(9, 4, 5),), 2)
         assert r.passed and r.witness == 6
-        r = check_family(FamilyTriple(15, 4, -49), 2)
+        [r] = check_families((FamilyTriple(15, 4, -49),), 2)
         assert r.passed and r.witness == -10
 
     def test_listed_triples_small_sweep(self):
-        for t in NEW1_TRIPLES + NEW2_TRIPLES:
+        for triples in (NEW1_TRIPLES, NEW2_TRIPLES):
             for n in range(2, 60):
-                r = check_family(t, n)
-                assert r.passed, (t, n)
-                assert "origin" not in r.params
-
-    def test_extra_paper_triple_labeled(self):
-        r = check_family(FamilyTriple(3, 1, -16), 4)
-        assert r.params["origin"] == "extra-paper"
+                reports = check_families(triples, n)
+                assert len(reports) == len(triples), n
+                for t, r in zip(triples, reports):
+                    assert r.passed, (t, n)
+                    assert r.params == {"a": t.a, "b": t.b, "c": t.c, "n": n}
 
     def test_zero_base(self):
         # c = 0: S_3 = (1*2 + 1) C(4,2) f_2 = 180 = 3 * (3 C(6,3))
-        r = check_family(FamilyTriple(1, 1, 0), 3)
+        [r] = check_families((FamilyTriple(1, 1, 0),), 3)
         assert r.passed and r.witness == 3
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
-            check_family(FamilyTriple(9, 4, 5), 1)
+            check_families((FamilyTriple(9, 4, 5),), 1)
 
 
 class TestThirdConjecture:
@@ -291,42 +292,43 @@ class TestProductNote:
 
 class TestZwSun:
     def test_examples(self):
-        r = check_zw_sun(2, "guo")
+        [r] = check_zw_guo(2)
         assert r.passed and r.witness == -1 and r.modulus == 8
-        r = check_zw_sun(2, "strengthened")
+        [r] = check_zw_strengthened(2)
         assert r.passed and r.witness == -7 and r.modulus == 4
-        assert check_zw_sun(100, "guo").passed
+        [r] = check_zw_guo(100)
+        assert r.passed
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
-            check_zw_sun(1, "strengthened")
+            check_zw_strengthened(1)
         with pytest.raises(ValueError):
-            check_zw_sun(0, "guo")
-        with pytest.raises(ValueError):
-            check_zw_sun(5, "weak")
+            check_zw_guo(0)
 
     def test_sweep(self):
         for n in range(1, 80):
-            assert check_zw_sun(n, "guo").passed
+            [r] = check_zw_guo(n)
+            assert r.passed
             if n >= 2:
-                assert check_zw_sun(n, "strengthened").passed
+                [r] = check_zw_strengthened(n)
+                assert r.passed
 
     def test_any_query_order_matches_direct_sum(self, monkeypatch):
         monkeypatch.setattr(conjectures, "_ZW_CACHE", {})
         f = franel_upto(120)
-        weights = {"guo": lambda k: 3 * k + 2,
-                   "strengthened": lambda k: 9 * k * k + 5 * k}
-        for variant, weight in weights.items():
+        checks = {check_zw_guo: lambda k: 3 * k + 2,
+                  check_zw_strengthened: lambda k: 9 * k * k + 5 * k}
+        for check, weight in checks.items():
             for n in list(range(120, 80, -1)) + list(range(2, 81)):
                 direct = sum(weight(k) * (-1) ** k * f[k] for k in range(n))
-                r = check_zw_sun(n, variant)
-                assert r.witness * r.modulus + r.lhs == direct, (variant, n)
+                [r] = check(n)
+                assert r.witness * r.modulus + r.lhs == direct, (check.__name__, n)
 
 
 def test_witnesses_reconstruct_sums():
     for t in (FamilyTriple(9, 4, 5), FamilyTriple(9, 2, -112)):
         for n in (2, 7, 20):
-            r = check_family(t, n)
+            [r] = check_families((t,), n)
             from franel.congruences import family_sum
 
             assert r.witness * n * binomial(2 * n, n) == family_sum(t.a, t.b, t.c, n)

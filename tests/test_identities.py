@@ -26,34 +26,38 @@ def test_report_verdict():
 
 class TestSunExpansion:
     def test_examples(self):
-        r = check_sun_expansion(0)
+        [r] = check_sun_expansion(0)
         assert r.passed and r.lhs == 1
-        r = check_sun_expansion(2)
+        [r] = check_sun_expansion(2)
         assert r.passed and r.lhs == 10
-        assert check_sun_expansion(20).passed
+        [r] = check_sun_expansion(20)
+        assert r.passed
 
     def test_sweep(self):
         for n in range(40):
-            assert check_sun_expansion(n).passed
+            [r] = check_sun_expansion(n)
+            assert r.passed
 
 
 class TestInduction:
     def test_examples(self):
         for k in range(5):
-            r = check_induction_identity(k, k)
+            r = check_induction_identity(k)[k]
             assert r.passed and r.lhs == 0  # empty sum, (k-n) factor
-        r = check_induction_identity(1, 0)
+        r = check_induction_identity(1)[0]
         assert r.passed and r.lhs == r.rhs == 8  # raw value 1, scaled by 8(2k+1)
-        assert check_induction_identity(6, 2).passed
+        assert check_induction_identity(6)[2].passed
 
-    def test_bad_args(self):
-        with pytest.raises(ValueError):
-            check_induction_identity(3, 4)
+    def test_one_record_per_k(self):
+        # k runs over 0 <= k <= n, and no further
+        for n in range(6):
+            assert [r.params["k"] for r in check_induction_identity(n)] == list(range(n + 1))
 
     def test_sweep(self):
         for n in range(25):
+            reports = check_induction_identity(n)
             for k in range(n + 1):
-                assert check_induction_identity(n, k).passed, (n, k)
+                assert reports[k].passed, (n, k)
 
     def test_induction_step_relation(self):
         # stepping n by one adds exactly the new m=n term to the raw sum
@@ -70,32 +74,41 @@ class TestInduction:
 class TestSummationLemma:
     def test_examples(self):
         for k in range(5):
-            r = check_summation_lemma(k, k)
+            r = check_summation_lemma(k)[k]
             assert r.passed and r.lhs == 1
-        r = check_summation_lemma(2, 1)
+        r = check_summation_lemma(2)[1]
         assert r.passed and r.lhs == -2
-        assert check_summation_lemma(7, 3).passed
+        assert check_summation_lemma(7)[3].passed
+
+    def test_one_record_per_k(self):
+        # k runs over 0 <= k <= n, and no further
+        for n in range(6):
+            assert [r.params["k"] for r in check_summation_lemma(n)] == list(range(n + 1))
 
     def test_sweep(self):
         for n in range(30):
+            reports = check_summation_lemma(n)
             for k in range(n + 1):
-                assert check_summation_lemma(n, k).passed, (n, k)
+                assert reports[k].passed, (n, k)
 
     def test_telescopes_to_zero_beyond_3k(self):
         # right side vanishes for n > 3k; the left must telescope to 0
         for n in range(1, 40):
+            reports = check_summation_lemma(n)
             for k in range(n + 1):
                 if n > 3 * k:
-                    r = check_summation_lemma(n, k)
+                    r = reports[k]
                     assert r.rhs == 0 and r.lhs == 0, (n, k)
 
 
 class TestIntegrality:
     def test_examples(self):
-        assert check_integrality(2).passed
+        [r] = check_integrality(2)
+        assert r.passed
         # k=1: C(3,1)/3 = 1 = 3 - 2*C(3,0)
         assert binomial(3, 1) // 3 == binomial(3, 1) - 2 * binomial(3, 0) == 1
-        assert check_integrality(10).passed
+        [r] = check_integrality(10)
+        assert r.passed
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -103,29 +116,39 @@ class TestIntegrality:
 
     def test_sweep(self):
         for n in range(2, 60):
-            assert check_integrality(n).passed
+            [r] = check_integrality(n)
+            assert r.passed
 
 
 class TestRecurrence:
     def test_examples(self):
-        r = check_recurrence_step(2)
+        [r] = check_recurrence_step(2)
         assert r.passed and r.lhs == 9 * 56
-        assert all(check_recurrence_step(n).passed for n in range(1, 100))
+        for n in range(1, 100):
+            [r] = check_recurrence_step(n)
+            assert r.passed, n
 
 
 class TestStrehl:
     def test_examples(self):
-        assert check_strehl(0).passed
-        r = check_strehl(2)
+        [r] = check_strehl(0)
+        assert r.passed
+        [r] = check_strehl(2)
         assert r.passed and r.lhs == 10
-        assert check_strehl(30).passed
+        [r] = check_strehl(30)
+        assert r.passed
 
 
 def test_macmahon_and_partial_fraction_wrappers():
-    assert check_macmahon(2, 1).passed
-    assert check_macmahon(1, -1).lhs == 0
-    assert check_partial_fraction(0).passed
-    assert check_partial_fraction(25).passed
+    # one record per point x = -3..3, in order
+    for n in range(6):
+        assert [r.params["x"] for r in check_macmahon(n)] == [-3, -2, -1, 0, 1, 2, 3]
+    assert check_macmahon(2)[4].passed  # x = 1
+    assert check_macmahon(1)[2].lhs == 0  # x = -1
+    [r] = check_partial_fraction(0)
+    assert r.passed
+    [r] = check_partial_fraction(25)
+    assert r.passed
 
 
 def test_route_agreement_reports():

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from franel import registry
-from franel.conjectures import FamilyTriple, check_family
+from franel.conjectures import FamilyTriple, check_families
 from franel.harness import run_sweep
 from franel.reports import Report, to_json_line, to_tsv_line
 from oracles import json_line_via_dict, tsv_line_via_dict
@@ -59,7 +59,7 @@ def test_pickle_and_replace_keep_every_field(report):
 
 def test_serializes_past_int_str_limit(default_int_str_limit):
     # a library caller outside the CLI
-    r = check_family(FamilyTriple(102, 11, 10400), 1500)
+    [r] = check_families((FamilyTriple(102, 11, 10400),), 1500)
     record = json.loads(to_json_line(r))
     assert record["verdict"] == "pass" and len(record["witness"]) > 4300
     assert to_tsv_line(r).split("\t")[6] == record["witness"]

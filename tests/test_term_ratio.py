@@ -27,9 +27,8 @@ from franel.congruences import (
     final3_rhs_terms,
 )
 from franel.conjectures import check_product_note, product_factor_columns
-from franel.identities import check_summation_lemma, induction_lhs
+from franel.identities import MACMAHON_POINTS, check_summation_lemma, induction_lhs
 from franel.modular import primes_in_range
-from franel.registry import MACMAHON_POINTS
 from franel.reports import to_json_line
 
 ODD_PRIMES = primes_in_range(3, 499)
@@ -96,11 +95,10 @@ def test_prime_rows():
 
 def test_induction_and_summation_lemma():
     for n in range(81):
+        summation = check_summation_lemma(n)
         for k in range(n + 1):
             assert induction_lhs(n, k) == oracles.induction_lhs_comb(n, k), (n, k)
-            assert check_summation_lemma(n, k).lhs == (
-                oracles.summation_lemma_lhs_comb(n, k)
-            ), (n, k)
+            assert summation[k].lhs == oracles.summation_lemma_lhs_comb(n, k), (n, k)
 
 
 def _with_ratio(fn, old: str, new: str):
