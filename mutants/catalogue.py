@@ -32,6 +32,14 @@ CATALOGUE = (
         "    except ValueError as exc:",
         "tests/test_cache_cli.py::TestVerifyCommand",
     ),
+    # any other exception in a cell is its error record, whatever its type
+    Mutant(
+        "run-cell-catches-only-arithmetic-errors",
+        "src/franel/registry.py",
+        "    except Exception as exc:",
+        "    except ArithmeticError as exc:",
+        "tests/test_cache_cli.py::TestVerifyCommand::test_run_cell_skips_only_outside_hypothesis",
+    ),
     # the hypotheses, each stated once, in its check
     Mutant(
         "morley-admits-p-3",
@@ -248,6 +256,43 @@ CATALOGUE = (
         "    modulus = n * central_binomial(n)",
         "    modulus = central_binomial(n)",
         "tests/test_conjectures.py::TestFamilies::test_examples",
+    ),
+    Mutant(
+        "morley-sign",
+        "src/franel/congruences.py",
+        "            rhs=(-1) ** ((p - 1) // 2) * pow(4, p - 1, m) % m,",
+        "            rhs=(-1) ** ((p + 1) // 2) * pow(4, p - 1, m) % m,",
+        "tests/test_congruences.py::TestAuxiliary::test_morley",
+    ),
+    Mutant(
+        "half-binom-sign",
+        "src/franel/congruences.py",
+        "            rhs=-pow(16, p - 1, m) % m,",
+        "            rhs=pow(16, p - 1, m) % m,",
+        "tests/test_congruences.py::TestAuxiliary::test_half_binom",
+    ),
+    Mutant(
+        "central-pmod-inverse-of-2",
+        "src/franel/congruences.py",
+        "    inv4 = mod_inverse(4, p)",
+        "    inv4 = mod_inverse(2, p)",
+        "tests/test_congruences.py::TestAuxiliary::test_central_pmod",
+    ),
+    Mutant(
+        "fermat-square-power-of-8-inverted",
+        "src/franel/congruences.py",
+        "pow(8, 1 - p, m)",
+        "pow(8, p - 1, m)",
+        # test_fermat_square's one prime, p = 3, cannot see this edit: with
+        # 2^(p-1) = 1 + pt, it adds 6pt, which vanishes mod 9
+        "tests/test_congruences.py::TestAuxiliary::test_all_ids_small_sweep",
+    ),
+    Mutant(
+        "conjecture1-sign",
+        "src/franel/conjectures.py",
+        "    rhs = p * (-1) ** ((p - 1) // 2) % m",
+        "    rhs = p * (-1) ** ((p + 1) // 2) % m",
+        "tests/test_conjectures.py::TestConjecture1::test_examples",
     ),
     # the inner loops of a cell: every point, every k
     Mutant(

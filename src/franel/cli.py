@@ -6,8 +6,8 @@ route it is given with the first; `cache` alone writes a cache file, and
 validates one; `sweep` alone runs statements, and parses only the syntax
 of a request, leaving run_sweep to judge it.
 
-Exit codes: 0 all pass, 1 mathematical failure (or corrupt cache),
-2 usage/configuration error, 141 stdout closed by its reader (as in
+Exit codes: 0 all pass, 1 mathematical failure, error record or corrupt
+cache, 2 usage/configuration error, 141 stdout closed by its reader (as in
 `franel sweep | head -1`).  Reports stream to stdout, one record per
 line; diagnostics go to stderr.
 """
@@ -104,6 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@long_decimals()  # the one command that prints f_n, past 4300 digits, itself
 def _cmd_compute(args) -> int:
     lo, hi = args.n_range
     first, *others = args.route
@@ -142,12 +143,12 @@ def _cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(FORMATTERS[args.format].summary(summary))
-    if summary["total"]["fail"]:
-        print(
-            f"FAILED: {summary['total']['fail']} failing record(s); first: "
-            f"{summary['first_failure']}",
-            file=sys.stderr,
-        )
+    total = summary["total"]
+    if total["fail"] or "error" in total:
+        counts = f"{total['fail']} failing record(s)"
+        if "error" in total:
+            counts += f", {total['error']} error record(s)"
+        print(f"FAILED: {counts}; first: {summary['first_failure']}", file=sys.stderr)
         return EXIT_FAIL
     return EXIT_OK
 
@@ -181,14 +182,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         try:
             args = build_parser().parse_args(argv)
-            # compute and cache print and parse f_n past 4300 digits
-            with long_decimals():
-                if args.command == "compute":
-                    code = _cmd_compute(args)
-                elif args.command == "sweep":
-                    code = _cmd_sweep(args)
-                else:
-                    code = _cmd_cache(args)
+            # no digit limit lifted here: a sweep takes run_sweep's own path
+            if args.command == "compute":
+                code = _cmd_compute(args)
+            elif args.command == "sweep":
+                code = _cmd_sweep(args)
+            else:
+                code = _cmd_cache(args)
         finally:
             # here, not at exit, so that a closed stdout is caught below, also
             # after --help, which exits inside parse_args; stdout is None when

@@ -141,19 +141,22 @@ def _grid_report(
     )
 
 
-def third_conjecture_grid(
-    n: int, m_max: int = 3, a_values: tuple[int, ...] = (-3, -2, -1, 0, 1, 2, 3)
-) -> list[Report]:
+# the third conjecture's grid: every tuple of these, of length 1 to 3
+THIRD_MAX_LENGTH = 3
+THIRD_MULTIPLIERS = (-3, -2, -1, 0, 1, 2, 3)
+
+
+def third_conjecture_grid(n: int) -> list[Report]:
     """Multi-index product sums vanishing mod n^2, for both weight variants
-    (linear 3k+2, quadratic 9k^2+5k) over every multiplier tuple of length
-    <= m_max.  Zero multipliers are admitted (the factor degenerates to
+    (linear 3k+2, quadratic 9k^2+5k) over every multiplier tuple of the
+    grid.  Zero multipliers are admitted (the factor degenerates to
     (-1)^k) and flagged in the report.
 
     A tuple's sum is sum_k prefix(k) * w(k) * c_a(k) mod n^2, where prefix
     is the product column of the tuple without its last multiplier a and
     c_a is a's factor column.  A prefix is extended by the signed column
     (-1)^k c_a(k), so a prefix of odd length carries the (-1)^k that a
-    tuple of even length needs.  The 2 * len(a_values) residues
+    tuple of even length needs.  The 2 * len(THIRD_MULTIPLIERS) residues
     w(k) * c_a(k) mod n^2 of each k are packed into one int as base-2^width
     digits, so one dot product of a prefix column with the packed rows
     gives the sums of every one-multiplier extension of that prefix.
@@ -163,7 +166,7 @@ def third_conjecture_grid(
     out: list[Report] = []
     m2 = n * n
     f = franel_upto(n - 1)
-    cols1 = {a: product_factor_columns(a, n, m2) for a in a_values}
+    cols1 = {a: product_factor_columns(a, n, m2) for a in THIRD_MULTIPLIERS}
     signed = {
         a: [c if k % 2 == 0 else -c % m2 for k, c in enumerate(col)]
         for a, col in cols1.items()
@@ -181,23 +184,23 @@ def third_conjecture_grid(
     # turn, as base-2^width digits from the lowest up
     rows = [0] * n
     shift = 0
-    for a in a_values:
+    for a in THIRD_MULTIPLIERS:
         for w in (w_lin, w_quad):
             rows = [r | (x * c % m2) << shift for r, x, c in zip(rows, w, cols1[a])]
             shift += width
 
     prefixes: list[tuple[tuple[int, ...], list[int]]] = [((), [1] * n)]
-    for m in range(1, m_max + 1):
+    for m in range(1, THIRD_MAX_LENGTH + 1):
         longer = []
         for tup, col in prefixes:
             t = sum(map(operator.mul, col, rows))
-            for a in a_values:
+            for a in THIRD_MULTIPLIERS:
                 ext = tup + (a,)
                 out.append(_grid_report("linear", m, ext, n, (t & mask) % m2, m2))
                 t >>= width
                 out.append(_grid_report("quadratic", m, ext, n, (t & mask) % m2, m2))
                 t >>= width
-                if m < m_max:
+                if m < THIRD_MAX_LENGTH:
                     longer.append((ext, [x * y % m2 for x, y in zip(col, signed[a])]))
         prefixes = longer
     return out

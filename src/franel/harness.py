@@ -18,9 +18,14 @@ pool's parent holds a finished job's text only until every job before it
 is written.  If writing fails (a reader that closed stdout, say), the
 pool's jobs not yet started are cancelled, not run.
 
-Workers share nothing mutable; each process rebuilds the (cheap) Franel and
-central-binomial caches on first use.  The record stream, the summary and
-the first failing line are therefore identical for any worker count.
+Workers share nothing mutable.  Each process builds its own caches on
+first use: the Franel and central-binomial tables, the family walk's one
+state per base, the zw prefix tables and the lru_cache memos.  Each holds
+values of a pure function, so the record stream, the summary and the
+first failing or error line are identical for any worker count.
+
+A check that raises at a cell gives that cell one error record
+(registry.run_cell), so a sweep runs its whole grid either way.
 
 The process pool (concurrent.futures and multiprocessing) is imported only
 when a pool starts, so a serial sweep never loads it.
@@ -36,14 +41,15 @@ from .reports import FORMATTERS, VERDICTS, serialize
 
 
 def _empty_counts() -> dict:
-    return dict.fromkeys(VERDICTS, 0)
+    return dict.fromkeys((*VERDICTS, "error"), 0)
 
 
 def _run_job(
     statement_id: str, cells: list[int], fmt: str, stream: bool
 ) -> tuple[str, dict, str, str | None]:
     """Run one job: (statement id, counts by verdict, its record lines as
-    one string, empty unless stream, and its first failing line or None)."""
+    one string, empty unless stream, and its first failing or error line
+    or None)."""
     reports = registry.run_cells(statement_id, cells)
     reports.reverse()  # popped one by one: a job never holds all reports and lines
     counts = _empty_counts()
@@ -53,7 +59,7 @@ def _run_job(
         r = reports.pop()
         verdict = r.verdict
         counts[verdict] += 1
-        if verdict == "fail" and first_failure is None:
+        if verdict in ("fail", "error") and first_failure is None:
             first_failure = serialize(r, fmt)
         if stream:
             lines.append(serialize(r, fmt) + "\n")
@@ -85,9 +91,10 @@ def run_sweep(
 
     Returns {"statements": {id: {pass, fail, skipped}}, "total": {...},
     "first_failure": line or None}, where first_failure is the first
-    failing record of the stream, serialized in fmt.  When out is given,
-    every record is written to it as a line in fmt; the stream is the same,
-    byte for byte, at any worker count.
+    failing or error record of the stream, serialized in fmt; every count
+    dict also has an error count when the sweep has an error record.  When
+    out is given, every record is written to it as a line in fmt; the
+    stream is the same, byte for byte, at any worker count.
     """
     if workers < 1:
         raise UsageError("workers must be positive")
@@ -179,6 +186,9 @@ def run_sweep(
     for c in counts.values():
         for key in total:
             total[key] += c[key]
+    if not total["error"]:
+        for c in (*counts.values(), total):
+            del c["error"]
     return {
         "statements": {sid: counts[sid] for sid in sorted(counts)},
         "total": total,

@@ -6,7 +6,9 @@ prime p), and its check maps one parameter to that cell's records: one
 record, or several (inner k loops, the MacMahon points, the triple lists,
 the multi-index grid).  A statement's hypothesis is its check's own guard:
 outside it the check raises OutsideHypothesis, and run_cell makes that one
-skipped record, never a failure.
+skipped record, never a failure.  Any other exception a check raises at a
+cell (a composite p, NotCoprimeError, InconsistencyError, a defect) becomes
+that cell's one error record, which a sweep counts and exits 1 on.
 """
 from __future__ import annotations
 
@@ -85,13 +87,17 @@ def cells_for(stmt: Statement, lo: int, hi: int) -> list[int]:
 
 def run_cell(statement_id: str, param: int) -> list[Report]:
     """Run one statement at one parameter; a parameter outside its
-    hypothesis yields a single skipped record with the check's reason.
+    hypothesis yields a single skipped record with the check's reason, and
+    any other exception a single error record with its type and message.
     Top-level so worker processes can import it."""
     stmt = STATEMENTS[statement_id]
     try:
         return stmt.run(param)
     except OutsideHypothesis as exc:
         return [Report(statement_id, {stmt.kind: param}, skipped_reason=str(exc))]
+    except Exception as exc:
+        return [Report(statement_id, {stmt.kind: param},
+                       error=f"{type(exc).__name__}: {exc}")]
 
 
 def run_cells(statement_id: str, params: list[int]) -> list[Report]:

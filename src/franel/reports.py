@@ -14,7 +14,8 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, NamedTuple
 
 
-# every verdict a record can have, in the order summaries list them
+# the verdicts every summary counts, in its order; "error" (a check that
+# raised) follows them only in the summary of a sweep that has one
 VERDICTS = ("pass", "fail", "skipped")
 
 
@@ -30,7 +31,8 @@ class Report:
     modulus None means the two sides were compared as exact integers.
     witness carries the quotient for divisibility statements.
     A skipped_reason marks an out-of-hypothesis parameter; skipped
-    reports are neither passes nor failures.
+    reports are neither passes nor failures.  An error carries
+    "<ExceptionType>: <message>" of a check that raised at this cell.
 
     Slotted rather than frozen: hundreds of thousands are built per sweep,
     and nothing assigns to or hashes one.
@@ -43,19 +45,13 @@ class Report:
     rhs: int = 0
     witness: int | None = None
     skipped_reason: str | None = None
-
-    @property
-    def skipped(self) -> bool:
-        return self.skipped_reason is not None
-
-    @property
-    def passed(self) -> bool:
-        return not self.skipped and self.lhs == self.rhs
+    error: str | None = None
 
     @property
     def verdict(self) -> str:
-        # the fields, not the two properties above: one property call per
-        # record, and every record's verdict is read at least once
+        """The one outcome rule: "error", "skipped", "pass" or "fail"."""
+        if self.error is not None:
+            return "error"
         if self.skipped_reason is not None:
             return "skipped"
         return "pass" if self.lhs == self.rhs else "fail"
@@ -122,8 +118,9 @@ def to_json_line(r: Report) -> str:
     as they are, since their digits need no escaping.  Params keys are
     strings."""
     modulus = "exact" if r.modulus is None else r.modulus
+    head = "{" if r.error is None else f'{{"error": {_quote(r.error)}, '
     line = (
-        f'{{"lhs": "{r.lhs}", "modulus": "{modulus}", '
+        f'{head}"lhs": "{r.lhs}", "modulus": "{modulus}", '
         f'"params": {{{_json_params(r.params)}}}, "rhs": "{r.rhs}", '
     )
     if r.skipped_reason is not None:
@@ -134,14 +131,23 @@ def to_json_line(r: Report) -> str:
     return line + "}"
 
 
+# a tab, and each line break that str.splitlines() splits at, as a space
+_ONE_FIELD = str.maketrans(dict.fromkeys("\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029", " "))
+
+
 @_retry_past_digit_limit
 def to_tsv_line(r: Report) -> str:
     """statement, params (k=v,... in insertion order), modulus, lhs, rhs,
-    verdict, witness, skipped_reason; tab-separated, unescaped."""
+    verdict, witness, skipped_reason; tab-separated, unescaped.  An error
+    record's text takes the reason column, its tabs and line breaks
+    replaced by spaces."""
     params = ",".join(f"{k}={v}" for k, v in r.params.items())
     modulus = "exact" if r.modulus is None else r.modulus
     witness = "" if r.witness is None else r.witness
-    reason = "" if r.skipped_reason is None else r.skipped_reason
+    if r.error is not None:
+        reason = r.error.translate(_ONE_FIELD)
+    else:
+        reason = "" if r.skipped_reason is None else r.skipped_reason
     return (
         f"{r.statement}\t{params}\t{modulus}\t{r.lhs}\t{r.rhs}\t"
         f"{r.verdict}\t{witness}\t{reason}"
@@ -149,15 +155,18 @@ def to_tsv_line(r: Report) -> str:
 
 
 def json_summary(summary: dict) -> str:
-    """The summary record: counts by verdict per statement and in total."""
+    """The summary record: counts by verdict per statement and in total
+    (an error count only in the summary of a sweep that has one)."""
     return json.dumps({"record_type": "summary", "statements": summary["statements"],
                        "total": summary["total"]}, sort_keys=True)
 
 
 def tsv_summary(summary: dict) -> str:
-    """One summary row per statement, then the TOTAL row."""
+    """One summary row per statement, then the TOTAL row; the count
+    columns follow VERDICTS, then error in a sweep that has one."""
     rows = [*summary["statements"].items(), ("TOTAL", summary["total"])]
-    return "\n".join("\t".join(["summary", sid, *(str(c[v]) for v in VERDICTS)])
+    columns = (*VERDICTS, "error") if "error" in summary["total"] else VERDICTS
+    return "\n".join("\t".join(["summary", sid, *(str(c[v]) for v in columns)])
                      for sid, c in rows)
 
 

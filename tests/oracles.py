@@ -378,6 +378,8 @@ def report_to_dict(r: Report) -> dict:
             d["witness"] = str(r.witness)
         if r.skipped_reason is not None:
             d["skipped_reason"] = r.skipped_reason
+        if r.error is not None:
+            d["error"] = r.error
     return d
 
 
@@ -389,6 +391,11 @@ def tsv_line_via_dict(r: Report) -> str:
     d = report_to_dict(r)
     with long_decimals():
         params = ",".join(f"{k}={v}" for k, v in r.params.items())
+    reason = d.get("skipped_reason", "")
+    if "error" in d:
+        # a tab, and each character that splits a line, as a space
+        reason = "".join(c if c != "\t" and c.splitlines() == [c] else " "
+                         for c in d["error"])
     return "\t".join(
         (
             d["statement"],
@@ -398,6 +405,6 @@ def tsv_line_via_dict(r: Report) -> str:
             d["rhs"],
             d["verdict"],
             d.get("witness", ""),
-            d.get("skipped_reason", ""),
+            reason,
         )
     )

@@ -44,7 +44,7 @@ def test_criterion_identity_suite():
     failures = []
 
     def run(label, reports):
-        failures.extend((label, r.params) for r in reports if not r.passed)
+        failures.extend((label, r.params) for r in reports if r.verdict != "pass")
 
     def one(reports):
         [r] = reports
@@ -84,7 +84,7 @@ def test_criterion_theorem1_divisibility():
     started = time.monotonic()
     for n in range(2, 501):
         [r] = cg.check_theorem1(n)
-        assert r.passed and r.witness is not None, n
+        assert r.verdict == "pass" and r.witness is not None, n
     elapsed = time.monotonic() - started
     assert elapsed < 120, f"theorem1 sweep took {elapsed:.1f}s (budget 120s)"
     _announce("theorem 1 divisibility with witness, 2 <= n <= 500", started)
@@ -96,7 +96,7 @@ def test_criterion_theorem2_mod_p_cubed():
     assert r3.lhs == r3.rhs == 24 and r3.modulus == 27
     for p in primes_in_range(3, 997):
         [r] = cg.check_theorem2(p)
-        assert r.passed, p
+        assert r.verdict == "pass", p
     elapsed = time.monotonic() - started
     assert elapsed < 300, f"theorem2 sweep took {elapsed:.1f}s (budget 300s)"
     _announce("theorem 2 mod p^3, odd p < 1000", started)
@@ -108,7 +108,7 @@ def test_criterion_theorem3_mod_p():
     for p in primes_in_range(3, 997):
         if p % 4 == 3:
             [r] = cg.check_theorem3(p)
-            assert r.passed, p
+            assert r.verdict == "pass", p
             checked += 1
     assert checked == 87
     _announce("theorem 3 mod p, p = 3 (mod 4), p < 1000", started)
@@ -126,7 +126,7 @@ def test_criterion_auxiliary_congruences():
             if p == 2 or (p == 3 and aux_id in ("morley", "multinomial")):
                 assert [r.verdict for r in reports] == ["skipped"], (aux_id, p)
                 continue
-            bad = [r.params for r in reports if not r.passed]
+            bad = [r.params for r in reports if r.verdict != "pass"]
             assert reports and not bad, (aux_id, p, bad[:3])
     _announce("auxiliary congruences, p < 500 inside each hypothesis, all inner params",
               started)
@@ -137,7 +137,7 @@ def test_criterion_conjecture1_and_theorem2_agreement():
     for p in primes_in_range(5, 997):
         [c1] = cj.check_conjecture1(p)
         [t2] = cg.check_theorem2(p)
-        assert c1.passed, p
+        assert c1.verdict == "pass", p
         assert c1.lhs == t2.lhs % (p * p) and c1.rhs == t2.rhs % (p * p), p
     _announce("conjecture 1 mod p^2 and p^3-check agreement, 3 < p < 1000",
               started)
@@ -147,7 +147,7 @@ def test_criterion_conjecture2_all_cases():
     started = time.monotonic()
     for p in primes_in_range(3, 997):
         [r] = cj.check_conjecture2(p)
-        assert r.passed, p
+        assert r.verdict == "pass", p
         if p % 12 == 1:
             ts = two_squares_decompose(p)
             assert (ts.y % 6 == 0) != ((ts.x - 3) % 6 == 0), p
@@ -161,7 +161,7 @@ def test_criterion_divisibility_families():
             reports = cj.check_families(triples, n)
             assert len(reports) == len(triples), n
             for t, r in zip(triples, reports):
-                assert r.passed and r.witness is not None, (t, n)
+                assert r.verdict == "pass" and r.witness is not None, (t, n)
     elapsed = time.monotonic() - started
     assert elapsed < 900, f"family sweep took {elapsed:.1f}s (budget 900s)"
     _announce("12 divisibility families, 2 <= n <= 500", started)
@@ -170,12 +170,12 @@ def test_criterion_divisibility_families():
 def test_criterion_third_conjecture_and_product_note():
     started = time.monotonic()
     for n in range(1, 121):
-        bad = [r.params for r in cj.third_conjecture_grid(n) if not r.passed]
+        bad = [r.params for r in cj.third_conjecture_grid(n) if r.verdict != "pass"]
         assert not bad, (n, bad[:3])
     for p in primes_in_range(3, 50):
         reports = cj.check_product_note(p)
         assert len(reports) == 5 * p, p
-        bad = [r.params for r in reports if not r.passed]
+        bad = [r.params for r in reports if r.verdict != "pass"]
         assert not bad, (p, bad[:3])
     _announce("third conjecture grid (n <= 120, m <= 3, |a_i| <= 3) "
               "and product note (p <= 50, a <= 5)", started)
@@ -185,10 +185,10 @@ def test_criterion_zw_sun_forms():
     started = time.monotonic()
     for n in range(1, 501):
         [r] = cj.check_zw_guo(n)
-        assert r.passed, n
+        assert r.verdict == "pass", n
         if n >= 2:
             [r] = cj.check_zw_strengthened(n)
-            assert r.passed, n
+            assert r.verdict == "pass", n
     _announce("alternating forms mod 2n^2 (n <= 500) and mod n^2(n-1)",
               started)
 

@@ -235,8 +235,9 @@ class TestComputeCommand:
     def test_value_past_int_str_limit(self, default_int_str_limit, capsys):
         assert main(["compute", "--n-range", "5000..5000"]) == 0
         n, value = capsys.readouterr().out.split()
+        assert sys.get_int_max_str_digits() == 4300
         assert n == "5000" and len(value) > 4300
-        with long_decimals():  # main restores the limit on return
+        with long_decimals():  # compute restores the limit on return
             assert value == str(franel(5000))
 
 
@@ -292,34 +293,38 @@ class TestVerifyCommand:
                 ], (sid, v)
                 continue
             assert reports and all(type(r) is Report for r in reports), (sid, v)
-            assert not any(r.skipped for r in reports), (sid, v)
+            assert not any(r.verdict == "skipped" for r in reports), (sid, v)
             assert registry.run_cell(sid, v) == reports, (sid, v)
 
-    @pytest.mark.parametrize("error", [
-        ValueError("a plain ValueError"),
-        NotCoprimeError("2 is not invertible mod 4 (gcd=2)"),
-        InconsistencyError("division by 3 inexact at k=3"),
+    @pytest.mark.parametrize("error, text", [
+        (ValueError("a plain ValueError"), "ValueError: a plain ValueError"),
+        (NotCoprimeError("2 is not invertible mod 4 (gcd=2)"),
+         "NotCoprimeError: 2 is not invertible mod 4 (gcd=2)"),
+        (InconsistencyError("division by 3 inexact at k=3"),
+         "InconsistencyError: division by 3 inexact at k=3"),
     ], ids=["value-error", "not-coprime", "inconsistency"])
-    def test_run_cell_skips_only_outside_hypothesis(self, error, monkeypatch):
-        # any other ValueError from a check is not a skip: it propagates
+    def test_run_cell_skips_only_outside_hypothesis(self, error, text, monkeypatch):
+        # any other exception from a check is not a skip: it is the cell's
+        # one error record, with the exception's type and message
         def run(n):
             raise error
 
         stmt = registry.STATEMENTS["strehl"]
         monkeypatch.setitem(registry.STATEMENTS, "strehl", dataclasses.replace(stmt, run=run))
-        with pytest.raises(type(error)) as raised:
-            registry.run_cell("strehl", 3)
-        assert raised.value is error
+        assert registry.run_cell("strehl", 3) == [Report("strehl", {"n": 3}, error=text)]
 
     @pytest.mark.parametrize("sid", [
         sid for sid in registry.statement_ids() if registry.STATEMENTS[sid].kind == "p"
     ])
     def test_composite_p_raises_not_skips(self, sid):
         # a composite p is a caller's error, not a parameter outside the
-        # hypothesis: a plain ValueError, which run_cell lets through
+        # hypothesis: the check raises a plain ValueError, and run_cell makes
+        # it an error record, never a skip
         with pytest.raises(ValueError, match="not prime") as raised:
-            registry.run_cell(sid, 9)
+            registry.STATEMENTS[sid].run(9)
         assert not isinstance(raised.value, OutsideHypothesis)
+        assert registry.run_cell(sid, 9) == [
+            Report(sid, {"p": 9}, error="ValueError: 9 is not prime")]
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--statements", ","],
@@ -747,6 +752,56 @@ class TestSweepCommand:
             assert records.index(line) < records.index(later)
         else:
             assert records == []
+
+    @pytest.mark.parametrize("fmt", ["json-lines", "tsv"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_raising_cell_is_an_error_record_and_exits_1(self, workers, fmt,
+                                                       monkeypatch, capsys):
+        stmt = registry.STATEMENTS["strehl"]
+
+        def run(n):
+            return [Report("strehl", {"n": n}, lhs=1 // 0)] if n == 3 else stmt.run(n)
+
+        # setitem, not a module attribute: forked pool workers inherit it
+        monkeypatch.setitem(registry.STATEMENTS, "strehl", dataclasses.replace(stmt, run=run))
+        rc = main(["sweep", "--statements", "strehl,sun_expansion", "--n-range", "0..20",
+                   "--workers", str(workers), "--format", fmt])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        text = "ZeroDivisionError: integer division or modulo by zero"
+        if fmt == "json-lines":
+            line = ('{"error": "' + text + '", "lhs": "0", "modulus": "exact", '
+                    '"params": {"n": "3"}, "rhs": "0", "statement": "strehl", '
+                    '"verdict": "error"}')
+            *records, summary = out.splitlines()
+            assert json.loads(summary) == {"record_type": "summary", "statements": {
+                "strehl": {"pass": 20, "fail": 0, "skipped": 0, "error": 1},
+                "sun_expansion": {"pass": 21, "fail": 0, "skipped": 0, "error": 0},
+            }, "total": {"pass": 41, "fail": 0, "skipped": 0, "error": 1}}
+        else:
+            line = f"strehl\tn=3\texact\t0\t0\terror\t\t{text}"
+            *records, s1, s2, s3 = out.splitlines()
+            assert [s1, s2, s3] == ["summary\tstrehl\t20\t0\t0\t1",
+                                    "summary\tsun_expansion\t21\t0\t0\t0",
+                                    "summary\tTOTAL\t41\t0\t0\t1"]
+        # the grid runs on past the error, one record per cell
+        assert len(records) == 42 and records[3] == line
+        assert err == f"FAILED: 0 failing record(s), 1 error record(s); first: {line}\n"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_cells_see_the_interpreters_digit_limit(self, workers, monkeypatch,
+                                                          default_int_str_limit, capsys):
+        # a CLI sweep takes the library's path: no limit lifted around it
+        stmt = registry.STATEMENTS["strehl"]
+
+        def run(n):
+            return [Report("strehl", {"n": n, "limit": sys.get_int_max_str_digits()})]
+
+        monkeypatch.setitem(registry.STATEMENTS, "strehl", dataclasses.replace(stmt, run=run))
+        assert main(["sweep", "--statements", "strehl", "--n-range", "0..5",
+                     "--workers", str(workers)]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()[:-1]]
+        assert [r["params"]["limit"] for r in records] == ["4300"] * 6
 
     def test_prime_axis_records_same_at_one_and_two_workers_and_any_order(
             self, monkeypatch):

@@ -32,11 +32,11 @@ from oracles import (
 class TestConjecture1:
     def test_examples(self):
         [r] = check_conjecture1(5)
-        assert r.passed and r.lhs == 5 and r.modulus == 25
+        assert r.verdict == "pass" and r.lhs == 5 and r.modulus == 25
         [r] = check_conjecture1(7)
-        assert r.passed and r.lhs == -7 % 49 == 42
+        assert r.verdict == "pass" and r.lhs == -7 % 49 == 42
         [r] = check_conjecture1(499)
-        assert r.passed
+        assert r.verdict == "pass"
 
     def test_hypothesis_bound(self):
         with pytest.raises(ValueError):
@@ -49,30 +49,30 @@ class TestConjecture1:
             [t2] = check_theorem2(p)
             assert c1.lhs == t2.lhs % (p * p)
             assert c1.rhs == t2.rhs % (p * p)
-            assert c1.passed and t2.passed
+            assert c1.verdict == "pass" and t2.verdict == "pass"
 
 
 class TestConjecture2:
     def test_case_3_mod_4(self):
         [r] = check_conjecture2(7)
-        assert r.passed and r.rhs == 0 and r.params["case"] == "3mod4"
+        assert r.verdict == "pass" and r.rhs == 0 and r.params["case"] == "3mod4"
 
     def test_case_1_mod_12(self):
         [r] = check_conjecture2(13)
         # x=3 (so 6 | x-3): target 2p - 4x^2 = -10 = 159 (mod 169)
-        assert r.passed and r.rhs == 159 and r.params["case"] == "1mod12_x"
+        assert r.verdict == "pass" and r.rhs == 159 and r.params["case"] == "1mod12_x"
         target, case = conjecture2_target(61)  # 61 = 5^2 + 6^2, 6 | y
         assert case == "1mod12_y" and target == (4 * 25 - 2 * 61) % (61 * 61)
 
     def test_case_5_mod_12(self):
         [r] = check_conjecture2(5)
         # x=1, y=2, legendre(2,3) = -1: target -8 = 17 (mod 25)
-        assert r.passed and r.rhs == 17 and r.params["case"] == "5mod12"
+        assert r.verdict == "pass" and r.rhs == 17 and r.params["case"] == "5mod12"
 
     def test_sweep(self):
         for p in primes_in_range(3, 300):
             [r] = check_conjecture2(p)
-            assert r.passed, p
+            assert r.verdict == "pass", p
 
     def test_rejects_2_and_composites(self):
         with pytest.raises(ValueError):
@@ -100,11 +100,11 @@ class TestConjecture2:
 class TestFamilies:
     def test_examples(self):
         [r] = check_families((FamilyTriple(3, 1, -16),), 3)
-        assert r.passed and r.witness == 7
+        assert r.verdict == "pass" and r.witness == 7
         [r] = check_families((FamilyTriple(9, 4, 5),), 2)
-        assert r.passed and r.witness == 6
+        assert r.verdict == "pass" and r.witness == 6
         [r] = check_families((FamilyTriple(15, 4, -49),), 2)
-        assert r.passed and r.witness == -10
+        assert r.verdict == "pass" and r.witness == -10
 
     def test_listed_triples_small_sweep(self):
         for triples in (NEW1_TRIPLES, NEW2_TRIPLES):
@@ -112,13 +112,13 @@ class TestFamilies:
                 reports = check_families(triples, n)
                 assert len(reports) == len(triples), n
                 for t, r in zip(triples, reports):
-                    assert r.passed, (t, n)
+                    assert r.verdict == "pass", (t, n)
                     assert r.params == {"a": t.a, "b": t.b, "c": t.c, "n": n}
 
     def test_zero_base(self):
         # c = 0: S_3 = (1*2 + 1) C(4,2) f_2 = 180 = 3 * (3 C(6,3))
         [r] = check_families((FamilyTriple(1, 1, 0),), 3)
-        assert r.passed and r.witness == 3
+        assert r.verdict == "pass" and r.witness == 3
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -128,15 +128,15 @@ class TestFamilies:
 class TestThirdConjecture:
     def test_examples(self):
         r = check_third_conjecture(MultiIndexSpec(1, (1,)), 2, "linear")
-        assert r.passed and r.modulus == 4  # sum = 2 + 30 = 32
+        assert r.verdict == "pass" and r.modulus == 4  # sum = 2 + 30 = 32
         r = check_third_conjecture(MultiIndexSpec(1, (1,)), 1, "linear")
-        assert r.passed and r.modulus == 1
+        assert r.verdict == "pass" and r.modulus == 1
         r = check_third_conjecture(MultiIndexSpec(2, (1, -1)), 3, "quadratic")
-        assert r.passed
+        assert r.verdict == "pass"
 
     def test_degenerate_zero_multiplier_flagged(self):
         r = check_third_conjecture(MultiIndexSpec(2, (0, 2)), 4, "linear")
-        assert r.passed and r.params["degenerate"] is True
+        assert r.verdict == "pass" and r.params["degenerate"] is True
 
     def test_bad_spec(self):
         with pytest.raises(ValueError):
@@ -148,7 +148,7 @@ class TestThirdConjecture:
         for n in (1, 2, 5, 9):
             grid = {
                 (r.params["m"], tuple(r.params["a"]), r.params["variant"]): r
-                for r in third_conjecture_grid(n, m_max=2, a_values=(-2, 0, 3))
+                for r in third_conjecture_grid(n)
             }
             for m, tuples in ((1, [(-2,), (0,), (3,)]), (2, [(-2, 3), (0, 0)])):
                 for tup in tuples:
@@ -165,15 +165,14 @@ class TestThirdConjecture:
 
     def test_small_sweep(self):
         for n in range(1, 30):
-            assert all(r.passed for r in third_conjecture_grid(n)), n
+            assert all(r.verdict == "pass" for r in third_conjecture_grid(n)), n
 
 
-def _assert_grid_matches_single_checks(n, **grid_args):
+def _assert_grid_matches_single_checks(n):
     """Every record of the grid at n equals the one-cell oracle's record,
     and the grid has exactly one record per (tuple, variant)."""
-    a_values = grid_args.get("a_values", (-3, -2, -1, 0, 1, 2, 3))
     cells = []
-    for r in third_conjecture_grid(n, **grid_args):
+    for r in third_conjecture_grid(n):
         tup, variant = tuple(r.params["a"]), r.params["variant"]
         single = check_third_conjecture(MultiIndexSpec(len(tup), tup), n, variant)
         assert (r.statement, r.lhs, r.rhs, r.modulus, r.params) == (
@@ -186,8 +185,8 @@ def _assert_grid_matches_single_checks(n, **grid_args):
         cells.append((tup, variant))
     expected = [
         (tup, variant)
-        for m in range(1, grid_args.get("m_max", 3) + 1)
-        for tup in itertools.product(a_values, repeat=m)
+        for m in range(1, conjectures.THIRD_MAX_LENGTH + 1)
+        for tup in itertools.product(conjectures.THIRD_MULTIPLIERS, repeat=m)
         for variant in ("linear", "quadratic")
     ]
     assert sorted(cells) == sorted(expected)
@@ -200,12 +199,6 @@ class TestThirdConjectureKernel:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 120])
     def test_default_grid_matches_single_checks(self, n):
         _assert_grid_matches_single_checks(n)
-
-    @pytest.mark.parametrize("n", [1, 2, 4, 9, 25, 40])
-    def test_wide_grid_matches_single_checks(self, n):
-        _assert_grid_matches_single_checks(
-            n, m_max=4, a_values=(-9, -8, -4, 0, 5, 9)
-        )
 
     @pytest.mark.parametrize("n", [3, 9, 27, 81])
     def test_digits_at_their_bound(self, n, monkeypatch):
@@ -249,10 +242,10 @@ class TestProductNote:
 
     def test_examples(self):
         r = self._by_a_k(3)[1, 1]
-        assert r.passed and r.lhs == 8 % 9 and r.rhs == -1 % 9
+        assert r.verdict == "pass" and r.lhs == 8 % 9 and r.rhs == -1 % 9
         for p, a in [(3, 1), (5, 2), (7, 5)]:
             assert self._by_a_k(p)[a, 0].lhs == 1
-        assert self._by_a_k(5)[2, 3].passed
+        assert self._by_a_k(5)[2, 3].verdict == "pass"
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -264,7 +257,7 @@ class TestProductNote:
             assert [(r.params["a"], r.params["k"]) for r in reports] == [
                 (a, k) for a in range(1, 6) for k in range(p)
             ], p
-            assert all(r.passed for r in reports), p
+            assert all(r.verdict == "pass" for r in reports), p
 
     def test_cross_check_product_free_form_at_prime_n(self):
         # at prime n the product factors reduce to (-1)^k mod n^2, so the
@@ -293,11 +286,11 @@ class TestProductNote:
 class TestZwSun:
     def test_examples(self):
         [r] = check_zw_guo(2)
-        assert r.passed and r.witness == -1 and r.modulus == 8
+        assert r.verdict == "pass" and r.witness == -1 and r.modulus == 8
         [r] = check_zw_strengthened(2)
-        assert r.passed and r.witness == -7 and r.modulus == 4
+        assert r.verdict == "pass" and r.witness == -7 and r.modulus == 4
         [r] = check_zw_guo(100)
-        assert r.passed
+        assert r.verdict == "pass"
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -308,10 +301,10 @@ class TestZwSun:
     def test_sweep(self):
         for n in range(1, 80):
             [r] = check_zw_guo(n)
-            assert r.passed
+            assert r.verdict == "pass"
             if n >= 2:
                 [r] = check_zw_strengthened(n)
-                assert r.passed
+                assert r.verdict == "pass"
 
     def test_any_query_order_matches_direct_sum(self, monkeypatch):
         monkeypatch.setattr(conjectures, "_ZW_CACHE", {})

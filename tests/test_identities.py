@@ -19,34 +19,35 @@ from franel.reports import Report
 def test_report_verdict():
     assert Report("x", {}, lhs=3, rhs=3).verdict == "pass"
     assert Report("x", {}, lhs=3, rhs=4).verdict == "fail"
-    assert not Report("x", {}, lhs=3, rhs=4).passed
-    skipped = Report("x", {}, lhs=3, rhs=3, skipped_reason="out of range")
-    assert skipped.verdict == "skipped" and not skipped.passed
+    # a skip and an error win over equal sides, and an error over a skip
+    assert Report("x", {}, lhs=3, rhs=3, skipped_reason="out of range").verdict == "skipped"
+    assert Report("x", {}, lhs=3, rhs=3, error="ValueError: x").verdict == "error"
+    assert Report("x", {}, skipped_reason="r", error="ValueError: x").verdict == "error"
 
 
 class TestSunExpansion:
     def test_examples(self):
         [r] = check_sun_expansion(0)
-        assert r.passed and r.lhs == 1
+        assert r.verdict == "pass" and r.lhs == 1
         [r] = check_sun_expansion(2)
-        assert r.passed and r.lhs == 10
+        assert r.verdict == "pass" and r.lhs == 10
         [r] = check_sun_expansion(20)
-        assert r.passed
+        assert r.verdict == "pass"
 
     def test_sweep(self):
         for n in range(40):
             [r] = check_sun_expansion(n)
-            assert r.passed
+            assert r.verdict == "pass"
 
 
 class TestInduction:
     def test_examples(self):
         for k in range(5):
             r = check_induction_identity(k)[k]
-            assert r.passed and r.lhs == 0  # empty sum, (k-n) factor
+            assert r.verdict == "pass" and r.lhs == 0  # empty sum, (k-n) factor
         r = check_induction_identity(1)[0]
-        assert r.passed and r.lhs == r.rhs == 8  # raw value 1, scaled by 8(2k+1)
-        assert check_induction_identity(6)[2].passed
+        assert r.verdict == "pass" and r.lhs == r.rhs == 8  # raw value 1, scaled by 8(2k+1)
+        assert check_induction_identity(6)[2].verdict == "pass"
 
     def test_one_record_per_k(self):
         # k runs over 0 <= k <= n, and no further
@@ -57,7 +58,7 @@ class TestInduction:
         for n in range(25):
             reports = check_induction_identity(n)
             for k in range(n + 1):
-                assert reports[k].passed, (n, k)
+                assert reports[k].verdict == "pass", (n, k)
 
     def test_induction_step_relation(self):
         # stepping n by one adds exactly the new m=n term to the raw sum
@@ -75,10 +76,10 @@ class TestSummationLemma:
     def test_examples(self):
         for k in range(5):
             r = check_summation_lemma(k)[k]
-            assert r.passed and r.lhs == 1
+            assert r.verdict == "pass" and r.lhs == 1
         r = check_summation_lemma(2)[1]
-        assert r.passed and r.lhs == -2
-        assert check_summation_lemma(7)[3].passed
+        assert r.verdict == "pass" and r.lhs == -2
+        assert check_summation_lemma(7)[3].verdict == "pass"
 
     def test_one_record_per_k(self):
         # k runs over 0 <= k <= n, and no further
@@ -89,7 +90,7 @@ class TestSummationLemma:
         for n in range(30):
             reports = check_summation_lemma(n)
             for k in range(n + 1):
-                assert reports[k].passed, (n, k)
+                assert reports[k].verdict == "pass", (n, k)
 
     def test_telescopes_to_zero_beyond_3k(self):
         # right side vanishes for n > 3k; the left must telescope to 0
@@ -104,11 +105,11 @@ class TestSummationLemma:
 class TestIntegrality:
     def test_examples(self):
         [r] = check_integrality(2)
-        assert r.passed
+        assert r.verdict == "pass"
         # k=1: C(3,1)/3 = 1 = 3 - 2*C(3,0)
         assert binomial(3, 1) // 3 == binomial(3, 1) - 2 * binomial(3, 0) == 1
         [r] = check_integrality(10)
-        assert r.passed
+        assert r.verdict == "pass"
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -117,43 +118,43 @@ class TestIntegrality:
     def test_sweep(self):
         for n in range(2, 60):
             [r] = check_integrality(n)
-            assert r.passed
+            assert r.verdict == "pass"
 
 
 class TestRecurrence:
     def test_examples(self):
         [r] = check_recurrence_step(2)
-        assert r.passed and r.lhs == 9 * 56
+        assert r.verdict == "pass" and r.lhs == 9 * 56
         for n in range(1, 100):
             [r] = check_recurrence_step(n)
-            assert r.passed, n
+            assert r.verdict == "pass", n
 
 
 class TestStrehl:
     def test_examples(self):
         [r] = check_strehl(0)
-        assert r.passed
+        assert r.verdict == "pass"
         [r] = check_strehl(2)
-        assert r.passed and r.lhs == 10
+        assert r.verdict == "pass" and r.lhs == 10
         [r] = check_strehl(30)
-        assert r.passed
+        assert r.verdict == "pass"
 
 
 def test_macmahon_and_partial_fraction_wrappers():
     # one record per point x = -3..3, in order
     for n in range(6):
         assert [r.params["x"] for r in check_macmahon(n)] == [-3, -2, -1, 0, 1, 2, 3]
-    assert check_macmahon(2)[4].passed  # x = 1
+    assert check_macmahon(2)[4].verdict == "pass"  # x = 1
     assert check_macmahon(1)[2].lhs == 0  # x = -1
     [r] = check_partial_fraction(0)
-    assert r.passed
+    assert r.verdict == "pass"
     [r] = check_partial_fraction(25)
-    assert r.passed
+    assert r.verdict == "pass"
 
 
 def test_route_agreement_reports():
     for n in (0, 1, 7, 30):
         reports = check_route_agreement(n)
         assert len(reports) == 3
-        assert all(r.passed for r in reports)
+        assert all(r.verdict == "pass" for r in reports)
         assert all(r.rhs == franel_direct(n) for r in reports)

@@ -15,7 +15,7 @@ from franel.reports import Report, to_json_line, to_tsv_line
 from oracles import json_line_via_dict, tsv_line_via_dict
 
 # The serialized forms the record-stream digest covers, one per shape of
-# record: exact comparison, modular with a witness, skipped.
+# record: exact comparison, modular with a witness, skipped, error.
 GOLDEN = [
     (
         Report("strehl", {"n": 2}, lhs=10, rhs=10),
@@ -37,18 +37,25 @@ GOLDEN = [
         '"statement": "theorem3", "verdict": "skipped"}',
         "theorem3\tp=5\texact\t0\t0\tskipped\t\thypothesis requires p = 3 (mod 4)",
     ),
+    (
+        Report("strehl", {"n": 3}, error="ZeroDivisionError: integer division\tor\r\nmodulo"),
+        '{"error": "ZeroDivisionError: integer division\\tor\\r\\nmodulo", "lhs": "0", '
+        '"modulus": "exact", "params": {"n": "3"}, "rhs": "0", "statement": "strehl", '
+        '"verdict": "error"}',
+        "strehl\tn=3\texact\t0\t0\terror\t\tZeroDivisionError: integer division or  modulo",
+    ),
 ]
 
 
 @pytest.mark.parametrize("report, json_line, tsv_line", GOLDEN,
-                         ids=["exact", "witness", "skipped"])
+                         ids=["exact", "witness", "skipped", "error"])
 def test_serialized_form_is_pinned(report, json_line, tsv_line):
     assert to_json_line(report) == json_line
     assert to_tsv_line(report) == tsv_line
 
 
 @pytest.mark.parametrize("report", [g[0] for g in GOLDEN],
-                         ids=["exact", "witness", "skipped"])
+                         ids=["exact", "witness", "skipped", "error"])
 def test_pickle_and_replace_keep_every_field(report):
     # slots cost neither pickling nor dataclasses.replace
     for copy in (pickle.loads(pickle.dumps(report)), dataclasses.replace(report)):
@@ -86,7 +93,7 @@ def test_small_grid_matches_dict_route(fmt, formatter, oracle):
         "string param": {r.statement for r in reports
                          if any(isinstance(v, str) for v in r.params.values())}
         >= {"multinomial", "integrality"},
-        "skipped": any(r.skipped for r in reports),
+        "skipped": any(r.verdict == "skipped" for r in reports),
         "witness": any(r.witness is not None and r.witness > 0 for r in reports),
         "negative witness": any(r.witness is not None and r.witness < 0 for r in reports),
     }
@@ -114,10 +121,11 @@ _PARAM_VALUE = st.one_of(_BIG, _AWKWARD, st.booleans(), st.lists(st.integers(-3,
     rhs=_BIG,
     witness=st.none() | _BIG,
     skipped_reason=st.none() | _AWKWARD,
+    error=st.none() | _AWKWARD,
 )
 def test_any_report_matches_dict_route(default_int_str_limit, statement, params,
-                                       modulus, lhs, rhs, witness, skipped_reason):
-    r = Report(statement, params, modulus, lhs, rhs, witness, skipped_reason)
+                                       modulus, lhs, rhs, witness, skipped_reason, error):
+    r = Report(statement, params, modulus, lhs, rhs, witness, skipped_reason, error)
     assert to_json_line(r) == json_line_via_dict(r)
     assert to_tsv_line(r) == tsv_line_via_dict(r)
     assert sys.get_int_max_str_digits() == 4300

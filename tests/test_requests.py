@@ -15,7 +15,7 @@ import io
 import json
 from collections import Counter
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from franel import registry
@@ -153,6 +153,14 @@ def parse_tsv(lines: list[str], n_statements: int):
 
 @settings(max_examples=150, deadline=None)
 @given(requests())
+# a repeated id, which the strategy draws in only some runs: in a request
+# that is otherwise valid, and in a --quiet tsv one
+@example((["sweep", "--statements", "strehl, babbage,strehl", "--n-range=0..2",
+           "--p-range=3..5", "--format", "json-lines", "--workers", "1"],
+          "strehl, babbage,strehl", {"n": (0, 2), "p": (3, 5)}, "json-lines", False))
+@example((["sweep", "--statements", "theorem3,theorem3", "--p-range=3..7", "--format",
+           "tsv", "--workers", "1", "--quiet"],
+          "theorem3,theorem3", {"p": (3, 7)}, "tsv", True))
 def test_request_exit_code_and_records(request):
     argv, statements, ranges, fmt, quiet = request
     code, out, err = run(argv)
