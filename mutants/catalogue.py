@@ -142,6 +142,20 @@ CATALOGUE = (
         "[c for k, c in enumerate(col)]",
         "tests/test_conjectures.py::TestThirdConjecture::test_small_sweep",
     ),
+    Mutant(
+        "third-linear-weight",
+        "src/franel/conjectures.py",
+        "    w_lin = [(3 * k + 2) * f[k] % m2 for k in range(n)]",
+        "    w_lin = [(3 * k + 1) * f[k] % m2 for k in range(n)]",
+        "tests/test_conjectures.py::TestThirdConjecture::test_grid_matches_single_checks",
+    ),
+    Mutant(
+        "third-quadratic-weight",
+        "src/franel/conjectures.py",
+        "    w_quad = [(9 * k * k + 5 * k) * f[k] % m2 for k in range(n)]",
+        "    w_quad = [(9 * k * k + 4 * k) * f[k] % m2 for k in range(n)]",
+        "tests/test_conjectures.py::TestThirdConjecture::test_grid_matches_single_checks",
+    ),
     # the cache format
     Mutant(
         "cache-splits-any-line-break",
@@ -347,20 +361,13 @@ CATALOGUE = (
         "        if False:",
         "tests/test_cache_cli.py::TestVerifyCommand::test_repeated_statement_exits_2",
     ),
-    # the compute command compares every route it is given, once
+    # the compute command prints the range it is given
     Mutant(
-        "repeated-route-runs",
+        "compute-prints-from-zero",
         "src/franel/cli.py",
-        "        if routes.count(r) > 1:",
-        "        if False:",
-        "tests/test_cache_cli.py::TestComputeCommand::test_repeated_route_is_usage_error",
-    ),
-    Mutant(
-        "compute-compares-first-route-only",
-        "src/franel/cli.py",
-        "    first, *others = args.route",
-        "    first, *others = args.route[:1]",
-        "tests/test_cache_cli.py::TestComputeCommand::test_route_disagreement_exits_1",
+        "    for n in range(lo, hi + 1):",
+        "    for n in range(hi + 1):",
+        "tests/test_cache_cli.py::TestComputeCommand::test_examples",
     ),
     # the pool's parent: it holds no result once written, and runs no job
     # after a failed write

@@ -6,7 +6,6 @@ from .combinatorics import (
     InconsistencyError,
     binomial,
     binomial_generalized,
-    build_franel_table,
     franel,
     macmahon_sides,
     partial_fraction_sides,
@@ -30,7 +29,6 @@ __all__ = [
     "TwoSquares",
     "binomial",
     "binomial_generalized",
-    "build_franel_table",
     "franel",
     "legendre_symbol",
     "macmahon_sides",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import re
 import tempfile
+from collections.abc import Sequence
 
 from .combinatorics import recurrence_rhs
 from .reports import long_decimals
@@ -26,7 +27,7 @@ class CacheError(ValueError):
     """Malformed or corrupt cache file."""
 
 
-def store_table(path: str, values: tuple[int, ...]) -> None:
+def store_table(path: str, values: Sequence[int]) -> None:
     """Write (f_0, ..., f_N) atomically: temp file in the same directory,
     then rename."""
     if not values:

@@ -1,10 +1,10 @@
 """Command-line harness: compute tables, run statements over their
 ranges, and manage the on-disk Franel cache.
 
-Each thing is done one way.  `compute` prints f_n and compares every
-route it is given with the first; `cache` alone writes a cache file, and
-validates one; `sweep` alone runs statements, and parses only the syntax
-of a request, leaving run_sweep to judge it.
+Each thing is done one way.  `compute` prints f_n; `cache` alone writes
+a cache file, and validates one; `sweep` alone runs statements (the
+`route_agreement` statement compares the Franel routes), and parses only
+the syntax of a request, leaving run_sweep to judge it.
 
 Exit codes: 0 all pass, 1 mathematical failure, error record or corrupt
 cache, 2 usage/configuration error, 141 stdout closed by its reader (as in
@@ -18,7 +18,7 @@ import os
 import sys
 
 from .cache import CacheError, load_table, store_table
-from .combinatorics import ROUTES, build_franel_table
+from .combinatorics import franel_upto
 from .harness import UsageError, run_sweep
 from .reports import FORMATTERS, long_decimals
 
@@ -48,20 +48,6 @@ def _parse_n_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _parse_routes(text: str) -> list[str]:
-    routes = [r.strip() for r in text.split(",") if r.strip()]
-    if not routes:
-        raise argparse.ArgumentTypeError(f"no route given in {text!r}")
-    for r in routes:
-        if r not in ROUTES:
-            raise argparse.ArgumentTypeError(
-                f"unknown route {r!r}; expected one of {ROUTES}"
-            )
-        if routes.count(r) > 1:
-            raise argparse.ArgumentTypeError(f"route {r!r} given more than once")
-    return routes
-
-
 class _Parser(argparse.ArgumentParser):
     def print_help(self, file=None):
         # argparse's own print_help drops an OSError, so an unbuffered
@@ -82,8 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compute = sub.add_parser("compute", help="print (n, f_n) for a range")
     p_compute.add_argument("--n-range", type=_parse_n_range, required=True)
-    p_compute.add_argument("--route", type=_parse_routes, default=["recurrence"],
-                           help="comma-separated routes; several must all agree")
 
     p_sweep = sub.add_parser("sweep", help="run statements over their ranges")
     p_sweep.add_argument("--statements",
@@ -107,20 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
 @long_decimals()  # the one command that prints f_n, past 4300 digits, itself
 def _cmd_compute(args) -> int:
     lo, hi = args.n_range
-    first, *others = args.route
-    primary = build_franel_table(hi, first)
-    for route in others:
-        table = build_franel_table(hi, route)
-        for n in range(hi + 1):
-            if table[n] != primary[n]:
-                print(
-                    f"error: route disagreement at n={n}: "
-                    f"{first}={primary[n]} {route}={table[n]}",
-                    file=sys.stderr,
-                )
-                return EXIT_FAIL
+    table = franel_upto(hi)
     for n in range(lo, hi + 1):
-        print(f"{n} {primary[n]}")
+        print(f"{n} {table[n]}")
     return EXIT_OK
 
 
@@ -160,7 +133,7 @@ def _cmd_cache(args) -> int:
             print("error: cache files start at index 0", file=sys.stderr)
             return EXIT_USAGE
         try:
-            store_table(args.cache, build_franel_table(hi, "recurrence"))
+            store_table(args.cache, franel_upto(hi))
         except OSError as exc:
             print(f"error: cannot write cache {args.cache!r}: {exc}", file=sys.stderr)
             return EXIT_USAGE

@@ -213,13 +213,6 @@ def franel(n: int, route: str = "recurrence") -> int:
     return fn(n)
 
 
-def build_franel_table(n_max: int, route: str = "recurrence") -> tuple[int, ...]:
-    """(f_0, ..., f_n_max) by the selected route."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    return tuple(franel(n, route) for n in range(n_max + 1))
-
-
 def macmahon_sides(n: int, x: int) -> tuple[int, int]:
     """Both sides of the cube-sum / central-trinomial expansion at integer x.
 

@@ -6,10 +6,11 @@ cells once, and raises UsageError (the CLI's exit 2) before any output if
 the request cannot run.
 
 The grid is cut into jobs (one per cell serially, otherwise about four
-per pool process and statement).  A pool forks all its processes at its
-first submit, so it has no more of them than the CPUs this process may
-run on, however many workers are asked for.  Each job counts its records
-by verdict and serializes them in the process that computed them, as one
+per pool process and statement).  A pool starts at most as many processes
+as the CPUs this process may run on, however many workers are asked for:
+all of them at its first submit under the fork start method, at most one
+per submit under forkserver and spawn.  Each job counts its records by
+verdict and serializes them in the process that computed them, as one
 string joined from its lines, so a pool sends back text and counts, never
 report objects.  The parent takes the jobs' results in the order it made
 the jobs, at any worker count: it adds up counts and writes each job's
@@ -171,7 +172,9 @@ def run_sweep(
         from concurrent.futures import ProcessPoolExecutor
 
         sids, chunks = zip(*jobs())
-        # the fork start method forks every worker at the first submit
+        # fork starts every worker at the first submit, forkserver and spawn
+        # one per submit up to max_workers, and map submits every job at once:
+        # either way no more processes start than there are jobs
         pool = ProcessPoolExecutor(max_workers=min(procs, len(sids)))
         try:
             first_failure = absorb(

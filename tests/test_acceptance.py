@@ -17,7 +17,7 @@ from franel import conjectures as cj
 from franel import identities as ids
 from franel import registry
 from franel.cache import CacheError, load_table, store_table
-from franel.combinatorics import ROUTES, build_franel_table, franel
+from franel.combinatorics import ROUTES, franel, franel_direct, franel_upto
 from franel.harness import run_sweep
 from franel.modular import primes_in_range, two_squares_decompose
 
@@ -29,11 +29,10 @@ def _announce(name, started=None):
 
 def test_criterion_franel_route_agreement():
     started = time.monotonic()
-    tables = {route: build_franel_table(300, route) for route in ROUTES}
-    reference = tables["direct"]
-    assert reference[:4] == (1, 2, 10, 56)
+    reference = [franel_direct(n) for n in range(301)]
+    assert reference[:4] == [1, 2, 10, 56]
     for route in ROUTES:
-        assert tables[route] == reference, route
+        assert [franel(n, route) for n in range(301)] == reference, route
     elapsed = time.monotonic() - started
     assert elapsed < 10, f"route agreement took {elapsed:.1f}s (budget 10s)"
     _announce("franel route agreement, n <= 300", started)
@@ -221,7 +220,7 @@ def test_criterion_harness_determinism_and_cache(tmp_path):
     assert digests[1] == digests[8] == json.loads(reference.read_text())["grid-stream"]["digest"]
 
     path = str(tmp_path / "cache.txt")
-    table = build_franel_table(300)
+    table = tuple(franel_upto(300))
     store_table(path, table)
     assert load_table(path) == table
 

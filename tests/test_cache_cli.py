@@ -20,11 +20,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from franel import (
-    InconsistencyError, NotCoprimeError, cli, congruences, harness, registry, reports
+    InconsistencyError, NotCoprimeError, cli, combinatorics, congruences, harness, registry,
+    reports,
 )
 from franel.cache import CacheError, load_table, store_table
 from franel.cli import main
-from franel.combinatorics import build_franel_table, franel
+from franel.combinatorics import franel, franel_upto
 from franel.harness import UsageError, run_sweep
 from franel.reports import Format, OutsideHypothesis, Report, long_decimals, to_json_line
 
@@ -64,8 +65,7 @@ _EDIT_BYTES = [*(bytes([c]) for c in b"0123456789\t\n\r +-_\x00\x0b\x1c"), "é".
 class TestCache:
     def test_roundtrip(self, tmp_path):
         path = str(tmp_path / "cache.txt")
-        table = build_franel_table(3)
-        store_table(path, table)
+        store_table(path, franel_upto(3))
         loaded = load_table(path)
         assert loaded == (1, 2, 10, 56)
 
@@ -73,14 +73,14 @@ class TestCache:
         # f_4800 has more than 4300 digits: the module lifts the limit itself
         for n in (200, 4800):
             path = str(tmp_path / f"cache-{n}.txt")
-            table = build_franel_table(n)
+            table = tuple(franel_upto(n))
             store_table(path, table)
             assert load_table(path) == table
         assert sys.get_int_max_str_digits() == 4300
 
     def test_tampered_value_detected(self, tmp_path):
         path = str(tmp_path / "cache.txt")
-        store_table(path, build_franel_table(3))
+        store_table(path, franel_upto(3))
         lines = Path(path).read_text().splitlines()
         lines[3] = "2\t11"
         Path(path).write_text("\n".join(lines) + "\n")
@@ -118,7 +118,7 @@ class TestCache:
         # writes go to a temp file first; target never appears on error
         target = tmp_path / "sub" / "cache.txt"
         with pytest.raises(OSError):
-            store_table(str(target), build_franel_table(3))
+            store_table(str(target), franel_upto(3))
         assert not target.exists()
 
     @settings(max_examples=200, deadline=None)
@@ -135,7 +135,7 @@ class TestCache:
         # a cache loads only from a well-formed file with the original values
         # (after an added leading zero, say); anything else is a CacheError,
         # which the cache command reports with exit 1
-        table = build_franel_table(12)
+        table = tuple(franel_upto(12))
         path = str(tmp_path_factory.mktemp("edits") / "cache.txt")
         store_table(path, table)
         data = bytearray(Path(path).read_bytes())
@@ -170,67 +170,32 @@ class TestComputeCommand:
         assert capsys.readouterr().out.splitlines() == ["0 1", "1 2", "2 10", "3 56"]
         assert main(["compute", "--n-range", "0..0"]) == 0
         assert capsys.readouterr().out.splitlines() == ["0 1"]
+        assert main(["compute", "--n-range", "2..4"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["2 10", "3 56", "4 346"]
 
     def test_cross_check(self, capsys):
-        rc = main(
-            ["compute", "--n-range", "0..60",
-             "--route", "direct,strehl,recurrence,sun-expansion"]
-        )
-        assert rc == 0
-
-    def test_builds_only_the_tables_it_prints(self, monkeypatch, capsys):
-        built = []
-
-        def build(n_max, route):
-            built.append(route)
-            return build_franel_table(n_max, route)
-
-        monkeypatch.setattr(cli, "build_franel_table", build)
-        compute = ["compute", "--n-range", "0..3", "--route"]
-        assert main([*compute, "strehl"]) == 0
-        assert capsys.readouterr().out.splitlines() == ["0 1", "1 2", "2 10", "3 56"]
-        assert built == ["strehl"]
-        built.clear()
-        assert main([*compute, "strehl,direct"]) == 0
-        assert capsys.readouterr().out.splitlines() == ["0 1", "1 2", "2 10", "3 56"]
-        assert built == ["strehl", "direct"]
+        # the route_agreement statement compares every route with direct
+        assert main(["sweep", "--statements", "route_agreement", "--n-range", "0..60",
+                     "--quiet"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["statements"]["route_agreement"] == {
+            "pass": 183, "fail": 0, "skipped": 0,
+        }
 
     def test_route_disagreement_exits_1(self, monkeypatch, capsys):
-        # every named route is compared with the first, not only printed
-        def build(n_max, route):
-            table = build_franel_table(n_max, route)
-            return (*table[:2], table[2] + 1, *table[3:]) if route == "direct" else table
-
-        monkeypatch.setattr(cli, "build_franel_table", build)
-        assert main(["compute", "--n-range", "0..3", "--route", "strehl,direct"]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.splitlines() == ["error: route disagreement at n=2: strehl=10 direct=11"]
+        # a route that disagrees with direct at one n fails that n's record
+        strehl = combinatorics.franel_strehl
+        monkeypatch.setitem(combinatorics._ROUTE_FN, "strehl", lambda n: strehl(n) + (n == 2))
+        assert main(["sweep", "--statements", "route_agreement", "--n-range", "0..3",
+                     "--workers", "1"]) == 1
+        line = ('{"lhs": "11", "modulus": "exact", "params": {"n": "2", "route": "strehl"}, '
+                '"rhs": "10", "statement": "route_agreement", "verdict": "fail"}')
+        assert capsys.readouterr().err == f"FAILED: 1 failing record(s); first: {line}\n"
 
     def test_bad_range(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["compute", "--n-range", "5..2"])
         assert exc.value.code == 2
-
-    def test_empty_route_list_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["compute", "--n-range", "0..3", "--route", ","])
-        assert exc.value.code == 2
-        out, err = capsys.readouterr()
-        assert out == "" and "Traceback" not in err
-        assert "no route given" in err.splitlines()[-1]
-
-    def test_repeated_route_is_usage_error(self, monkeypatch, capsys):
-        # as a repeated statement id is: no table is built twice, or at all
-        built = []
-        monkeypatch.setattr(cli, "build_franel_table", lambda n_max, route: built.append(route))
-        with pytest.raises(SystemExit) as exc:
-            main(["compute", "--n-range", "0..3", "--route", "direct,strehl,direct"])
-        assert exc.value.code == 2
-        out, err = capsys.readouterr()
-        assert out == "" and "Traceback" not in err
-        assert err.splitlines()[-1].endswith("route 'direct' given more than once")
-        assert built == []
 
     def test_value_past_int_str_limit(self, default_int_str_limit, capsys):
         assert main(["compute", "--n-range", "5000..5000"]) == 0
@@ -348,6 +313,15 @@ class TestVerifyCommand:
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == "" and "invalid choice: 'verify'" in err
+
+    def test_compute_route_option_is_gone(self, capsys):
+        # sweep --statements route_agreement compares the routes
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--n-range", "0..3", "--route", "direct"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert "unrecognized arguments: --route" in err
 
     @pytest.mark.parametrize("statements", ["theorem1,theorem1", "strehl,theorem1,strehl"])
     def test_repeated_statement_exits_2(self, statements, capsys):
@@ -904,7 +878,7 @@ class TestCacheCommand:
     def test_corrupt_middle_value_rejected(self, tmp_path, capsys):
         # every recurrence step is checked, not a sample of them
         path = str(tmp_path / "cache.txt")
-        store_table(path, build_franel_table(999))
+        store_table(path, franel_upto(999))
         lines = Path(path).read_text().splitlines()
         idx, value = lines[501].split("\t")
         assert idx == "500"

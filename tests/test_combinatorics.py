@@ -11,7 +11,6 @@ from franel.combinatorics import (
     InconsistencyError,
     binomial,
     binomial_generalized,
-    build_franel_table,
     central_binomial,
     central_binomials_upto,
     exact_div,
@@ -141,9 +140,9 @@ class TestFranel:
         assert len(set(values.values())) == 1, values
 
     def test_table_routes(self):
-        assert build_franel_table(3, "recurrence") == (1, 2, 10, 56)
-        assert build_franel_table(0, "direct") == (1,)
-        assert build_franel_table(5, "sun-expansion")[-1] == 2252
+        assert franel_upto(3) == [1, 2, 10, 56]
+        assert franel_upto(0) == [1]
+        assert franel(5, "sun-expansion") == 2252
 
     def test_recurrence_rhs_against_direct_route(self):
         # (n+1)^2 f_{n+1}, with f_{-1} = 0 at n = 0
