@@ -374,9 +374,18 @@ CATALOGUE = (
     Mutant(
         "pool-results-held-before-writing",
         "src/franel/harness.py",
-        "                pool.map(_run_job, sids, chunks, repeat(fmt), repeat(stream))",
-        "                list(pool.map(_run_job, sids, chunks, repeat(fmt), repeat(stream)))",
+        "            absorb(pool.map(_run_job, *job_args))",
+        "            absorb(list(pool.map(_run_job, *job_args)))",
         "tests/test_cache_cli.py::TestSweepCommand::test_pool_keeps_no_absorbed_result",
+    ),
+    # a pool process that dies leaves error records, not a traceback
+    Mutant(
+        "broken-pool-error-records-dropped",
+        "src/franel/harness.py",
+        '            error = f"{type(exc).__name__}: {exc}"\n            absorb(',
+        '            error = f"{type(exc).__name__}: {exc}"\n            list(',
+        "tests/test_cache_cli.py::TestSweepCommand::"
+        "test_dead_worker_gives_unwritten_cells_error_records",
     ),
     Mutant(
         "pool-cancel-futures-dropped",

@@ -2,7 +2,6 @@
 identities, supercongruences, and conjectured divisibility families."""
 
 from .combinatorics import (
-    ROUTES,
     InconsistencyError,
     binomial,
     binomial_generalized,
@@ -21,7 +20,6 @@ from .modular import (
 from .reports import OutsideHypothesis, Report
 
 __all__ = [
-    "ROUTES",
     "InconsistencyError",
     "NotCoprimeError",
     "OutsideHypothesis",

@@ -188,29 +188,12 @@ def pulled_out_sum(n: int) -> int:
     return total
 
 
-def franel_recurrence(n: int) -> int:
-    _recurrence_extend(n)
-    return _RECURRENCE_CACHE[n]
-
-
-_ROUTE_FN = {
-    "direct": franel_direct,
-    "strehl": franel_strehl,
-    "recurrence": franel_recurrence,
-    "sun-expansion": franel_sun_expansion,
-}
-ROUTES = tuple(_ROUTE_FN)
-
-
-def franel(n: int, route: str = "recurrence") -> int:
-    """f_n by the selected route; all routes agree."""
+def franel(n: int) -> int:
+    """f_n by the recurrence, from the shared table."""
     if n < 0:
         raise ValueError(f"franel: n must be nonnegative, got {n}")
-    try:
-        fn = _ROUTE_FN[route]
-    except KeyError:
-        raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}") from None
-    return fn(n)
+    _recurrence_extend(n)
+    return _RECURRENCE_CACHE[n]
 
 
 def macmahon_sides(n: int, x: int) -> tuple[int, int]:

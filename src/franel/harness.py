@@ -12,12 +12,16 @@ all of them at its first submit under the fork start method, at most one
 per submit under forkserver and spawn.  Each job counts its records by
 verdict and serializes them in the process that computed them, as one
 string joined from its lines, so a pool sends back text and counts, never
-report objects.  The parent takes the jobs' results in the order it made
-the jobs, at any worker count: it adds up counts and writes each job's
-text with one call.  A serial sweep holds one cell's records at a time; a
-pool's parent holds a finished job's text only until every job before it
-is written.  If writing fails (a reader that closed stdout, say), the
-pool's jobs not yet started are cancelled, not run.
+report objects.  run_sweep makes one list of jobs and maps the same job
+function over it, serially or on the pool; the parent takes the results
+in the order of that list, at any worker count, pairs each with its job's
+statement by that order, adds up counts and writes each job's text with
+one call.  A serial sweep holds one cell's records at a time; a pool's
+parent holds a finished job's text only until every job before it is
+written.  If writing fails (a reader that closed stdout, say), the pool's
+jobs not yet started are cancelled, not run.  If a pool process dies,
+each cell of each job not yet written gets one error record, so the
+sweep still ends in a summary and exits 1.
 
 Workers share nothing mutable.  Each process builds its own caches on
 first use: the Franel and central-binomial tables, the family walk's one
@@ -38,33 +42,36 @@ from itertools import repeat
 from typing import Iterable, TextIO
 
 from . import registry
-from .reports import FORMATTERS, VERDICTS, serialize
+from .reports import FORMATTERS, VERDICTS, Report, serialize
 
 
 def _empty_counts() -> dict:
     return dict.fromkeys((*VERDICTS, "error"), 0)
 
 
-def _run_job(
-    statement_id: str, cells: list[int], fmt: str, stream: bool
-) -> tuple[str, dict, str, str | None]:
-    """Run one job: (statement id, counts by verdict, its record lines as
-    one string, empty unless stream, and its first failing or error line
-    or None)."""
-    reports = registry.run_cells(statement_id, cells)
-    reports.reverse()  # popped one by one: a job never holds all reports and lines
+def _job_result(
+    reports: Iterable[Report], fmt: str, stream: bool
+) -> tuple[dict, str, str | None]:
+    """(counts by verdict, the record lines as one string, empty unless
+    stream, and the first failing or error line or None)."""
     counts = _empty_counts()
     first_failure = None
     lines = []
-    while reports:
-        r = reports.pop()
+    for r in reports:
         verdict = r.verdict
         counts[verdict] += 1
         if verdict in ("fail", "error") and first_failure is None:
             first_failure = serialize(r, fmt)
         if stream:
             lines.append(serialize(r, fmt) + "\n")
-    return statement_id, counts, "".join(lines), first_failure
+    return counts, "".join(lines), first_failure
+
+
+def _run_job(
+    statement_id: str, cells: list[int], fmt: str, stream: bool
+) -> tuple[dict, str, str | None]:
+    """Run one job's cells and return its _job_result."""
+    return _job_result(registry.run_cells(statement_id, cells), fmt, stream)
 
 
 class UsageError(ValueError):
@@ -142,43 +149,55 @@ def run_sweep(
             else os.cpu_count() or 1)
     procs = min(workers, cpus)
 
-    def jobs() -> Iterable[tuple[str, list[int]]]:
-        # made as they are run, so a serial sweep holds no list of jobs
-        for sid, cells in statement_cells:
-            size = max(1, len(cells) // (procs * 4)) if workers > 1 else 1
-            for i in range(0, len(cells), size):
-                yield sid, cells[i : i + size]
+    sids: list[str] = []
+    chunks: list[list[int]] = []
+    for sid, cells in statement_cells:
+        size = max(1, len(cells) // (procs * 4)) if workers > 1 else 1
+        for i in range(0, len(cells), size):
+            sids.append(sid)
+            chunks.append(cells[i : i + size])
 
     counts: dict[str, dict] = {sid: _empty_counts() for sid, _ in statement_cells}
     stream = out is not None
+    first_failure = None
+    absorbed = 0
 
-    def absorb(results: Iterable[tuple[str, dict, str, str | None]]) -> str | None:
-        # the one result loop, over the jobs in the order jobs() made them
-        first_failure = None
-        for sid, job_counts, text, failure in results:
+    def absorb(results: Iterable[tuple[dict, str, str | None]]) -> None:
+        # the one result loop: the i-th result is the i-th job's
+        nonlocal first_failure, absorbed
+        for job_counts, text, failure in results:
+            sid_counts = counts[sids[absorbed]]
             for key, value in job_counts.items():
-                counts[sid][key] += value
+                sid_counts[key] += value
             if text:
                 out.write(text)
             if first_failure is None:
                 first_failure = failure
-        return first_failure
+            absorbed += 1
 
+    job_args = (sids, chunks, repeat(fmt), repeat(stream))
     if workers == 1:
-        first_failure = absorb(_run_job(sid, chunk, fmt, stream) for sid, chunk in jobs())
+        absorb(map(_run_job, *job_args))
     else:
         # imported only here, so that a serial sweep never loads the pool
         # stack (multiprocessing, socket, selectors, pickle, logging)
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        sids, chunks = zip(*jobs())
         # fork starts every worker at the first submit, forkserver and spawn
         # one per submit up to max_workers, and map submits every job at once:
         # either way no more processes start than there are jobs
         pool = ProcessPoolExecutor(max_workers=min(procs, len(sids)))
         try:
-            first_failure = absorb(
-                pool.map(_run_job, sids, chunks, repeat(fmt), repeat(stream))
+            absorb(pool.map(_run_job, *job_args))
+        except BrokenProcessPool as exc:
+            # a worker died: every cell of every job not yet absorbed gets
+            # one error record
+            error = f"{type(exc).__name__}: {exc}"
+            absorb(
+                _job_result([Report(sid, {registry.STATEMENTS[sid].kind: cell}, error=error)
+                             for cell in cells], fmt, stream)
+                for sid, cells in zip(sids[absorbed:], chunks[absorbed:])
             )
         finally:
             # if absorb raised (say, on a closed stdout), drop the jobs not

@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 
 from .combinatorics import (
-    ROUTES,
     binomial,
     central_binomial,
     central_binomials_upto,
@@ -180,15 +179,15 @@ def check_recurrence_step(n: int) -> list[Report]:
 
 
 def check_route_agreement(n: int) -> list[Report]:
-    """Every other Franel route against the direct route at one index."""
+    """The Strehl, recurrence and Sun-expansion routes against the direct
+    route at one index."""
     ref = franel_direct(n)
     return [
-        Report(
-            statement="route_agreement",
-            params={"n": n, "route": route},
-            lhs=franel(n, route),
-            rhs=ref,
+        Report(statement="route_agreement", params={"n": n, "route": route},
+               lhs=value, rhs=ref)
+        for route, value in (
+            ("strehl", franel_strehl(n)),
+            ("recurrence", franel(n)),
+            ("sun-expansion", franel_sun_expansion(n)),
         )
-        for route in ROUTES
-        if route != "direct"
     ]

@@ -17,7 +17,9 @@ from franel import conjectures as cj
 from franel import identities as ids
 from franel import registry
 from franel.cache import CacheError, load_table, store_table
-from franel.combinatorics import ROUTES, franel, franel_direct, franel_upto
+from franel.combinatorics import (
+    franel, franel_direct, franel_strehl, franel_sun_expansion, franel_upto,
+)
 from franel.harness import run_sweep
 from franel.modular import primes_in_range, two_squares_decompose
 
@@ -31,8 +33,8 @@ def test_criterion_franel_route_agreement():
     started = time.monotonic()
     reference = [franel_direct(n) for n in range(301)]
     assert reference[:4] == [1, 2, 10, 56]
-    for route in ROUTES:
-        assert [franel(n, route) for n in range(301)] == reference, route
+    for route in (franel_strehl, franel, franel_sun_expansion):
+        assert [route(n) for n in range(301)] == reference, route.__name__
     elapsed = time.monotonic() - started
     assert elapsed < 10, f"route agreement took {elapsed:.1f}s (budget 10s)"
     _announce("franel route agreement, n <= 300", started)

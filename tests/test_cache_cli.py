@@ -1,8 +1,10 @@
 import concurrent.futures
 import dataclasses
+import functools
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import re
 import shlex
@@ -20,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from franel import (
-    InconsistencyError, NotCoprimeError, cli, combinatorics, congruences, harness, registry,
+    InconsistencyError, NotCoprimeError, cli, congruences, harness, identities, registry,
     reports,
 )
 from franel.cache import CacheError, load_table, store_table
@@ -55,6 +57,17 @@ def inline_pool(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return log
+
+
+@pytest.fixture
+def fork_pool(monkeypatch):
+    """Bind the sweep's process pool to the fork start method, so that its
+    workers inherit the test's patches."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no fork start method")
+    pool = functools.partial(concurrent.futures.ProcessPoolExecutor,
+                             mp_context=multiprocessing.get_context("fork"))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
 
 
 # digits, the separators and line breaks of the format, and bytes that
@@ -184,8 +197,8 @@ class TestComputeCommand:
 
     def test_route_disagreement_exits_1(self, monkeypatch, capsys):
         # a route that disagrees with direct at one n fails that n's record
-        strehl = combinatorics.franel_strehl
-        monkeypatch.setitem(combinatorics._ROUTE_FN, "strehl", lambda n: strehl(n) + (n == 2))
+        strehl = identities.franel_strehl
+        monkeypatch.setattr(identities, "franel_strehl", lambda n: strehl(n) + (n == 2))
         assert main(["sweep", "--statements", "route_agreement", "--n-range", "0..3",
                      "--workers", "1"]) == 1
         line = ('{"lhs": "11", "modulus": "exact", "params": {"n": "2", "route": "strehl"}, '
@@ -761,6 +774,38 @@ class TestSweepCommand:
         # the grid runs on past the error, one record per cell
         assert len(records) == 42 and records[3] == line
         assert err == f"FAILED: 0 failing record(s), 1 error record(s); first: {line}\n"
+
+    def test_dead_worker_gives_unwritten_cells_error_records(self, fork_pool, monkeypatch,
+                                                             capsys):
+        stmt = registry.STATEMENTS["strehl"]
+
+        def run(n):
+            if n == 3:
+                os._exit(3)
+            return stmt.run(n)
+
+        # setitem, not a module attribute: forked pool workers inherit it
+        monkeypatch.setitem(registry.STATEMENTS, "strehl", dataclasses.replace(stmt, run=run))
+        rc = main(["sweep", "--statements", "strehl", "--n-range", "0..20", "--workers", "2"])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        *records, summary = [json.loads(line) for line in out.splitlines()]
+        # cells written before the pool broke keep their records; every other
+        # cell, n = 3 among them, has one error record, in cell order
+        assert [r["params"]["n"] for r in records] == [str(n) for n in range(21)]
+        errors = [r for r in records if r["verdict"] == "error"]
+        written = 21 - len(errors)
+        assert records[3] in errors and records[written:] == errors
+        assert all(r["verdict"] == "pass" for r in records[:written])
+        assert {r["error"] for r in errors} == {
+            "BrokenProcessPool: A process in the process pool was terminated abruptly "
+            "while the future was running or pending."
+        }
+        total = {"pass": written, "fail": 0, "skipped": 0, "error": len(errors)}
+        assert summary["total"] == total
+        first = out.splitlines()[written]
+        assert err == (f"FAILED: 0 failing record(s), {len(errors)} error record(s); "
+                       f"first: {first}\n")
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sweep_cells_see_the_interpreters_digit_limit(self, workers, monkeypatch,

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from franel import combinatorics
 from franel.combinatorics import (
-    ROUTES,
     InconsistencyError,
     binomial,
     binomial_generalized,
@@ -16,6 +15,8 @@ from franel.combinatorics import (
     exact_div,
     franel,
     franel_direct,
+    franel_strehl,
+    franel_sun_expansion,
     franel_upto,
     macmahon_sides,
     partial_fraction_sides,
@@ -114,35 +115,37 @@ class TestGeneralizedBinomial:
                 assert binomial_generalized(x, k) == binomial(x, k)
 
 
+# the four routes to f_n
+ROUTES = (franel_direct, franel_strehl, franel, franel_sun_expansion)
+
+
 class TestFranel:
     def test_first_values(self):
         # f_n = sum of cubes of row n, evaluated longhand
         expected = [1, 2, 10, 56, 346, 2252]
         for route in ROUTES:
-            assert [franel(n, route) for n in range(6)] == expected
+            assert [route(n) for n in range(6)] == expected
 
     def test_examples(self):
-        assert franel(0, "direct") == 1
-        assert franel(2, "direct") == 1 + 8 + 1
-        assert franel(3, "recurrence") == 56  # 9*f_3 = 44*10 + 32*2
-        assert franel(5, "strehl") == sum(binomial(5, k) ** 3 for k in range(6))
+        assert franel_direct(0) == 1
+        assert franel_direct(2) == 1 + 8 + 1
+        assert franel(3) == 56  # 9*f_3 = 44*10 + 32*2
+        assert franel_strehl(5) == sum(binomial(5, k) ** 3 for k in range(6))
 
-    def test_unknown_route(self):
-        with pytest.raises(ValueError):
-            franel(3, "nope")
+    def test_negative_index(self):
         with pytest.raises(ValueError):
             franel(-1)
 
     @given(st.integers(0, 40))
     @settings(max_examples=30)
     def test_routes_agree(self, n):
-        values = {route: franel(n, route) for route in ROUTES}
+        values = {route.__name__: route(n) for route in ROUTES}
         assert len(set(values.values())) == 1, values
 
     def test_table_routes(self):
         assert franel_upto(3) == [1, 2, 10, 56]
         assert franel_upto(0) == [1]
-        assert franel(5, "sun-expansion") == 2252
+        assert franel_sun_expansion(5) == 2252
 
     def test_recurrence_rhs_against_direct_route(self):
         # (n+1)^2 f_{n+1}, with f_{-1} = 0 at n = 0
