@@ -9,6 +9,9 @@ entries one at a time to a copy of the tree.
 Left out on purpose: the reduction chain's ``pow(4, 1 - p, m2)`` ->
 ``pow(4, p - 1, m2)``.  It is an equivalent mutant mod p^2: ``inv4_pow``
 multiplies only p and multiples of p, and 4^(1-p) = 4^(p-1) = 1 (mod p).
+Nor has ``chain_newsum2_line1`` an entry of its own: mod p^2 it differs
+from ``chain_newsum2_line2`` by -4^(1-p) sum_{k>=1} term_k p^2/k = 0, so it
+cannot fail unless line 2 does.
 """
 from __future__ import annotations
 
@@ -68,13 +71,6 @@ CATALOGUE = (
         '"central_pmod requires an odd prime"',
         '"central_pmod requires odd primes"',
         "tests/test_cache_cli.py::TestSweepCommand::test_edge_of_domain_records_pinned",
-    ),
-    Mutant(
-        "theorem2-at-2-not-coprime-error",
-        "src/franel/congruences.py",
-        "class _NoInverseAtTwo(OutsideHypothesis, NotCoprimeError):",
-        "class _NoInverseAtTwo(OutsideHypothesis):",
-        "tests/test_congruences.py::TestTheorem2",
     ),
     # the family walk: one state per base, and each line of its step
     Mutant(
@@ -337,6 +333,94 @@ CATALOGUE = (
         '        raise OutsideHypothesis("babbage requires an odd prime")\n    m = p',
         "tests/test_congruences.py::TestAuxiliary::test_babbage_mod_p_squared",
     ),
+    # the reduction chain: one edit per record name, except the vacuous
+    # chain_newsum2_line1 (see the docstring)
+    Mutant(
+        "chain-newsum-pp-sign",
+        "src/franel/congruences.py",
+        '            rhs=-p * exact_div(cb[p], 2, "C(2p,p)/2", "p", p) * inner,',
+        '            rhs=p * exact_div(cb[p], 2, "C(2p,p)/2", "p", p) * inner,',
+        "tests/test_congruences.py::TestReductionChain::test_full_chain_small_primes",
+    ),
+    Mutant(
+        "chain-newsum2-line2-sign",
+        "src/franel/congruences.py",
+        "        acc2 += term * p",
+        "        acc2 -= term * p",
+        "tests/test_congruences.py::TestReductionChain::test_full_chain_small_primes",
+    ),
+    Mutant(
+        "chain-newsum3-row-sign-dropped",
+        "src/franel/congruences.py",
+        "        acc3 += row[k] % m2 * p * inv_odd",
+        "        acc3 += abs(row[k]) % m2 * p * inv_odd",
+        "tests/test_congruences.py::TestReductionChain::test_full_chain_small_primes",
+    ),
+    Mutant(
+        "chain-final3-sign",
+        "src/franel/congruences.py",
+        "            rhs=sum(terms) % p,",
+        "            rhs=-sum(terms) % p,",
+        "tests/test_congruences.py::TestReductionChain::test_final3_p13_nonzero_common_residue",
+    ),
+    Mutant(
+        "chain-central-vanish-index",
+        "src/franel/congruences.py",
+        "                lhs=cb[k] % p,",
+        "                lhs=cb[k - 1] % p,",
+        "tests/test_congruences.py::TestReductionChain::test_central_vanish_p5",
+    ),
+    Mutant(
+        "chain-final3-pair-sign",
+        "src/franel/congruences.py",
+        "                    lhs=terms[k] + terms[half - k],",
+        "                    lhs=terms[k] - terms[half - k],",
+        "tests/test_congruences.py::TestReductionChain::test_pair_cancellation_is_exact",
+    ),
+    # the identity suite: each statement's own arithmetic or its route
+    Mutant(
+        "strehl-last-term-dropped",
+        "src/franel/combinatorics.py",
+        "    for k in range(start, n + 1):",
+        "    for k in range(start, n):",
+        "tests/test_identities.py::TestStrehl::test_examples",
+    ),
+    Mutant(
+        "sun-expansion-step-sign",
+        "src/franel/combinatorics.py",
+        "            -term * (n + 2 * k + 1) * (n + 2 * k + 2) * (n - k),\n",
+        "            term * (n + 2 * k + 1) * (n + 2 * k + 2) * (n - k),\n",
+        "tests/test_identities.py::TestSunExpansion::test_examples",
+    ),
+    Mutant(
+        "recurrence-step-values-swapped",
+        "src/franel/identities.py",
+        "        rhs=recurrence_rhs(n, franel_direct(n - 1), franel_direct(n)),",
+        "        rhs=recurrence_rhs(n, franel_direct(n), franel_direct(n - 1)),",
+        "tests/test_identities.py::TestRecurrence::test_examples",
+    ),
+    Mutant(
+        "integrality-part-a-weight",
+        "src/franel/identities.py",
+        "        alt = c3k - 2 * c3k_1",
+        "        alt = c3k - c3k_1",
+        "tests/test_identities.py::TestIntegrality::test_examples",
+    ),
+    Mutant(
+        "partial-fraction-power-of-2",
+        "src/franel/combinatorics.py",
+        "    rhs = math.factorial(n) << (n + 1)",
+        "    rhs = math.factorial(n) << n",
+        "tests/test_identities.py::test_macmahon_and_partial_fraction_wrappers",
+    ),
+    # a route compared with the reference itself can never fail
+    Mutant(
+        "route-agreement-recurrence-is-reference",
+        "src/franel/identities.py",
+        '            ("recurrence", franel(n)),',
+        '            ("recurrence", ref),',
+        "tests/test_identities.py::test_route_agreement_reads_each_route",
+    ),
     # request checks, each a contract bug mended once, each caught by a
     # fixed request, since the random requests of tests/test_requests.py
     # do not draw every kind of bad request in every run
@@ -382,8 +466,8 @@ CATALOGUE = (
     Mutant(
         "broken-pool-error-records-dropped",
         "src/franel/harness.py",
-        '            error = f"{type(exc).__name__}: {exc}"\n            absorb(',
-        '            error = f"{type(exc).__name__}: {exc}"\n            list(',
+        "            absorb(\n                _job_result([registry.error_report(",
+        "            list(\n                _job_result([registry.error_report(",
         "tests/test_cache_cli.py::TestSweepCommand::"
         "test_dead_worker_gives_unwritten_cells_error_records",
     ),

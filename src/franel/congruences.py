@@ -111,15 +111,11 @@ def check_theorem1(n: int) -> list[Report]:
     )]
 
 
-class _NoInverseAtTwo(OutsideHypothesis, NotCoprimeError):
-    """check_theorem2(2): outside the hypothesis, as -16 has no inverse mod 8."""
-
-
 def check_theorem2(p: int) -> list[Report]:
     """(3k+1)-weighted inverse sum against p*(-1)^((p-1)/2), mod p^3."""
     require_prime(p)
     if p == 2:
-        raise _NoInverseAtTwo("p = 2: -16 not invertible")
+        raise OutsideHypothesis("p = 2: -16 not invertible")
     m = p**3
     lhs = inverse_weighted_sum_mod(p)[0]
     rhs = p * (-1) ** ((p - 1) // 2) % m

@@ -20,8 +20,8 @@ one call.  A serial sweep holds one cell's records at a time; a pool's
 parent holds a finished job's text only until every job before it is
 written.  If writing fails (a reader that closed stdout, say), the pool's
 jobs not yet started are cancelled, not run.  If a pool process dies,
-each cell of each job not yet written gets one error record, so the
-sweep still ends in a summary and exits 1.
+each cell of each job not yet written gets one error record
+(registry.error_report), so the sweep still ends in a summary and exits 1.
 
 Workers share nothing mutable.  Each process builds its own caches on
 first use: the Franel and central-binomial tables, the family walk's one
@@ -30,7 +30,8 @@ values of a pure function, so the record stream, the summary and the
 first failing or error line are identical for any worker count.
 
 A check that raises at a cell gives that cell one error record
-(registry.run_cell), so a sweep runs its whole grid either way.
+(registry.run_cell), so a sweep runs its whole grid either way; the
+registry alone makes error records, and this module counts and writes them.
 
 The process pool (concurrent.futures and multiprocessing) is imported only
 when a pool starts, so a serial sweep never loads it.
@@ -193,10 +194,9 @@ def run_sweep(
         except BrokenProcessPool as exc:
             # a worker died: every cell of every job not yet absorbed gets
             # one error record
-            error = f"{type(exc).__name__}: {exc}"
             absorb(
-                _job_result([Report(sid, {registry.STATEMENTS[sid].kind: cell}, error=error)
-                             for cell in cells], fmt, stream)
+                _job_result([registry.error_report(sid, cell, exc) for cell in cells],
+                            fmt, stream)
                 for sid, cells in zip(sids[absorbed:], chunks[absorbed:])
             )
         finally:

@@ -8,7 +8,8 @@ the multi-index grid).  A statement's hypothesis is its check's own guard:
 outside it the check raises OutsideHypothesis, and run_cell makes that one
 skipped record, never a failure.  Any other exception a check raises at a
 cell (a composite p, NotCoprimeError, InconsistencyError, a defect) becomes
-that cell's one error record, which a sweep counts and exits 1 on.
+that cell's one error record, which a sweep counts and exits 1 on.  Only
+error_report makes error records, for the sweep's dead pool processes too.
 """
 from __future__ import annotations
 
@@ -85,19 +86,24 @@ def cells_for(stmt: Statement, lo: int, hi: int) -> list[int]:
     return list(range(lo, hi + 1))
 
 
+def error_report(statement_id: str, param: int, exc: BaseException) -> Report:
+    """The one error record of a cell: exc's type and message, for a check
+    that raised it or a pool process that died before the cell was written."""
+    return Report(statement_id, {STATEMENTS[statement_id].kind: param},
+                  error=f"{type(exc).__name__}: {exc}")
+
+
 def run_cell(statement_id: str, param: int) -> list[Report]:
     """Run one statement at one parameter; a parameter outside its
     hypothesis yields a single skipped record with the check's reason, and
-    any other exception a single error record with its type and message.
-    Top-level so worker processes can import it."""
+    any other exception a single error record (error_report)."""
     stmt = STATEMENTS[statement_id]
     try:
         return stmt.run(param)
     except OutsideHypothesis as exc:
         return [Report(statement_id, {stmt.kind: param}, skipped_reason=str(exc))]
     except Exception as exc:
-        return [Report(statement_id, {stmt.kind: param},
-                       error=f"{type(exc).__name__}: {exc}")]
+        return [error_report(statement_id, param, exc)]
 
 
 def run_cells(statement_id: str, params: list[int]) -> list[Report]:

@@ -160,9 +160,11 @@ class TestTheorem2:
             [r] = check_theorem2(p)
             assert total % m == r.lhs
 
-    def test_p2_not_coprime(self):
-        with pytest.raises(NotCoprimeError):
+    def test_p2_outside_hypothesis(self):
+        # a plain skip, as at every other prime-axis check: no second type
+        with pytest.raises(OutsideHypothesis, match=r"^p = 2: -16 not invertible$") as raised:
             check_theorem2(2)
+        assert not isinstance(raised.value, NotCoprimeError)
 
     def test_composite_rejected(self):
         with pytest.raises(ValueError):

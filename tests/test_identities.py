@@ -1,5 +1,6 @@
 import pytest
 
+from franel import identities
 from franel.combinatorics import binomial, franel_direct
 from franel.identities import (
     check_induction_identity,
@@ -158,3 +159,17 @@ def test_route_agreement_reports():
         assert len(reports) == 3
         assert all(r.verdict == "pass" for r in reports)
         assert all(r.rhs == franel_direct(n) for r in reports)
+
+
+@pytest.mark.parametrize("name, route", [
+    ("franel_strehl", "strehl"),
+    ("franel", "recurrence"),
+    ("franel_sun_expansion", "sun-expansion"),
+])
+def test_route_agreement_reads_each_route(monkeypatch, name, route):
+    # each record's lhs is its own route's value: a wrong route fails its
+    # record and no other, so no record compares the reference with itself
+    monkeypatch.setattr(identities, name, lambda n: franel_direct(n) + 1)
+    verdicts = {r.params["route"]: r.verdict for r in check_route_agreement(7)}
+    assert verdicts == {key: "fail" if key == route else "pass"
+                        for key in ("strehl", "recurrence", "sun-expansion")}
