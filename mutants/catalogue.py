@@ -124,12 +124,22 @@ CATALOGUE = (
         "tests/test_congruences.py::test_inverse_weighted_sum_rejects_non_odd_prime",
     ),
     # the third conjecture's packed grid
+    # (digits take whole bytes, so a width one bit short of the bound
+    # rounds up to the same bytes at most n; one byte short never does)
     Mutant(
-        "packed-grid-width-one-bit-short",
+        "packed-grid-width-one-byte-short",
         "src/franel/conjectures.py",
-        "    width = max(1, (n * (n * n - 1) ** 2).bit_length())",
-        "    width = max(1, (n * (n * n - 1) ** 2).bit_length() - 1)",
+        "    nbytes = max(1, ((n * (m2 - 1) ** 3).bit_length() + 7) // 8)",
+        "    nbytes = max(1, ((n * (m2 - 1) ** 3).bit_length() + 7) // 8 - 1)",
         "tests/test_conjectures.py::TestThirdConjectureKernel::test_digits_at_their_bound",
+    ),
+    # -1 reads the column of 3 and -3 that of 1; -2 still reads its own
+    Mutant(
+        "negative-multiplier-reads-wrong-column",
+        "src/franel/conjectures.py",
+        "                base4 = 4 * base4 + abs(a)",
+        "                base4 = 4 * base4 + a % 4",
+        "tests/test_conjectures.py::TestThirdConjectureKernel::test_each_multiplier_reads_its_own_column",
     ),
     Mutant(
         "prefix-extension-sign-dropped",
@@ -412,6 +422,30 @@ CATALOGUE = (
         "    rhs = math.factorial(n) << (n + 1)",
         "    rhs = math.factorial(n) << n",
         "tests/test_identities.py::test_macmahon_and_partial_fraction_wrappers",
+    ),
+    # the reference route sums half the row: its middle term at even n
+    Mutant(
+        "franel-direct-even-middle-dropped",
+        "src/franel/combinatorics.py",
+        "        total += math.comb(n, n // 2) ** 3",
+        "        total += 0",
+        "tests/test_combinatorics.py::TestFranel::test_direct_route_against_full_row",
+    ),
+    # the shared C(3k,k) column: its step ratio (doubled, so every step
+    # stays exact), and the k at which a grown column resumes
+    Mutant(
+        "triple-column-step-doubled",
+        "src/franel/combinatorics.py",
+        "            col[-1] * 3 * (3 * k + 1) * (3 * k + 2),",
+        "            col[-1] * 6 * (3 * k + 1) * (3 * k + 2),",
+        "tests/test_term_ratio.py::test_shared_columns",
+    ),
+    Mutant(
+        "triple-column-resumes-at-zero",
+        "src/franel/combinatorics.py",
+        "    for k in range(len(col) - 1, k_max):",
+        "    for k in range(k_max):",
+        "tests/test_term_ratio.py::test_shared_columns",
     ),
     # a route compared with the reference itself can never fail
     Mutant(

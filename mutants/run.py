@@ -5,9 +5,11 @@ Usage, from the root of a checkout:
     python3 mutants/run.py
 
 The runner first checks that every entry's old text occurs exactly once
-in its file.  It then copies ``src/``, ``tests/`` and ``pyproject.toml`` to
-a temporary directory, checks that each named test passes on the unmutated
-copy, and applies one entry at a time, running
+in its file.  It then copies ``src/``, ``tests/``, ``pyproject.toml`` and
+the two files that tier-1 tests read, ``README.md`` and
+``perfbench/reference.json``, to a temporary directory, checks that each
+named test passes on the unmutated copy, and applies one entry at a time,
+running
 
     python -m pytest -q -x -p no:cacheprovider <test>
 
@@ -30,7 +32,7 @@ from typing import Iterable
 from catalogue import CATALOGUE, Mutant
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "pyproject.toml")
+COPIED = ("src", "tests", "pyproject.toml", "README.md", "perfbench/reference.json")
 TIMEOUT_S = 600
 
 
@@ -50,6 +52,7 @@ def copy_tree(dest: Path) -> None:
         if (ROOT / name).is_dir():
             shutil.copytree(ROOT / name, dest / name, ignore=skip)
         else:
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(ROOT / name, dest / name)
 
 

@@ -3,8 +3,9 @@
     python3 -m pytest mutants
 
 A stale entry and a surviving mutant each fail the runner; every entry of
-the catalogue is current; and the copy's tests import the copy's package
-while the caller's PYTHONPATH stays on the path after it.
+the catalogue is current; the copy holds the files that tier-1 tests read;
+and the copy's tests import the copy's package while the caller's
+PYTHONPATH stays on the path after it.
 """
 from __future__ import annotations
 
@@ -49,6 +50,16 @@ def test_survivor_fails_the_runner(capsys):
     )
     assert runner.run([survivor]) == 1
     assert "SURVIVED docstring" in capsys.readouterr().out
+
+
+def test_copy_holds_the_files_that_tests_read(tmp_path):
+    # test_readme_cli_examples_parse reads README.md and
+    # test_criterion_harness_determinism_and_cache reads perfbench/reference.json
+    runner.copy_tree(tmp_path)
+    for name in ("README.md", "perfbench/reference.json"):
+        assert (tmp_path / name).read_bytes() == (runner.ROOT / name).read_bytes()
+    assert (tmp_path / "src" / "franel" / "conjectures.py").is_file()
+    assert (tmp_path / "tests" / "oracles.py").is_file()
 
 
 def test_copy_src_goes_in_front_of_inherited_pythonpath(tmp_path, monkeypatch):

@@ -7,7 +7,8 @@ pairs.  No floats anywhere.
 Each hypergeometric sum steps its term t_{k+1} from t_k by the term
 ratio, a rational function of k: a product with small ints and one
 division through exact_div, which raises InconsistencyError on a
-remainder.  franel_direct and binomial stay plain math.comb.
+remainder.  franel_direct and binomial stay plain math.comb.  The
+central-binomial, C(3k,k) and Franel columns are shared grow-only caches.
 """
 from __future__ import annotations
 
@@ -56,10 +57,16 @@ def franel_direct(n: int) -> int:
     """Sum of cubes of the n-th binomial row, by math.comb: the reference
     route that the stepped Strehl and Sun-expansion sums are checked against.
 
+    The row is symmetric, C(n,k) = C(n,n-k), so it sums the half below
+    the middle, doubles it and adds the middle term C(n,n/2)^3 at even n.
+
     Memoized because the recurrence, route-agreement, Strehl and
     Sun-expansion statements all compare against it at the same n.
     """
-    return sum(math.comb(n, k) ** 3 for k in range(n + 1))
+    total = 2 * sum(math.comb(n, k) ** 3 for k in range((n + 1) // 2))
+    if n % 2 == 0:
+        total += math.comb(n, n // 2) ** 3
+    return total
 
 
 def franel_strehl(n: int) -> int:
@@ -150,16 +157,19 @@ def central_binomial(k: int) -> int:
     return _CENTRAL_CACHE[k]
 
 
+_TRIPLE_CACHE: list[int] = [1]
+
+
 def triple_binomials_upto(k_max: int) -> list[int]:
-    """[C(0,0), C(3,1), ..., C(3*k_max, k_max)], each stepped from the one
-    before by 3(3k+1)(3k+2) / (2(k+1)(2k+1))."""
-    col = [1]
-    for k in range(k_max):
+    """[C(0,0), C(3,1), ..., C(3*k_max, k_max)] from a shared cache, each
+    stepped from the one before by 3(3k+1)(3k+2) / (2(k+1)(2k+1))."""
+    col = _TRIPLE_CACHE
+    for k in range(len(col) - 1, k_max):
         col.append(exact_div(
             col[-1] * 3 * (3 * k + 1) * (3 * k + 2), 2 * (k + 1) * (2 * k + 1),
             "C(3k,k) step", "k", k + 1,
         ))
-    return col
+    return col[: k_max + 1]
 
 
 def alternating_row(h: int) -> list[int]:

@@ -8,6 +8,8 @@ triples) and returns that cell's records.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import operator
 from dataclasses import dataclass
 
@@ -118,7 +120,13 @@ def check_families(triples: tuple[FamilyTriple, ...], n: int) -> list[Report]:
 def product_factor_columns(a: int, n: int, modulus: int) -> list[int]:
     """[C(a*n-1, k) * C(a*n+k, k) mod modulus for k in 0..n-1], the exact
     product stepped in k by (a*n-1-k)(a*n+k+1) / (k+1)^2, which holds for
-    a <= 0 too (C(-1,k) C(k,k) = (-1)^k at a = 0)."""
+    a <= 0 too (C(-1,k) C(k,k) = (-1)^k at a = 0).
+
+    The column of -a is the column of a: upper negation,
+    C(r, k) = (-1)^k C(k-r-1, k), turns C(-a*n-1, k) into
+    (-1)^k C(a*n+k, k) and C(-a*n+k, k) into (-1)^k C(a*n-1, k), so the
+    two products are equal term by term (and so is the step ratio).
+    """
     col = []
     term = 1
     for k in range(n):
@@ -130,20 +138,35 @@ def product_factor_columns(a: int, n: int, modulus: int) -> list[int]:
     return col
 
 
-def _grid_report(
-    variant: str, m: int, tup: tuple[int, ...], n: int, lhs: int, modulus: int
-) -> Report:
-    params = {"m": m, "a": list(tup), "n": n, "variant": variant}
-    if 0 in tup:
-        params["degenerate"] = True
-    return Report(
-        statement=f"third_{variant}", params=params, modulus=modulus, lhs=lhs, rhs=0
-    )
-
-
-# the third conjecture's grid: every tuple of these, of length 1 to 3
+# the third conjecture's grid: every tuple of these, of length 1 to 3 (the
+# packing in third_conjecture_grid is written for these two constants)
 THIRD_MAX_LENGTH = 3
 THIRD_MULTIPLIERS = (-3, -2, -1, 0, 1, 2, 3)
+_THIRD_VARIANTS = ("linear", "quadratic")
+
+
+@functools.cache
+def _third_templates() -> list[tuple[str, dict, int]]:
+    """(statement, params without n's value, index into the grid's residue
+    list) for every record of the grid, in record order: tuples of length
+    1 to THIRD_MAX_LENGTH in product order over THIRD_MULTIPLIERS, each
+    linear then quadratic.  A tuple of length m reads the residue at
+    2 * (its |a| digits in base 4) + variant, after the 2 * 4^j residues
+    of every shorter length j.  Built on first call, once per process."""
+    out = []
+    offset = 0
+    for m in range(1, THIRD_MAX_LENGTH + 1):
+        for tup in itertools.product(THIRD_MULTIPLIERS, repeat=m):
+            base4 = 0
+            for a in tup:
+                base4 = 4 * base4 + abs(a)
+            for v, variant in enumerate(_THIRD_VARIANTS):
+                params = {"m": m, "a": list(tup), "n": None, "variant": variant}
+                if 0 in tup:
+                    params["degenerate"] = True
+                out.append((f"third_{variant}", params, offset + 2 * base4 + v))
+        offset += 2 * 4 ** m
+    return out
 
 
 def third_conjecture_grid(n: int) -> list[Report]:
@@ -152,58 +175,59 @@ def third_conjecture_grid(n: int) -> list[Report]:
     grid.  Zero multipliers are admitted (the factor degenerates to
     (-1)^k) and flagged in the report.
 
-    A tuple's sum is sum_k prefix(k) * w(k) * c_a(k) mod n^2, where prefix
-    is the product column of the tuple without its last multiplier a and
-    c_a is a's factor column.  A prefix is extended by the signed column
-    (-1)^k c_a(k), so a prefix of odd length carries the (-1)^k that a
-    tuple of even length needs.  The 2 * len(THIRD_MULTIPLIERS) residues
-    w(k) * c_a(k) mod n^2 of each k are packed into one int as base-2^width
-    digits, so one dot product of a prefix column with the packed rows
-    gives the sums of every one-multiplier extension of that prefix.
+    A tuple's sum is sum_k w(k) prod_i c_{a_i}(k) mod n^2, times (-1)^k
+    when the tuple's length is even, and c_a = c_{-a}
+    (product_factor_columns), so only the columns of |a| = 0..3 are built
+    and a tuple's sum depends only on its |a|.  Each k's residues
+    w(k) c_b(k) mod n^2, for both weights and every b, are packed into
+    rows[k] as base-2^width digits; rows2[k] holds s_c(k) rows[k] in its
+    own block for each c, where s_c(k) = (-1)^k c_c(k) is the signed
+    column.  Then sum(rows) gives every sum of length 1, sum(rows2) every
+    sum of length 2, and the dot product of s_d with rows2 every sum of
+    length 3 that starts with d: six big-int sums per n in all.
     """
     if n < 1:
         raise OutsideHypothesis("third conjecture requires parameter >= 1")
-    out: list[Report] = []
     m2 = n * n
     f = franel_upto(n - 1)
-    cols1 = {a: product_factor_columns(a, n, m2) for a in THIRD_MULTIPLIERS}
-    signed = {
-        a: [c if k % 2 == 0 else -c % m2 for k, c in enumerate(col)]
-        for a, col in cols1.items()
-    }
+    cols = [product_factor_columns(b, n, m2) for b in range(4)]
+    signed = [[c if k % 2 == 0 else -c % m2 for k, c in enumerate(col)] for col in cols]
     w_lin = [(3 * k + 2) * f[k] % m2 for k in range(n)]
     w_quad = [(9 * k * k + 5 * k) * f[k] % m2 for k in range(n)]
 
-    # Digit bound: a digit of a dot product is a sum of n products of two
-    # residues in [0, n^2 - 1], so it is at most n * (n^2 - 1)^2 < 2^width
-    # and never carries into the next digit.
-    width = max(1, (n * (n * n - 1) ** 2).bit_length())
-    mask = (1 << width) - 1
+    # Digit bound: a length-3 digit is a sum of n products of three
+    # residues in [0, n^2 - 1], so it is at most n * (n^2 - 1)^3, and the
+    # shorter lengths stay below that.  Digits take whole bytes, so they
+    # are read back with int.to_bytes, and never carry.
+    nbytes = max(1, ((n * (m2 - 1) ** 3).bit_length() + 7) // 8)
+    width = 8 * nbytes
 
-    # per k, the residues w_lin(k) c_a(k) and w_quad(k) c_a(k) for each a in
-    # turn, as base-2^width digits from the lowest up
+    # rows[k]: 8 digits, w_lin(k) c_b(k) and w_quad(k) c_b(k) for b = 0..3
     rows = [0] * n
     shift = 0
-    for a in THIRD_MULTIPLIERS:
+    for col in cols:
         for w in (w_lin, w_quad):
-            rows = [r | (x * c % m2) << shift for r, x, c in zip(rows, w, cols1[a])]
+            rows = [r | (x * c % m2) << shift for r, x, c in zip(rows, w, col)]
             shift += width
-
-    prefixes: list[tuple[tuple[int, ...], list[int]]] = [((), [1] * n)]
-    for m in range(1, THIRD_MAX_LENGTH + 1):
-        longer = []
-        for tup, col in prefixes:
-            t = sum(map(operator.mul, col, rows))
-            for a in THIRD_MULTIPLIERS:
-                ext = tup + (a,)
-                out.append(_grid_report("linear", m, ext, n, (t & mask) % m2, m2))
-                t >>= width
-                out.append(_grid_report("quadratic", m, ext, n, (t & mask) % m2, m2))
-                t >>= width
-                if m < THIRD_MAX_LENGTH:
-                    longer.append((ext, [x * y % m2 for x, y in zip(col, signed[a])]))
-        prefixes = longer
-    return out
+    # rows2[k]: 4 blocks of 8 digits, s_c(k) rows[k] for c = 0..3
+    rows2 = [
+        s0 * r + (s1 * r << shift) + (s2 * r << 2 * shift) + (s3 * r << 3 * shift)
+        for r, s0, s1, s2, s3 in zip(rows, *signed)
+    ]
+    row_bytes = shift // 8
+    packed = sum(rows).to_bytes(row_bytes, "little") + b"".join(
+        t.to_bytes(4 * row_bytes, "little")
+        for t in [sum(rows2), *(sum(map(operator.mul, s, rows2)) for s in signed)]
+    )
+    residues = [
+        int.from_bytes(packed[i:i + nbytes], "little") % m2
+        for i in range(0, len(packed), nbytes)
+    ]
+    return [
+        Report(statement, {**params, "a": params["a"].copy(), "n": n},
+               m2, residues[i], 0)
+        for statement, params, i in _third_templates()
+    ]
 
 
 def check_product_note(p: int) -> list[Report]:

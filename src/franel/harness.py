@@ -24,8 +24,9 @@ each cell of each job not yet written gets one error record
 (registry.error_report), so the sweep still ends in a summary and exits 1.
 
 Workers share nothing mutable.  Each process builds its own caches on
-first use: the Franel and central-binomial tables, the family walk's one
-state per base, the zw prefix tables and the lru_cache memos.  Each holds
+first use: the Franel, central-binomial and C(3k,k) tables, the family
+walk's one state per base, the zw prefix tables, the third-conjecture
+record templates and the lru_cache memos.  Each holds
 values of a pure function, so the record stream, the summary and the
 first failing or error line are identical for any worker count.
 

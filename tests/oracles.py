@@ -5,6 +5,7 @@ route; none is used by the package itself.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from franel.combinatorics import (
@@ -100,6 +101,11 @@ def chain_inner_sum(p: int) -> int:
 
 # The hypergeometric sums below are the math.comb forms that the package
 # now steps by term ratio: each term taken afresh from binomial coefficients.
+
+
+def franel_direct_comb(n: int) -> int:
+    """f_n as the sum of cubes of the whole binomial row."""
+    return sum(math.comb(n, k) ** 3 for k in range(n + 1))
 
 
 def franel_strehl_comb(n: int) -> int:

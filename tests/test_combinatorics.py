@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from franel import combinatorics
 from franel.combinatorics import (
     InconsistencyError,
@@ -135,6 +136,11 @@ class TestFranel:
     def test_negative_index(self):
         with pytest.raises(ValueError):
             franel(-1)
+
+    def test_direct_route_against_full_row(self):
+        # franel_direct sums half the row; odd and even n, the middle term
+        for n in range(302):
+            assert franel_direct(n) == oracles.franel_direct_comb(n), n
 
     @given(st.integers(0, 40))
     @settings(max_examples=30)

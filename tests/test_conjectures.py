@@ -205,8 +205,9 @@ class TestThirdConjectureKernel:
         # Worst-case residues: every factor column is (-1)^(k+1), so its
         # signed column (-1)^k c_a(k) is -1, and the Franel column makes each
         # linear weight (3k+2) f_k equal (-1)^k mod n^2 (3k+2 is a unit there
-        # when n is a power of 3), so each packed linear digit is -1 too and
-        # every length-2 linear sum is n * (n^2 - 1)^2, the digit bound itself.
+        # when n is a power of 3), so each packed linear digit is -1 too:
+        # every length-2 linear sum is n * (n^2 - 1)^2, and every length-3
+        # linear sum is n * (n^2 - 1)^3, the digit bound itself.
         m2 = n * n
 
         def columns(a, size, modulus):
@@ -227,6 +228,25 @@ class TestThirdConjectureKernel:
             if r.params["m"] == 2 and r.params["variant"] == "linear"
         ]
         assert at_bound == [n * (m2 - 1) ** 2 % m2] * 49
+        at_bound = [
+            r.lhs for r in grid
+            if r.params["m"] == 3 and r.params["variant"] == "linear"
+        ]
+        assert at_bound == [n * (m2 - 1) ** 3 % m2] * 343
+
+    @pytest.mark.parametrize("n", [5, 12])
+    def test_each_multiplier_reads_its_own_column(self, n, monkeypatch):
+        # Every true grid sum is 0 mod n^2, so a record that reads another
+        # tuple's sum still matches.  Distinct columns for |a| = 0..3 (the
+        # grid relies on c_-a = c_a) make the sums nonzero and distinct.
+        def columns(a, size, modulus):
+            return [(abs(a) + 2) ** (k + 1) % modulus for k in range(size)]
+
+        for module in (conjectures, oracles):
+            monkeypatch.setattr(module, "product_factor_columns", columns)
+        lines = list(map(to_json_line, third_conjecture_grid(n)))
+        assert lines == list(map(to_json_line, third_conjecture_grid_per_tuple(n)))
+        assert len({r.lhs for r in third_conjecture_grid(n)}) > 1
 
     def test_lines_identical_to_per_tuple_route(self):
         for n in range(1, 121):

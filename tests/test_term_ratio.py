@@ -50,9 +50,15 @@ def test_macmahon_sides():
             assert macmahon_sides(n, x) == oracles.macmahon_sides_comb(n, x), (n, x)
 
 
-def test_shared_columns():
-    # (half, k) <= 249 covers the primes up to 499 that the sweep runs
-    assert triple_binomials_upto(249) == [binomial(3 * k, k) for k in range(250)]
+def test_shared_columns(monkeypatch):
+    # (half, k) <= 249 covers the primes up to 499 that the sweep runs; the
+    # C(3k,k) column is grown from empty in uneven steps, each call resuming
+    # where the last one stopped
+    monkeypatch.setattr(combinatorics, "_TRIPLE_CACHE", [1])
+    for k_max in (0, 1, 7, 6, 100, 249):
+        assert triple_binomials_upto(k_max) == [
+            binomial(3 * k, k) for k in range(k_max + 1)
+        ], k_max
     for h in range(250):
         assert alternating_row(h) == [
             (-1) ** k * binomial(h, k) for k in range(h + 1)
@@ -69,6 +75,20 @@ def test_factor_columns():
             assert product_factor_columns(a, n, modulus) == (
                 oracles.product_factor_columns_comb(a, n, modulus)
             ), (a, n, modulus)
+
+
+def test_negated_multiplier_has_the_same_factor_column():
+    """C(-an-1, k) C(-an+k, k) = C(an-1, k) C(an+k, k) for every k, by upper
+    negation C(r, k) = (-1)^k C(k-r-1, k): the first factor becomes
+    (-1)^k C(an+k, k) and the second (-1)^k C(an-1, k), and the two signs
+    cancel.  So the grid builds the columns of |a| only.  The modulus lies
+    above every exact term (below 2^(4*3*120)), so the exact products are
+    compared."""
+    for a in range(1, 4):
+        for n in range(1, 121):
+            assert product_factor_columns(-a, n, 1 << 2048) == (
+                product_factor_columns(a, n, 1 << 2048)
+            ), (a, n)
 
 
 def test_product_note():
@@ -128,6 +148,9 @@ def _with_ratio(fn, old: str, new: str):
      (3,), "C(h,k) step"),
 ], ids=["sun", "strehl", "integrality", "factor-column", "multinomial",
         "triple-binomial", "alternating-row"])
-def test_inexact_step_raises(fn, old, new, args, what):
+def test_inexact_step_raises(fn, old, new, args, what, monkeypatch):
+    # the shared C(3k,k) column starts empty, so the recompiled function
+    # steps it from k = 0 rather than reading values already cached
+    monkeypatch.setattr(combinatorics, "_TRIPLE_CACHE", [1])
     with pytest.raises(InconsistencyError, match=re.escape(what)):
         _with_ratio(fn, old, new)(*args)
