@@ -43,13 +43,22 @@ CATALOGUE = (
         "    except ArithmeticError as exc:",
         "tests/test_cache_cli.py::TestVerifyCommand::test_run_cell_skips_only_outside_hypothesis",
     ),
-    # the hypotheses, each stated once, in its check
+    # the hypotheses, each stated once, in its check, and the one guard of
+    # the checks on primes: a p that is not prime is an error before it can
+    # be a skip
     Mutant(
         "morley-admits-p-3",
         "src/franel/congruences.py",
-        '    if p <= 3:\n        raise OutsideHypothesis("morley requires p > 3")',
-        '    if p < 3:\n        raise OutsideHypothesis("morley requires p > 3")',
+        '    require_prime_above(p, 3, "morley requires p > 3")',
+        '    require_prime_above(p, 2, "morley requires p > 3")',
         "tests/test_congruences.py::TestAuxiliary",
+    ),
+    Mutant(
+        "prime-guard-skips-before-primality",
+        "src/franel/congruences.py",
+        "    require_prime(p)\n    if p <= bound:\n        raise OutsideHypothesis(reason)\n",
+        "    if p <= bound:\n        raise OutsideHypothesis(reason)\n    require_prime(p)\n",
+        "tests/test_cache_cli.py::TestVerifyCommand::test_composite_p_raises_not_skips",
     ),
     Mutant(
         "theorem3-admits-p-2",
@@ -339,8 +348,8 @@ CATALOGUE = (
     Mutant(
         "babbage-modulus-p",
         "src/franel/congruences.py",
-        '        raise OutsideHypothesis("babbage requires an odd prime")\n    m = p * p',
-        '        raise OutsideHypothesis("babbage requires an odd prime")\n    m = p',
+        '    require_prime_above(p, 2, "babbage requires an odd prime")\n    m = p * p',
+        '    require_prime_above(p, 2, "babbage requires an odd prime")\n    m = p',
         "tests/test_congruences.py::TestAuxiliary::test_babbage_mod_p_squared",
     ),
     # the reduction chain: one edit per record name, except the vacuous
@@ -431,20 +440,29 @@ CATALOGUE = (
         "        total += 0",
         "tests/test_combinatorics.py::TestFranel::test_direct_route_against_full_row",
     ),
-    # the shared C(3k,k) column: its step ratio (doubled, so every step
-    # stays exact), and the k at which a grown column resumes
+    # the shared tables: the index at which grown resumes a table, the
+    # C(3k,k) step ratio (doubled, so every step stays exact), and the
+    # C(3k,k) reader, which must grow the shared table rather than a fresh
+    # one from k = 0 on every call
+    Mutant(
+        "grown-resumes-one-index-early",
+        "src/franel/combinatorics.py",
+        "    for k in range(len(col), n + 1):",
+        "    for k in range(len(col) - 1, n + 1):",
+        "tests/test_term_ratio.py::test_shared_columns",
+    ),
     Mutant(
         "triple-column-step-doubled",
         "src/franel/combinatorics.py",
-        "            col[-1] * 3 * (3 * k + 1) * (3 * k + 2),",
-        "            col[-1] * 6 * (3 * k + 1) * (3 * k + 2),",
+        "        c[k - 1] * 3 * (3 * k - 2) * (3 * k - 1), 2 * k * (2 * k - 1),",
+        "        c[k - 1] * 6 * (3 * k - 2) * (3 * k - 1), 2 * k * (2 * k - 1),",
         "tests/test_term_ratio.py::test_shared_columns",
     ),
     Mutant(
         "triple-column-resumes-at-zero",
         "src/franel/combinatorics.py",
-        "    for k in range(len(col) - 1, k_max):",
-        "    for k in range(k_max):",
+        "    return grown(_TRIPLE_CACHE, k_max, _triple_step)",
+        "    return grown([1], k_max, _triple_step)",
         "tests/test_term_ratio.py::test_shared_columns",
     ),
     # a route compared with the reference itself can never fail

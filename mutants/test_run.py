@@ -28,15 +28,20 @@ def test_catalogue_is_current():
     assert len({m.name for m in CATALOGUE}) == len(CATALOGUE)
 
 
-def test_stale_entry_fails_the_runner(capsys):
-    missing = Mutant("missing", "src/franel/registry.py", "no such text", "",
+def test_stale_entry_fails_the_runner(tmp_path, monkeypatch, capsys):
+    # a tree of its own, which holds the text that occurs twice, so that
+    # the check does not rest on a line repeated in src/
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "checks.py").write_text("    if p <= 3:\n" * 2)
+    monkeypatch.setattr(runner, "ROOT", tmp_path)
+    missing = Mutant("missing", "src/checks.py", "no such text", "",
                      "tests/test_reports.py")
-    twice = Mutant("twice", "src/franel/congruences.py", "    if p <= 3:", "    if p < 3:",
+    twice = Mutant("twice", "src/checks.py", "    if p <= 3:", "    if p < 3:",
                    "tests/test_congruences.py")
     assert runner.run([missing, twice]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "stale    missing: old text occurs 0 times in src/franel/registry.py",
-        "stale    twice: old text occurs 2 times in src/franel/congruences.py",
+        "stale    missing: old text occurs 0 times in src/checks.py",
+        "stale    twice: old text occurs 2 times in src/checks.py",
     ]
 
 

@@ -8,12 +8,14 @@ Each hypergeometric sum steps its term t_{k+1} from t_k by the term
 ratio, a rational function of k: a product with small ints and one
 division through exact_div, which raises InconsistencyError on a
 remainder.  franel_direct and binomial stay plain math.comb.  The
-central-binomial, C(3k,k) and Franel columns are shared grow-only caches.
+Franel, central-binomial and C(3k,k) columns are shared grow-only caches,
+each a step function that grown runs over the indices a table lacks.
 """
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 
 
 class InconsistencyError(ArithmeticError):
@@ -108,68 +110,70 @@ def recurrence_rhs(n: int, f_prev: int, f_n: int) -> int:
     return (7 * n * n + 7 * n + 2) * f_n + 8 * n * n * f_prev
 
 
-# shared grow-only table for the recurrence route (cheapest route; used as
-# the workhorse by all sweeps)
+def grown(col: list[int], n: int, step: Callable[[list[int], int], int]) -> list[int]:
+    """col with step(col, k) appended for each index k <= n that it lacks:
+    the one rule by which every shared grow-only table grows."""
+    for k in range(len(col), n + 1):
+        col.append(step(col, k))
+    return col
+
+
+# the shared grow-only tables: f_n by the recurrence (the workhorse of all
+# sweeps), C(2k,k) and C(3k,k)
 _RECURRENCE_CACHE: list[int] = [1, 2]
+_CENTRAL_CACHE: list[int] = [1]
+_TRIPLE_CACHE: list[int] = [1]
 
 
-def _recurrence_extend(n_max: int) -> None:
-    """Extend the shared Franel table up to index n_max via the recurrence."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    values = _RECURRENCE_CACHE
-    while len(values) <= n_max:
-        n = len(values) - 1
-        num = recurrence_rhs(n, values[n - 1], values[n])
-        values.append(exact_div(num, (n + 1) * (n + 1), "franel recurrence", "n", n + 1))
+def _franel_step(f: list[int], n: int) -> int:
+    # the three-term recurrence at n - 1, solved for f_n
+    return exact_div(
+        recurrence_rhs(n - 1, f[n - 2], f[n - 1]), n * n, "franel recurrence", "n", n
+    )
+
+
+def _central_step(c: list[int], k: int) -> int:
+    # C(2k, k) = C(2k-2, k-1) * 2(2k-1)/k
+    return exact_div(c[k - 1] * 2 * (2 * k - 1), k, "central binomial", "k", k)
+
+
+def _triple_step(c: list[int], k: int) -> int:
+    # C(3k, k) = C(3k-3, k-1) * 3(3k-2)(3k-1) / (2k(2k-1))
+    return exact_div(
+        c[k - 1] * 3 * (3 * k - 2) * (3 * k - 1), 2 * k * (2 * k - 1),
+        "C(3k,k) step", "k", k,
+    )
 
 
 def franel_upto(n_max: int) -> list[int]:
     """f_0..f_n_max by the recurrence route, from a shared cache."""
-    _recurrence_extend(n_max)
-    return _RECURRENCE_CACHE[: n_max + 1]
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    return grown(_RECURRENCE_CACHE, n_max, _franel_step)[: n_max + 1]
 
 
-_CENTRAL_CACHE: list[int] = [1]
-
-
-def _central_extend(k_max: int) -> None:
-    cache = _CENTRAL_CACHE
-    while len(cache) <= k_max:
-        k = len(cache) - 1
-        # C(2k+2, k+1) = C(2k, k) * 2(2k+1)/(k+1)
-        cache.append(
-            exact_div(cache[-1] * 2 * (2 * k + 1), k + 1, "central binomial", "k", k + 1)
-        )
+def franel(n: int) -> int:
+    """f_n by the recurrence, from the shared table."""
+    if n < 0:
+        raise ValueError(f"franel: n must be nonnegative, got {n}")
+    return grown(_RECURRENCE_CACHE, n, _franel_step)[n]
 
 
 def central_binomials_upto(k_max: int) -> list[int]:
     """[C(0,0), C(2,1), ..., C(2*k_max, k_max)] from a shared cache."""
-    _central_extend(k_max)
-    return _CENTRAL_CACHE[: k_max + 1]
+    return grown(_CENTRAL_CACHE, k_max, _central_step)[: k_max + 1]
 
 
 def central_binomial(k: int) -> int:
     """C(2k, k) from the same shared cache, without copying a prefix."""
     if k < 0:
         raise ValueError(f"central_binomial: k must be nonnegative, got {k}")
-    _central_extend(k)
-    return _CENTRAL_CACHE[k]
-
-
-_TRIPLE_CACHE: list[int] = [1]
+    return grown(_CENTRAL_CACHE, k, _central_step)[k]
 
 
 def triple_binomials_upto(k_max: int) -> list[int]:
-    """[C(0,0), C(3,1), ..., C(3*k_max, k_max)] from a shared cache, each
-    stepped from the one before by 3(3k+1)(3k+2) / (2(k+1)(2k+1))."""
-    col = _TRIPLE_CACHE
-    for k in range(len(col) - 1, k_max):
-        col.append(exact_div(
-            col[-1] * 3 * (3 * k + 1) * (3 * k + 2), 2 * (k + 1) * (2 * k + 1),
-            "C(3k,k) step", "k", k + 1,
-        ))
-    return col[: k_max + 1]
+    """[C(0,0), C(3,1), ..., C(3*k_max, k_max)] from a shared cache."""
+    return grown(_TRIPLE_CACHE, k_max, _triple_step)[: k_max + 1]
 
 
 def alternating_row(h: int) -> list[int]:
@@ -196,14 +200,6 @@ def pulled_out_sum(n: int) -> int:
             "pulled-out term", "n k", n, k + 1,
         )
     return total
-
-
-def franel(n: int) -> int:
-    """f_n by the recurrence, from the shared table."""
-    if n < 0:
-        raise ValueError(f"franel: n must be nonnegative, got {n}")
-    _recurrence_extend(n)
-    return _RECURRENCE_CACHE[n]
 
 
 def macmahon_sides(n: int, x: int) -> tuple[int, int]:

@@ -26,10 +26,17 @@ from .combinatorics import (
     pulled_out_sum,
     triple_binomials_upto,
 )
-from .modular import (
-    NotCoprimeError, is_prime, mod_inverse, require_prime
-)
+from .modular import NotCoprimeError, is_prime, mod_inverse, require_prime
 from .reports import OutsideHypothesis, Report, divisibility_report
+
+
+def require_prime_above(p: int, bound: int, reason: str) -> None:
+    """The guard of every check on primes above bound: require_prime first,
+    so a p that is not prime is a ValueError and never a skip, then
+    OutsideHypothesis(reason) for a prime p <= bound."""
+    require_prime(p)
+    if p <= bound:
+        raise OutsideHypothesis(reason)
 
 
 # per base c: (j, W_j), where its last walk ended, as in family_sum
@@ -113,9 +120,7 @@ def check_theorem1(n: int) -> list[Report]:
 
 def check_theorem2(p: int) -> list[Report]:
     """(3k+1)-weighted inverse sum against p*(-1)^((p-1)/2), mod p^3."""
-    require_prime(p)
-    if p == 2:
-        raise OutsideHypothesis("p = 2: -16 not invertible")
+    require_prime_above(p, 2, "p = 2: -16 not invertible")
     m = p**3
     lhs = inverse_weighted_sum_mod(p)[0]
     rhs = p * (-1) ** ((p - 1) // 2) % m
@@ -140,9 +145,7 @@ def check_theorem3(p: int) -> list[Report]:
 
 
 def check_babbage(p: int) -> list[Report]:
-    require_prime(p)
-    if p == 2:
-        raise OutsideHypothesis("babbage requires an odd prime")
+    require_prime_above(p, 2, "babbage requires an odd prime")
     m = p * p
     return [
         Report(
@@ -157,9 +160,7 @@ def check_babbage(p: int) -> list[Report]:
 
 
 def check_morley(p: int) -> list[Report]:
-    require_prime(p)
-    if p <= 3:
-        raise OutsideHypothesis("morley requires p > 3")
+    require_prime_above(p, 3, "morley requires p > 3")
     m = p**3
     return [
         Report(
@@ -173,9 +174,7 @@ def check_morley(p: int) -> list[Report]:
 
 
 def check_jarvis_verrill(p: int) -> list[Report]:
-    require_prime(p)
-    if p == 2:
-        raise OutsideHypothesis("jarvis_verrill requires an odd prime")
+    require_prime_above(p, 2, "jarvis_verrill requires an odd prime")
     f = franel_upto(p - 1)
     out = []
     for n in range(p):
@@ -194,9 +193,7 @@ def check_jarvis_verrill(p: int) -> list[Report]:
 def check_multinomial(p: int) -> list[Report]:
     """Two-branch reduction of (p+2k)!/((2k)! k! (p-k)!) mod p^2 for
     1 <= k < p, k != (p-1)/2."""
-    require_prime(p)
-    if p <= 3:
-        raise OutsideHypothesis("multinomial requires p > 3")
+    require_prime_above(p, 3, "multinomial requires p > 3")
     m = p * p
     half = (p - 1) // 2
     out = []
@@ -226,9 +223,7 @@ def check_multinomial(p: int) -> list[Report]:
 
 def check_half_binom(p: int) -> list[Report]:
     """The k=(p-1)/2 term: exact product shape, then its value mod p^2."""
-    require_prime(p)
-    if p == 2:
-        raise OutsideHypothesis("half_binom requires an odd prime")
+    require_prime_above(p, 2, "half_binom requires an odd prime")
     m = p * p
     k = (p - 1) // 2
     cb = central_binomial(k)  # C(2k, k) = C(p-1, k)
@@ -255,9 +250,7 @@ def check_half_binom(p: int) -> list[Report]:
 
 
 def check_central_pmod(p: int) -> list[Report]:
-    require_prime(p)
-    if p == 2:
-        raise OutsideHypothesis("central_pmod requires an odd prime")
+    require_prime_above(p, 2, "central_pmod requires an odd prime")
     half = (p - 1) // 2
     inv4 = mod_inverse(4, p)
     out = []
@@ -279,9 +272,7 @@ def check_central_pmod(p: int) -> list[Report]:
 
 
 def check_fermat_square(p: int) -> list[Report]:
-    require_prime(p)
-    if p == 2:
-        raise OutsideHypothesis("fermat_square requires an odd prime")
+    require_prime_above(p, 2, "fermat_square requires an odd prime")
     m = p * p
     lhs = (pow(2, p - 1, m) + pow(8, 1 - p, m) - pow(4, 1 - p, m)) % m
     return [
@@ -292,9 +283,7 @@ def check_fermat_square(p: int) -> list[Report]:
 
 
 def check_final_reflect(p: int) -> list[Report]:
-    require_prime(p)
-    if p == 2:
-        raise OutsideHypothesis("final_reflect requires an odd prime")
+    require_prime_above(p, 2, "final_reflect requires an odd prime")
     half = (p - 1) // 2
     out = []
     c3 = triple_binomials_upto(half)
@@ -329,9 +318,7 @@ def final3_rhs_terms(p: int) -> list[int]:
 def check_reduction_chain(p: int) -> list[Report]:
     """Every displayed intermediate congruence of the two proofs, verified
     numerically and independently (no elided steps reconstructed)."""
-    require_prime(p)
-    if p == 2:
-        raise OutsideHypothesis("p must be odd")
+    require_prime_above(p, 2, "p must be odd")
     m2 = p * p
     half = (p - 1) // 2
     reports: list[Report] = []

@@ -13,11 +13,9 @@ import itertools
 import operator
 from dataclasses import dataclass
 
-from .combinatorics import central_binomial, exact_div, franel_upto
-from .congruences import family_sum, inverse_weighted_sum_mod
-from .modular import (
-    legendre_symbol, require_prime, two_squares_decompose
-)
+from .combinatorics import central_binomial, exact_div, franel, franel_upto, grown
+from .congruences import family_sum, inverse_weighted_sum_mod, require_prime_above
+from .modular import legendre_symbol, two_squares_decompose
 from .reports import OutsideHypothesis, Report, divisibility_report
 
 
@@ -51,9 +49,7 @@ NEW2_TRIPLES = (
 
 def check_conjecture1(p: int) -> list[Report]:
     """(3k+1)-weighted inverse sum against p*(-1)^((p-1)/2), mod p^2."""
-    require_prime(p)
-    if p <= 3:
-        raise OutsideHypothesis("hypothesis requires p > 3")
+    require_prime_above(p, 3, "hypothesis requires p > 3")
     m = p * p
     lhs = inverse_weighted_sum_mod(p)[0] % m
     rhs = p * (-1) ** ((p - 1) // 2) % m
@@ -88,9 +84,7 @@ def conjecture2_target(p: int) -> tuple[int, str]:
 
 
 def check_conjecture2(p: int) -> list[Report]:
-    require_prime(p)
-    if p == 2:
-        raise OutsideHypothesis("p must be odd")
+    require_prime_above(p, 2, "p must be odd")
     m = p * p
     lhs = inverse_weighted_sum_mod(p)[1] % m
     target, case = conjecture2_target(p)
@@ -233,9 +227,7 @@ def third_conjecture_grid(n: int) -> list[Report]:
 def check_product_note(p: int) -> list[Report]:
     """C(a*p-1, k) * C(a*p+k, k) = (-1)^k mod p^2 for a = 1..5 and
     0 <= k <= p-1, each lhs read from a's factor column at n = p."""
-    require_prime(p)
-    if p == 2:
-        raise OutsideHypothesis("p must be odd")
+    require_prime_above(p, 2, "p must be odd")
     m = p * p
     return [
         Report(
@@ -260,15 +252,12 @@ _ZW_CACHE: dict[str, list[int]] = {}
 
 
 def _zw_prefix(variant: str, n: int) -> int:
-    table = _ZW_CACHE.setdefault(variant, [0])
-    if len(table) <= n:
-        weight = _ZW_WEIGHTS[variant]
-        f = franel_upto(n - 1)
-        s = table[-1]
-        for k in range(len(table) - 1, n):
-            s += weight(k) * (-1) ** k * f[k]
-            table.append(s)
-    return table[n]
+    weight = _ZW_WEIGHTS[variant]
+
+    def step(t: list[int], k: int) -> int:
+        return t[k - 1] + weight(k - 1) * (-1) ** (k - 1) * franel(k - 1)
+
+    return grown(_ZW_CACHE.setdefault(variant, [0]), n, step)[n]
 
 
 def check_zw_guo(n: int) -> list[Report]:

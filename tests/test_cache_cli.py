@@ -293,14 +293,16 @@ class TestVerifyCommand:
         sid for sid in registry.statement_ids() if registry.STATEMENTS[sid].kind == "p"
     ])
     def test_composite_p_raises_not_skips(self, sid):
-        # a composite p is a caller's error, not a parameter outside the
-        # hypothesis: the check raises a plain ValueError, and run_cell makes
-        # it an error record, never a skip
-        with pytest.raises(ValueError, match="not prime") as raised:
-            registry.STATEMENTS[sid].run(9)
-        assert not isinstance(raised.value, OutsideHypothesis)
-        assert registry.run_cell(sid, 9) == [
-            Report(sid, {"p": 9}, error="ValueError: 9 is not prime")]
+        # a p that is not prime is a caller's error, not a parameter outside
+        # the hypothesis: the check raises a plain ValueError, and run_cell
+        # makes it an error record, never a skip.  p = 0 and p = 1 lie below
+        # every check's bound too, so they pin that primality is checked first
+        for p in (0, 1, 9):
+            with pytest.raises(ValueError, match="not prime") as raised:
+                registry.STATEMENTS[sid].run(p)
+            assert not isinstance(raised.value, OutsideHypothesis), p
+            assert registry.run_cell(sid, p) == [
+                Report(sid, {"p": p}, error=f"ValueError: {p} is not prime")]
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--statements", ","],

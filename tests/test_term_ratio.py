@@ -13,8 +13,10 @@ from franel.combinatorics import (
     InconsistencyError,
     alternating_row,
     binomial,
+    central_binomials_upto,
     franel_strehl,
     franel_sun_expansion,
+    franel_upto,
     macmahon_sides,
     pulled_out_sum,
     triple_binomials_upto,
@@ -51,14 +53,28 @@ def test_macmahon_sides():
 
 
 def test_shared_columns(monkeypatch):
-    # (half, k) <= 249 covers the primes up to 499 that the sweep runs; the
-    # C(3k,k) column is grown from empty in uneven steps, each call resuming
-    # where the last one stopped
+    # (half, k) <= 249 covers the primes up to 499 that the sweep runs; each
+    # shared column is grown from its seed in uneven steps, each call
+    # resuming where the last one stopped, against math.comb or a direct sum
+    f = [oracles.franel_direct_comb(n) for n in range(250)]
+    zw_weights = {"guo": lambda k: 3 * k + 2, "strengthened": lambda k: 9 * k * k + 5 * k}
+    monkeypatch.setattr(combinatorics, "_RECURRENCE_CACHE", [1, 2])
+    monkeypatch.setattr(combinatorics, "_CENTRAL_CACHE", [1])
     monkeypatch.setattr(combinatorics, "_TRIPLE_CACHE", [1])
+    monkeypatch.setattr(conjectures, "_ZW_CACHE", {})
     for k_max in (0, 1, 7, 6, 100, 249):
-        assert triple_binomials_upto(k_max) == [
-            binomial(3 * k, k) for k in range(k_max + 1)
-        ], k_max
+        ks = range(k_max + 1)
+        assert franel_upto(k_max) == f[: k_max + 1], k_max
+        assert central_binomials_upto(k_max) == [binomial(2 * k, k) for k in ks], k_max
+        assert triple_binomials_upto(k_max) == [binomial(3 * k, k) for k in ks], k_max
+        for variant, weight in zw_weights.items():
+            assert conjectures._zw_prefix(variant, k_max) == sum(
+                weight(k) * (-1) ** k * f[k] for k in range(k_max)
+            ), (variant, k_max)
+    # the readers grew the shared tables themselves, not copies of them
+    assert combinatorics._RECURRENCE_CACHE == f
+    assert combinatorics._CENTRAL_CACHE == [binomial(2 * k, k) for k in range(250)]
+    assert combinatorics._TRIPLE_CACHE == [binomial(3 * k, k) for k in range(250)]
     for h in range(250):
         assert alternating_row(h) == [
             (-1) ** k * binomial(h, k) for k in range(h + 1)
@@ -142,15 +158,14 @@ def _with_ratio(fn, old: str, new: str):
      (1, 2, 4), "factor column step"),
     (congruences.check_multinomial, "(2 * k - 1) * 2 * k * k,",
      "(2 * k - 1) * 2 * k * k * 1009,", (7,), "multinomial step"),
-    (combinatorics.triple_binomials_upto, "2 * (k + 1) * (2 * k + 1),",
-     "2 * (k + 1) * (2 * k + 1) + 1,", (3,), "C(3k,k) step"),
+    (combinatorics._triple_step, "2 * k * (2 * k - 1),", "2 * k * (2 * k - 1) + 1,",
+     ([1, 3], 2), "C(3k,k) step"),
+    (combinatorics._franel_step, "n * n,", "n * n + 1,", ([1, 2, 10], 3),
+     "franel recurrence"),
     (combinatorics.alternating_row, "(h - k), k + 1,", "(h - k), k + 2,",
      (3,), "C(h,k) step"),
 ], ids=["sun", "strehl", "integrality", "factor-column", "multinomial",
-        "triple-binomial", "alternating-row"])
-def test_inexact_step_raises(fn, old, new, args, what, monkeypatch):
-    # the shared C(3k,k) column starts empty, so the recompiled function
-    # steps it from k = 0 rather than reading values already cached
-    monkeypatch.setattr(combinatorics, "_TRIPLE_CACHE", [1])
+        "triple-binomial", "franel-recurrence", "alternating-row"])
+def test_inexact_step_raises(fn, old, new, args, what):
     with pytest.raises(InconsistencyError, match=re.escape(what)):
         _with_ratio(fn, old, new)(*args)
