@@ -157,21 +157,29 @@ CATALOGUE = (
         "[c for k, c in enumerate(col)]",
         "tests/test_conjectures.py::TestThirdConjecture::test_small_sweep",
     ),
+    # the two weights, each written once for the grid and the zw sums
     Mutant(
-        "third-linear-weight",
+        "linear-weight",
         "src/franel/conjectures.py",
-        "    w_lin = [(3 * k + 2) * f[k] % m2 for k in range(n)]",
-        "    w_lin = [(3 * k + 1) * f[k] % m2 for k in range(n)]",
+        '    "linear": lambda k: 3 * k + 2,',
+        '    "linear": lambda k: 3 * k + 1,',
         "tests/test_conjectures.py::TestThirdConjecture::test_grid_matches_single_checks",
     ),
     Mutant(
-        "third-quadratic-weight",
+        "quadratic-weight",
         "src/franel/conjectures.py",
-        "    w_quad = [(9 * k * k + 5 * k) * f[k] % m2 for k in range(n)]",
-        "    w_quad = [(9 * k * k + 4 * k) * f[k] % m2 for k in range(n)]",
-        "tests/test_conjectures.py::TestThirdConjecture::test_grid_matches_single_checks",
+        '    "quadratic": lambda k: 9 * k * k + 5 * k,',
+        '    "quadratic": lambda k: 9 * k * k + 4 * k,',
+        "tests/test_conjectures.py::TestZwSun::test_examples",
     ),
-    # the cache format
+    # the cache format, and its writer's cleanup of a failed write
+    Mutant(
+        "cache-temp-file-kept",
+        "src/franel/cache.py",
+        "            os.unlink(tmp)",
+        "            pass",
+        "tests/test_cache_cli.py::TestCache::test_failed_rename_removes_the_temp_file",
+    ),
     Mutant(
         "cache-splits-any-line-break",
         "src/franel/cache.py",
@@ -209,20 +217,6 @@ CATALOGUE = (
         "tests/test_reports.py",
     ),
     # statement arithmetic: a weight, a sign, a branch or a modulus
-    Mutant(
-        "zw-guo-weight",
-        "src/franel/conjectures.py",
-        '    "guo": lambda k: 3 * k + 2,',
-        '    "guo": lambda k: 3 * k + 1,',
-        "tests/test_conjectures.py::TestZwSun::test_examples",
-    ),
-    Mutant(
-        "zw-strengthened-weight",
-        "src/franel/conjectures.py",
-        '    "strengthened": lambda k: 9 * k * k + 5 * k,',
-        '    "strengthened": lambda k: 9 * k * k + 4 * k,',
-        "tests/test_conjectures.py::TestZwSun::test_examples",
-    ),
     Mutant(
         "product-note-sign",
         "src/franel/conjectures.py",
@@ -402,14 +396,14 @@ CATALOGUE = (
         "src/franel/combinatorics.py",
         "    for k in range(start, n + 1):",
         "    for k in range(start, n):",
-        "tests/test_identities.py::TestStrehl::test_examples",
+        "tests/test_identities.py::TestRouteCheck::test_examples[strehl]",
     ),
     Mutant(
         "sun-expansion-step-sign",
         "src/franel/combinatorics.py",
         "            -term * (n + 2 * k + 1) * (n + 2 * k + 2) * (n - k),\n",
         "            term * (n + 2 * k + 1) * (n + 2 * k + 2) * (n - k),\n",
-        "tests/test_identities.py::TestSunExpansion::test_examples",
+        "tests/test_identities.py::TestRouteCheck::test_examples[sun_expansion]",
     ),
     Mutant(
         "recurrence-step-values-swapped",
@@ -426,10 +420,17 @@ CATALOGUE = (
         "tests/test_identities.py::TestIntegrality::test_examples",
     ),
     Mutant(
+        "integrality-part-b-named-a",
+        "src/franel/identities.py",
+        '''params={"n": n, "k": k, "part": "b"},''',
+        '''params={"n": n, "k": k, "part": "a"},''',
+        "tests/test_identities.py::TestIntegrality::test_failure_records",
+    ),
+    Mutant(
         "partial-fraction-power-of-2",
         "src/franel/combinatorics.py",
-        "    rhs = math.factorial(n) << (n + 1)",
-        "    rhs = math.factorial(n) << n",
+        "    return lhs, math.factorial(n) << (n + 1), odd",
+        "    return lhs, math.factorial(n) << n, odd",
         "tests/test_identities.py::test_macmahon_and_partial_fraction_wrappers",
     ),
     # the reference route sums half the row: its middle term at even n
@@ -440,7 +441,8 @@ CATALOGUE = (
         "        total += 0",
         "tests/test_combinatorics.py::TestFranel::test_direct_route_against_full_row",
     ),
-    # the shared tables: the index at which grown resumes a table, the
+    # the shared tables: the index at which grown resumes a table, its
+    # guard against a negative index (which a slice would read), the
     # C(3k,k) step ratio (doubled, so every step stays exact), and the
     # C(3k,k) reader, which must grow the shared table rather than a fresh
     # one from k = 0 on every call
@@ -450,6 +452,13 @@ CATALOGUE = (
         "    for k in range(len(col), n + 1):",
         "    for k in range(len(col) - 1, n + 1):",
         "tests/test_term_ratio.py::test_shared_columns",
+    ),
+    Mutant(
+        "grown-index-guard-dropped",
+        "src/franel/combinatorics.py",
+        "    if n < 0:\n        raise ValueError(f\"table index",
+        "    if False:\n        raise ValueError(f\"table index",
+        "tests/test_term_ratio.py::test_negative_index_raises[-3-central_binomials_upto]",
     ),
     Mutant(
         "triple-column-step-doubled",

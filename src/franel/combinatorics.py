@@ -1,8 +1,8 @@
 """Exact integer combinatorics: binomial coefficients and Franel numbers.
 
 Everything here is closed over (arbitrary-precision) integers; the one
-rational identity is carried as reduced (numerator, denominator) int
-pairs.  No floats anywhere.
+rational identity is carried as two numerators over one common
+denominator.  No floats anywhere.
 
 Each hypergeometric sum steps its term t_{k+1} from t_k by the term
 ratio, a rational function of k: a product with small ints and one
@@ -10,6 +10,8 @@ division through exact_div, which raises InconsistencyError on a
 remainder.  franel_direct and binomial stay plain math.comb.  The
 Franel, central-binomial and C(3k,k) columns are shared grow-only caches,
 each a step function that grown runs over the indices a table lacks.
+Every function of an index n >= 0 raises ValueError for a negative one;
+grown does so for every reader of a shared table.
 """
 from __future__ import annotations
 
@@ -65,6 +67,8 @@ def franel_direct(n: int) -> int:
     Memoized because the recurrence, route-agreement, Strehl and
     Sun-expansion statements all compare against it at the same n.
     """
+    if n < 0:
+        raise ValueError(f"franel_direct: n must be nonnegative, got {n}")
     total = 2 * sum(math.comb(n, k) ** 3 for k in range((n + 1) // 2))
     if n % 2 == 0:
         total += math.comb(n, n // 2) ** 3
@@ -92,6 +96,8 @@ def franel_sun_expansion(n: int) -> int:
     sum_k C(n+2k,3k) C(3k,k) C(2k,k) (-4)^(n-k), whose term
     (n+2k)!/((n-k)! k!^3) (-4)^(n-k) is stepped by its ratio
     (n+2k+1)(n+2k+2)(n-k) / (-4 (k+1)^3)."""
+    if n < 0:
+        raise ValueError(f"franel_sun_expansion: n must be nonnegative, got {n}")
     term = (-4) ** n
     total = 0
     for k in range(n + 1):
@@ -112,7 +118,10 @@ def recurrence_rhs(n: int, f_prev: int, f_n: int) -> int:
 
 def grown(col: list[int], n: int, step: Callable[[list[int], int], int]) -> list[int]:
     """col with step(col, k) appended for each index k <= n that it lacks:
-    the one rule by which every shared grow-only table grows."""
+    the one rule by which every shared grow-only table grows, and the one
+    index guard of its readers."""
+    if n < 0:
+        raise ValueError(f"table index must be nonnegative, got {n}")
     for k in range(len(col), n + 1):
         col.append(step(col, k))
     return col
@@ -147,15 +156,11 @@ def _triple_step(c: list[int], k: int) -> int:
 
 def franel_upto(n_max: int) -> list[int]:
     """f_0..f_n_max by the recurrence route, from a shared cache."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
     return grown(_RECURRENCE_CACHE, n_max, _franel_step)[: n_max + 1]
 
 
 def franel(n: int) -> int:
     """f_n by the recurrence, from the shared table."""
-    if n < 0:
-        raise ValueError(f"franel: n must be nonnegative, got {n}")
     return grown(_RECURRENCE_CACHE, n, _franel_step)[n]
 
 
@@ -166,8 +171,6 @@ def central_binomials_upto(k_max: int) -> list[int]:
 
 def central_binomial(k: int) -> int:
     """C(2k, k) from the same shared cache, without copying a prefix."""
-    if k < 0:
-        raise ValueError(f"central_binomial: k must be nonnegative, got {k}")
     return grown(_CENTRAL_CACHE, k, _central_step)[k]
 
 
@@ -179,6 +182,8 @@ def triple_binomials_upto(k_max: int) -> list[int]:
 def alternating_row(h: int) -> list[int]:
     """[(-1)^k C(h, k) for k in 0..h], each stepped from the one before by
     -(h-k)/(k+1)."""
+    if h < 0:
+        raise ValueError(f"alternating_row: h must be nonnegative, got {h}")
     row = [1]
     for k in range(h):
         row.append(exact_div(-row[-1] * (h - k), k + 1, "C(h,k) step", "h k", h, k + 1))
@@ -190,6 +195,8 @@ def pulled_out_sum(n: int) -> int:
     that the proof of Theorem 1 pulls n C(2n,n) out of.  The term without
     its (k-n) is the Sun-expansion term over 2k+1, stepped by the ratio
     (n+2k+1)(n+2k+2)(n-k)(2k+1) / (-4 (k+1)^3 (2k+3))."""
+    if n < 0:
+        raise ValueError(f"pulled_out_sum: n must be nonnegative, got {n}")
     term = (-4) ** n
     total = 0
     for k in range(n):
@@ -235,12 +242,13 @@ def macmahon_sides(n: int, x: int) -> tuple[int, int]:
     return lhs, acc * (1 + x) ** (n - 2 * top)
 
 
-def partial_fraction_sides(n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+def partial_fraction_sides(n: int) -> tuple[int, int, int]:
     """Both sides of sum_k (-1)^k C(n,k)/(x+k) = n!/(x(x+1)...(x+n)) at x=1/2,
-    each a reduced (numerator, denominator) pair with denominator > 0.
+    as (lhs, rhs, L): their numerators over the one denominator
+    L = (2n+1)!! = prod_j (2j+1).
 
-    Over L = (2n+1)!! = prod_j (2j+1) the left side is
-    sum_k (-1)^k C(n,k) 2L/(2k+1) / L and the right side n! 2^(n+1) / L.
+    The left side is sum_k (-1)^k C(n,k) 2L/(2k+1) / L and the right side
+    n! 2^(n+1) / L.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -250,10 +258,4 @@ def partial_fraction_sides(n: int) -> tuple[tuple[int, int], tuple[int, int]]:
     for k in range(n + 1):
         lhs += exact_div(term, 2 * k + 1, "partial fraction term", "n k", n, k)
         term = exact_div(-term * (n - k), k + 1, "partial fraction step", "n k", n, k + 1)
-    rhs = math.factorial(n) << (n + 1)
-    return _reduced(lhs, odd), _reduced(rhs, odd)
-
-
-def _reduced(num: int, den: int) -> tuple[int, int]:
-    g = math.gcd(num, den)
-    return num // g, den // g
+    return lhs, math.factorial(n) << (n + 1), odd

@@ -121,6 +121,8 @@ def product_factor_columns(a: int, n: int, modulus: int) -> list[int]:
     (-1)^k C(a*n+k, k) and C(-a*n+k, k) into (-1)^k C(a*n-1, k), so the
     two products are equal term by term (and so is the step ratio).
     """
+    if n < 0:
+        raise ValueError(f"product_factor_columns: n must be nonnegative, got {n}")
     col = []
     term = 1
     for k in range(n):
@@ -136,7 +138,13 @@ def product_factor_columns(a: int, n: int, modulus: int) -> list[int]:
 # packing in third_conjecture_grid is written for these two constants)
 THIRD_MAX_LENGTH = 3
 THIRD_MULTIPLIERS = (-3, -2, -1, 0, 1, 2, 3)
-_THIRD_VARIANTS = ("linear", "quadratic")
+# the paper's two weights w(k), by variant.  The grid's tuple a = (0,) sums
+# w(k) C(-1,k) C(k,k) f_k = w(k) (-1)^k f_k, so its residue is the zw sum
+# of the same weight mod n^2: zw_guo's is linear, zw_strengthened's quadratic
+_WEIGHTS = {
+    "linear": lambda k: 3 * k + 2,
+    "quadratic": lambda k: 9 * k * k + 5 * k,
+}
 
 
 @functools.cache
@@ -154,7 +162,7 @@ def _third_templates() -> list[tuple[str, dict, int]]:
             base4 = 0
             for a in tup:
                 base4 = 4 * base4 + abs(a)
-            for v, variant in enumerate(_THIRD_VARIANTS):
+            for v, variant in enumerate(_WEIGHTS):
                 params = {"m": m, "a": list(tup), "n": None, "variant": variant}
                 if 0 in tup:
                     params["degenerate"] = True
@@ -164,10 +172,9 @@ def _third_templates() -> list[tuple[str, dict, int]]:
 
 
 def third_conjecture_grid(n: int) -> list[Report]:
-    """Multi-index product sums vanishing mod n^2, for both weight variants
-    (linear 3k+2, quadratic 9k^2+5k) over every multiplier tuple of the
-    grid.  Zero multipliers are admitted (the factor degenerates to
-    (-1)^k) and flagged in the report.
+    """Multi-index product sums vanishing mod n^2, for both weights of
+    _WEIGHTS over every multiplier tuple of the grid.  Zero multipliers are
+    admitted (the factor degenerates to (-1)^k) and flagged in the report.
 
     A tuple's sum is sum_k w(k) prod_i c_{a_i}(k) mod n^2, times (-1)^k
     when the tuple's length is even, and c_a = c_{-a}
@@ -186,8 +193,7 @@ def third_conjecture_grid(n: int) -> list[Report]:
     f = franel_upto(n - 1)
     cols = [product_factor_columns(b, n, m2) for b in range(4)]
     signed = [[c if k % 2 == 0 else -c % m2 for k, c in enumerate(col)] for col in cols]
-    w_lin = [(3 * k + 2) * f[k] % m2 for k in range(n)]
-    w_quad = [(9 * k * k + 5 * k) * f[k] % m2 for k in range(n)]
+    w_lin, w_quad = ([w(k) * f[k] % m2 for k in range(n)] for w in _WEIGHTS.values())
 
     # Digit bound: a length-3 digit is a sum of n products of three
     # residues in [0, n^2 - 1], so it is at most n * (n^2 - 1)^3, and the
@@ -242,17 +248,13 @@ def check_product_note(p: int) -> list[Report]:
     ]
 
 
-_ZW_WEIGHTS = {
-    "guo": lambda k: 3 * k + 2,
-    "strengthened": lambda k: 9 * k * k + 5 * k,
-}
 # grow-only prefix tables [T_0, T_1, ...] of T_n = sum_{k<n} w(k) (-1)^k f_k,
-# one per variant, shared like the Franel cache
+# one per weight of _WEIGHTS, shared like the Franel cache
 _ZW_CACHE: dict[str, list[int]] = {}
 
 
 def _zw_prefix(variant: str, n: int) -> int:
-    weight = _ZW_WEIGHTS[variant]
+    weight = _WEIGHTS[variant]
 
     def step(t: list[int], k: int) -> int:
         return t[k - 1] + weight(k - 1) * (-1) ** (k - 1) * franel(k - 1)
@@ -264,7 +266,7 @@ def check_zw_guo(n: int) -> list[Report]:
     """The (3k+2)-weighted alternating Franel sum mod 2n^2."""
     if n < 1:
         raise OutsideHypothesis("zw_guo requires parameter >= 1")
-    return [divisibility_report("zw_guo", {"n": n}, _zw_prefix("guo", n), 2 * n * n)]
+    return [divisibility_report("zw_guo", {"n": n}, _zw_prefix("linear", n), 2 * n * n)]
 
 
 def check_zw_strengthened(n: int) -> list[Report]:
@@ -272,5 +274,5 @@ def check_zw_strengthened(n: int) -> list[Report]:
     if n < 2:
         raise OutsideHypothesis("zw_strengthened requires parameter >= 2")
     return [divisibility_report(
-        "zw_strengthened", {"n": n}, _zw_prefix("strengthened", n), n * n * (n - 1)
+        "zw_strengthened", {"n": n}, _zw_prefix("quadratic", n), n * n * (n - 1)
     )]

@@ -6,6 +6,7 @@ so every check is a pure integer equality and a failure is exact.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 from .combinatorics import (
     binomial,
@@ -28,22 +29,11 @@ from .reports import OutsideHypothesis, Report
 MACMAHON_POINTS = (-3, -2, -1, 0, 1, 2, 3)
 
 
-def check_sun_expansion(n: int) -> list[Report]:
-    """f_n against the alternating central-binomial expansion."""
+def check_route(statement: str, route: Callable[[int], int], n: int) -> list[Report]:
+    """One Franel route, such as franel_strehl, against the direct route at
+    index n: the record of the statement that names the route."""
     return [Report(
-        statement="sun_expansion",
-        params={"n": n},
-        lhs=franel_sun_expansion(n),
-        rhs=franel_direct(n),
-    )]
-
-
-def check_strehl(n: int) -> list[Report]:
-    return [Report(
-        statement="strehl",
-        params={"n": n},
-        lhs=franel_strehl(n),
-        rhs=franel_direct(n),
+        statement=statement, params={"n": n}, lhs=route(n), rhs=franel_direct(n)
     )]
 
 
@@ -59,23 +49,22 @@ def check_macmahon(n: int) -> list[Report]:
 
 
 def check_partial_fraction(n: int) -> list[Report]:
-    """Both sides are exact rationals; compare numerators over the common
-    denominator so the report stays integer-valued."""
-    (lhs_num, lhs_den), (rhs_num, rhs_den) = partial_fraction_sides(n)
-    den = math.lcm(lhs_den, rhs_den)
+    """Both sides are exact rationals over one denominator L; compare their
+    numerators over L / gcd(lhs, rhs, L), so the report stays
+    integer-valued."""
+    lhs, rhs, den = partial_fraction_sides(n)
+    g = math.gcd(lhs, rhs, den)
     return [Report(
-        statement="partial_fraction",
-        params={"n": n},
-        lhs=lhs_num * (den // lhs_den),
-        rhs=rhs_num * (den // rhs_den),
+        statement="partial_fraction", params={"n": n}, lhs=lhs // g, rhs=rhs // g
     )]
 
 
 def induction_lhs(n: int, k: int) -> int:
     """The raw weighted sum on the left of the induction identity,
     sum_{k<=m<n} (3m+1) (-16)^(n-m-1) C(2m,m) C(m+2k,3k) (-4)^(m-k): Horner
-    in -16 over m, with C(m+2k,3k) stepped in m by (m+2k+1)/(m+1-k)."""
-    cb = central_binomials_upto(n - 1)
+    in -16 over m, with C(m+2k,3k) stepped in m by (m+2k+1)/(m+1-k).  The
+    C(2m,m) column is read up to m = n, so n = 0 asks for no negative index."""
+    cb = central_binomials_upto(n)
     total = 0
     c = 1  # C(m+2k, 3k) at m = k
     power = 1  # (-4)^(m-k)

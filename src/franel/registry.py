@@ -18,6 +18,7 @@ from functools import partial
 from typing import Callable
 
 from . import congruences, conjectures, identities
+from .combinatorics import franel_strehl, franel_sun_expansion
 from .modular import primes_in_range
 from .reports import OutsideHypothesis, Report
 
@@ -36,8 +37,10 @@ STATEMENTS: dict[str, Statement] = {
         # identity suite (exact, parameter n)
         Statement("route_agreement", "n", (0, 300), identities.check_route_agreement),
         Statement("macmahon", "n", (0, 100), identities.check_macmahon),
-        Statement("strehl", "n", (0, 100), identities.check_strehl),
-        Statement("sun_expansion", "n", (0, 100), identities.check_sun_expansion),
+        Statement("strehl", "n", (0, 100),
+                  partial(identities.check_route, "strehl", franel_strehl)),
+        Statement("sun_expansion", "n", (0, 100),
+                  partial(identities.check_route, "sun_expansion", franel_sun_expansion)),
         Statement("induction", "n", (0, 80), identities.check_induction_identity),
         Statement("summation_lemma", "n", (0, 80), identities.check_summation_lemma),
         Statement("recurrence", "n", (1, 299), identities.check_recurrence_step),

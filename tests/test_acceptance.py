@@ -62,8 +62,8 @@ def test_criterion_identity_suite():
     run("macmahon", [
         r for n in range(101) for r in over("x", range(-3, 4), ids.check_macmahon(n))
     ])
-    run("strehl", [one(ids.check_strehl(n)) for n in range(101)])
-    run("sun_expansion", [one(ids.check_sun_expansion(n)) for n in range(101)])
+    for sid in ("strehl", "sun_expansion"):
+        run(sid, [one(registry.STATEMENTS[sid].run(n)) for n in range(101)])
     run("induction", [
         r for n in range(81)
         for r in over("k", range(n + 1), ids.check_induction_identity(n))

@@ -132,6 +132,32 @@ class TestCache:
             store_table(str(target), franel_upto(3))
         assert not target.exists()
 
+    def test_failed_rename_removes_the_temp_file(self, tmp_path, monkeypatch):
+        # a write that fails after its temp file exists removes that file
+        # and leaves the old target as it was
+        target = tmp_path / "cache.txt"
+        store_table(str(target), franel_upto(3))
+        before = target.read_bytes()
+
+        def replace(src, dst):
+            assert Path(src).name.startswith(".franel-cache-")
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="rename failed"):
+            store_table(str(target), franel_upto(5))
+        assert target.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["cache.txt"]
+
+    def test_wrong_seed_values(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        path.write_text("franel-cache v1 N=0\n0\t2\n")
+        with pytest.raises(CacheError, match=r"f_0 must be 1 \(line 2\)"):
+            load_table(str(path))
+        path.write_text("franel-cache v1 N=1\n0\t1\n1\t3\n")
+        with pytest.raises(CacheError, match=r"f_1 must be 2 \(line 3\)"):
+            load_table(str(path))
+
     @settings(max_examples=200, deadline=None)
     # a CR in place of, or just before, the header's LF (byte 20), which a
     # reader with universal newlines would take for a line break

@@ -187,15 +187,17 @@ class TestMacmahon:
 
 class TestPartialFraction:
     def test_examples(self):
-        assert partial_fraction_sides(0) == ((2, 1), (2, 1))
-        assert partial_fraction_sides(1) == ((4, 3), (4, 3))
-        lhs, rhs = partial_fraction_sides(2)
-        assert lhs == rhs
+        # (lhs, rhs, L): both numerators over L = (2n+1)!!
+        assert partial_fraction_sides(0) == (2, 2, 1)
+        assert partial_fraction_sides(1) == (4, 4, 3)
+        lhs, rhs, den = partial_fraction_sides(2)
+        assert lhs == rhs and den == 15
 
     def test_oracle(self):
         # brute-force both sides as Fractions from their definitions
         for n in range(30):
-            lhs, rhs = partial_fraction_sides(n)
+            lhs, rhs, den = partial_fraction_sides(n)
+            assert den == math.prod(range(1, 2 * n + 2, 2))
             half = Fraction(1, 2)
             lhs_q = sum(
                 (-1) ** k * math.comb(n, k) / (half + k) for k in range(n + 1)
@@ -204,6 +206,6 @@ class TestPartialFraction:
             for j in range(n + 1):
                 prod *= half + j
             rhs_q = Fraction(math.factorial(n)) / prod
-            assert rhs == (rhs_q.numerator, rhs_q.denominator)
-            assert lhs == (lhs_q.numerator, lhs_q.denominator)
+            assert Fraction(rhs, den) == rhs_q
+            assert Fraction(lhs, den) == lhs_q
             assert lhs == rhs

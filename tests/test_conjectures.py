@@ -326,6 +326,17 @@ class TestZwSun:
                 [r] = check_zw_strengthened(n)
                 assert r.verdict == "pass"
 
+    def test_grid_zero_tuple_is_the_alternating_sum(self):
+        # the factor C(-1,k) C(k,k) of a = (0,) is (-1)^k, so that grid
+        # cell sums w(k) (-1)^k f_k mod n^2, the alternating sum of its weight
+        for n in range(2, 121):
+            zero = {r.params["variant"]: r.lhs for r in third_conjecture_grid(n)
+                    if r.params["a"] == [0]}
+            [guo], [strengthened] = check_zw_guo(n), check_zw_strengthened(n)
+            sums = {"linear": guo.witness * guo.modulus + guo.lhs,
+                    "quadratic": strengthened.witness * strengthened.modulus + strengthened.lhs}
+            assert zero == {v: t % (n * n) for v, t in sums.items()}, n
+
     def test_any_query_order_matches_direct_sum(self, monkeypatch):
         monkeypatch.setattr(conjectures, "_ZW_CACHE", {})
         f = franel_upto(120)

@@ -1,6 +1,6 @@
 import pytest
 
-from franel import identities
+from franel import identities, registry
 from franel.combinatorics import binomial, franel_direct
 from franel.identities import (
     check_induction_identity,
@@ -9,9 +9,7 @@ from franel.identities import (
     check_partial_fraction,
     check_recurrence_step,
     check_route_agreement,
-    check_strehl,
     check_summation_lemma,
-    check_sun_expansion,
     induction_lhs,
 )
 from franel.reports import Report
@@ -26,19 +24,26 @@ def test_report_verdict():
     assert Report("x", {}, skipped_reason="r", error="ValueError: x").verdict == "error"
 
 
-class TestSunExpansion:
-    def test_examples(self):
-        [r] = check_sun_expansion(0)
-        assert r.verdict == "pass" and r.lhs == 1
-        [r] = check_sun_expansion(2)
-        assert r.verdict == "pass" and r.lhs == 10
-        [r] = check_sun_expansion(20)
-        assert r.verdict == "pass"
+@pytest.mark.parametrize("sid", ["strehl", "sun_expansion"])
+class TestRouteCheck:
+    """The two statements that check_route makes from one Franel route
+    each, run as the registry names them."""
 
-    def test_sweep(self):
-        for n in range(40):
-            [r] = check_sun_expansion(n)
+    def test_examples(self, sid):
+        check = registry.STATEMENTS[sid].run
+        [r] = check(0)
+        assert r.verdict == "pass" and r.lhs == 1
+        [r] = check(2)
+        assert r.verdict == "pass" and r.lhs == 10
+        assert r.statement == sid and r.params == {"n": 2} and r.rhs == 10
+        for n in (20, 30):
+            [r] = check(n)
             assert r.verdict == "pass"
+
+    def test_sweep(self, sid):
+        for n in range(40):
+            [r] = registry.STATEMENTS[sid].run(n)
+            assert r.verdict == "pass" and r.rhs == franel_direct(n), n
 
 
 class TestInduction:
@@ -121,6 +126,27 @@ class TestIntegrality:
             [r] = check_integrality(n)
             assert r.verdict == "pass"
 
+    @pytest.mark.parametrize("column, value, n, part, lhs, rhs", [
+        # C(6,2) = 15 -> 16: 2k+1 = 5 leaves a remainder, so the record
+        # gives C(3k,k) against its quotient times 2k+1
+        ("triple_binomials_upto", 16, 5, "a", 16, 15),
+        # C(6,2) = 15 -> 20: 5 divides it, but 20/5 = 4 and
+        # C(3k,k) - 2 C(3k,k-1) = 20 - 2 * 6 = 8
+        ("triple_binomials_upto", 20, 5, "a", 4, 8),
+        # C(4,2) = 6 -> 7: 7 * (-4)^(3-2) = -28 = 4 mod 8
+        ("central_binomials_upto", 7, 3, "b", 4, 0),
+    ])
+    def test_failure_records(self, monkeypatch, column, value, n, part, lhs, rhs):
+        # one wrong entry, at k = 2, of the column that a part reads fails
+        # that part there, and the one record names n, k and the part
+        step = 3 if column == "triple_binomials_upto" else 2
+        col = [binomial(step * k, k) for k in range(n)]
+        col[2] = value
+        monkeypatch.setattr(identities, column, lambda top: col[: top + 1])
+        [r] = check_integrality(n)
+        assert r.verdict == "fail"
+        assert (r.params, r.lhs, r.rhs) == ({"n": n, "k": 2, "part": part}, lhs, rhs)
+
 
 class TestRecurrence:
     def test_examples(self):
@@ -129,16 +155,6 @@ class TestRecurrence:
         for n in range(1, 100):
             [r] = check_recurrence_step(n)
             assert r.verdict == "pass", n
-
-
-class TestStrehl:
-    def test_examples(self):
-        [r] = check_strehl(0)
-        assert r.verdict == "pass"
-        [r] = check_strehl(2)
-        assert r.verdict == "pass" and r.lhs == 10
-        [r] = check_strehl(30)
-        assert r.verdict == "pass"
 
 
 def test_macmahon_and_partial_fraction_wrappers():

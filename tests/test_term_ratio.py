@@ -57,7 +57,7 @@ def test_shared_columns(monkeypatch):
     # shared column is grown from its seed in uneven steps, each call
     # resuming where the last one stopped, against math.comb or a direct sum
     f = [oracles.franel_direct_comb(n) for n in range(250)]
-    zw_weights = {"guo": lambda k: 3 * k + 2, "strengthened": lambda k: 9 * k * k + 5 * k}
+    zw_weights = {"linear": lambda k: 3 * k + 2, "quadratic": lambda k: 9 * k * k + 5 * k}
     monkeypatch.setattr(combinatorics, "_RECURRENCE_CACHE", [1, 2])
     monkeypatch.setattr(combinatorics, "_CENTRAL_CACHE", [1])
     monkeypatch.setattr(combinatorics, "_TRIPLE_CACHE", [1])
@@ -79,6 +79,29 @@ def test_shared_columns(monkeypatch):
         assert alternating_row(h) == [
             (-1) ** k * binomial(h, k) for k in range(h + 1)
         ], h
+
+
+@pytest.mark.parametrize("read", [
+    pytest.param(combinatorics.franel, id="franel"),
+    pytest.param(franel_upto, id="franel_upto"),
+    pytest.param(combinatorics.central_binomial, id="central_binomial"),
+    pytest.param(central_binomials_upto, id="central_binomials_upto"),
+    pytest.param(triple_binomials_upto, id="triple_binomials_upto"),
+    pytest.param(lambda n: conjectures._zw_prefix("linear", n), id="zw_prefix-linear"),
+    pytest.param(lambda n: conjectures._zw_prefix("quadratic", n), id="zw_prefix-quadratic"),
+    pytest.param(combinatorics.franel_direct, id="franel_direct"),
+    pytest.param(franel_sun_expansion, id="franel_sun_expansion"),
+    pytest.param(pulled_out_sum, id="pulled_out_sum"),
+    pytest.param(alternating_row, id="alternating_row"),
+    pytest.param(lambda n: product_factor_columns(2, n, 49), id="product_factor_columns"),
+])
+@pytest.mark.parametrize("index", [-1, -3])
+def test_negative_index_raises(read, index):
+    # even after a shared table has grown past the index's size, which
+    # a table[: index + 1] slice would read as a prefix
+    read(5)
+    with pytest.raises(ValueError, match=f"must be nonnegative, got {index}$"):
+        read(index)
 
 
 def test_factor_columns():
